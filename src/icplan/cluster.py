@@ -11,7 +11,6 @@ its parent, which acts as the cluster's local plan source and report sink.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import warnings
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import InstanceError
 from .ilp import AgentConfig
-from .network import COMM, MOBILITY, MobilityCommNetwork
+from .network import COMM, MOBILITY, MobilityCommNetwork, mobility_distances
 
 CO_LOCATED_FACTOR = 10.0    # similarity assigned to co-located agents
 MAX_SPLIT_ROUNDS = 32
@@ -87,24 +86,6 @@ class Clustering:
 # -- agent clustering -----------------------------------------------------
 
 
-def _dijkstra_to(net: MobilityCommNetwork, target: str) -> dict[str, float]:
-    """Distance from every state to `target` (Dijkstra on reversed edges)."""
-    dist = {target: 0.0}
-    heap = [(0.0, target)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
-            continue
-        for v in net.neighbors(u, "pred", MOBILITY):
-            if v == u:
-                continue
-            nd = d + net.mobility_cost(0, v, u)
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def similarity_matrix(net: MobilityCommNetwork, initial_states) -> np.ndarray:
     """Pairwise agent proximity: 1 / min(d(i->j), d(j->i)).
 
@@ -112,13 +93,12 @@ def similarity_matrix(net: MobilityCommNetwork, initial_states) -> np.ndarray:
     finite entry so they are pulled into the same cluster.
     """
     n = len(initial_states)
-    to_state = {s: _dijkstra_to(net, s) for s in set(initial_states)}
+    to_state = {s: mobility_distances(net, s, "pred") for s in set(initial_states)}
     dist = np.full((n, n), np.inf)
     for i in range(n):
         for j in range(n):
             if i != j:
-                dist[i, j] = to_state[initial_states[j]].get(
-                    initial_states[i], float("inf"))
+                dist[i, j] = to_state[initial_states[j]][net.index(initial_states[i])]
     sim = np.zeros((n, n))
     finite = []
     for i in range(n):
@@ -240,9 +220,8 @@ def grow_state_clusters(net: MobilityCommNetwork,
     what lets split-and-restart terminate.  States no territory can reach
     stay unassigned.
     """
-    dist_to: dict[str, dict[str, float]] = {}
-    for s in {initial[r] for g in groups.values() for r in g}:
-        dist_to[s] = _dijkstra_to(net, s)
+    dist_to = {s: mobility_distances(net, s, "pred")
+               for s in {initial[r] for g in groups.values() for r in g}}
 
     assigned: dict[str, int] = {}
     for cid in sorted(groups):
@@ -257,10 +236,10 @@ def grow_state_clusters(net: MobilityCommNetwork,
     for s, cid in assigned.items():
         fringe[cid] |= _undirected_neighbors(net, s) & free
 
-    def pull(cid, s):
+    def pull(cid, i):
         best = float("inf")
         for r in groups[cid]:
-            best = min(best, dist_to[initial[r]].get(s, float("inf")))
+            best = min(best, dist_to[initial[r]][i])
         return best
 
     while free:
@@ -269,9 +248,10 @@ def grow_state_clusters(net: MobilityCommNetwork,
             fringe[cid] &= free
             best = None
             for s in fringe[cid]:
-                d = pull(cid, s)
-                if d < float("inf") and (best is None or (d, net.index(s)) < best):
-                    best = (d, net.index(s))
+                i = net.index(s)
+                d = pull(cid, i)
+                if d < float("inf") and (best is None or (d, i) < best):
+                    best = (d, i)
             if best is not None:
                 s = net.states[best[1]]
                 assigned[s] = cid
@@ -368,10 +348,9 @@ def build_hierarchy(net: MobilityCommNetwork, agents: AgentConfig,
 
     def parent_dist(pid, s):
         if (pid, s) not in dist_from_parent:
-            d = _dijkstra_to(net, s)
+            d = mobility_distances(net, s, "pred")
             dist_from_parent[(pid, s)] = min(
-                (d.get(u, float("inf")) for u in state_sets[pid]),
-                default=float("inf"))
+                (d[net.index(u)] for u in state_sets[pid]), default=float("inf"))
         return dist_from_parent[(pid, s)]
 
     grew = True

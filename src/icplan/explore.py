@@ -156,7 +156,7 @@ def _delivery_corridor(net: MobilityCommNetwork, allowed, initial,
         for u in frontier:
             nbrs = (set(net.neighbors(u, "succ", MOBILITY))
                     | set(net.neighbors(u, "pred", MOBILITY)))
-            for v in nbrs:
+            for v in sorted(nbrs, key=net.index):   # BFS parents by state order
                 if v != u and v in keep and v not in parent:
                     parent[v] = u
                     nxt.append(v)

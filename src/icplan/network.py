@@ -50,6 +50,7 @@ class MobilityCommNetwork:
         object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
         object.__setattr__(self, "_csucc", _adjacency(self.states, self.comm, 0))
         object.__setattr__(self, "_cpred", _adjacency(self.states, self.comm, 1))
+        object.__setattr__(self, "_weighted", {})   # (direction, t) -> rows
 
     # -- basic queries -------------------------------------------------
 
@@ -74,6 +75,25 @@ class MobilityCommNetwork:
             raise ValueError(f"relation must be mobility or comm, got {relation!r}")
         self.index(s)
         return tuple(table.get(s, ()))
+
+    def weighted_mobility(self, direction: str = "succ", t: int = 0):
+        """Per state index, the (neighbour index, layer-t cost) pairs in state order.
+
+        Self-loops are dropped.  For "pred" the cost is that of the edge from
+        the neighbour into the state.  Built on first use per (direction, t).
+        """
+        rows = self._weighted.get((direction, t))
+        if rows is None:
+            rows = []
+            for s in self.states:
+                row = []
+                for v in self.neighbors(s, direction):
+                    if v != s:
+                        a, b = (s, v) if direction == "succ" else (v, s)
+                        row.append((self._index[v], self.mobility_cost(t, a, b)))
+                rows.append(tuple(row))
+            rows = self._weighted[(direction, t)] = tuple(rows)
+        return rows
 
     def mobility_cost(self, t: int, a: str, b: str) -> float:
         w = self.mobility_overrides.get((t, a, b))
@@ -217,53 +237,35 @@ def time_extended(net: MobilityCommNetwork, T: int) -> TimeExtendedGraph:
 # -- shortest paths and centrality ------------------------------------
 
 
-def shortest_mobility_distance(net: MobilityCommNetwork, a: str, b: str,
-                               t: int = 0) -> float:
-    """Weighted shortest-path distance over mobility edges, inf if unreachable.
+def mobility_distances(net: MobilityCommNetwork, source: str,
+                       direction: str = "succ", t: int = 0) -> list[float]:
+    """Weighted mobility distances per state index, inf where unreachable.
 
-    Weights are taken at the fixed layer t (time-dependent costs are sampled,
-    not accumulated along a schedule).
+    "succ" gives distances from `source`, "pred" distances to it.  Weights
+    are taken at the fixed layer t (time-dependent costs are sampled, not
+    accumulated along a schedule).
     """
-    net.index(a), net.index(b)
-    if a == b:
-        return 0.0
-    dist = {a: 0.0}
-    heap = [(0.0, a)]
+    adj = net.weighted_mobility(direction, t)
+    dist = [float("inf")] * len(net.states)
+    start = net.index(source)
+    dist[start] = 0.0
+    heap = [(0.0, start)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u == b:
-            return d
-        if d > dist.get(u, float("inf")):
+        if d > dist[u]:
             continue
-        for v in net.neighbors(u, "succ", MOBILITY):
-            if v == u:
-                continue
-            nd = d + net.mobility_cost(t, u, v)
-            if nd < dist.get(v, float("inf")):
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return float("inf")
+    return dist
 
 
-def all_pairs_mobility_distance(net: MobilityCommNetwork, t: int = 0):
-    """Dense all-pairs weighted mobility distances as {a: {b: d}}."""
-    out = {}
-    for a in net.states:
-        dist = {a: 0.0}
-        heap = [(0.0, a)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
-                continue
-            for v in net.neighbors(u, "succ", MOBILITY):
-                if v == u:
-                    continue
-                nd = d + net.mobility_cost(t, u, v)
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        out[a] = dist
-    return out
+def shortest_mobility_distance(net: MobilityCommNetwork, a: str, b: str,
+                               t: int = 0) -> float:
+    """Weighted shortest-path distance a -> b over mobility edges at layer t."""
+    return mobility_distances(net, a, "succ", t)[net.index(b)]
 
 
 def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
@@ -272,43 +274,43 @@ def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     Self-loops are ignored; scores are raw pair-dependency sums with
     endpoints excluded, no normalization.
     """
-    scores = {s: 0.0 for s in net.states}
-    for source in net.states:
-        # single-source shortest paths with path counts
-        dist = {s: float("inf") for s in net.states}
-        sigma = {s: 0.0 for s in net.states}
-        preds: dict[str, list[str]] = {s: [] for s in net.states}
+    adj = net.weighted_mobility("succ", 0)
+    n = len(net.states)
+    scores = [0.0] * n
+    for source in range(n):
+        # single-source shortest paths with path counts; heap ties by index
+        dist = [float("inf")] * n
+        sigma = [0.0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
         dist[source] = 0.0
         sigma[source] = 1.0
         order = []
-        seen = set()
-        heap = [(0.0, net.index(source), source)]
+        seen = [False] * n
+        heap = [(0.0, source)]
         while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in seen:
+            d, u = heapq.heappop(heap)
+            if seen[u]:
                 continue
-            seen.add(u)
+            seen[u] = True
             order.append(u)
-            for v in net.neighbors(u, "succ", MOBILITY):
-                if v == u:
-                    continue
-                nd = d + net.mobility_cost(0, u, v)
+            for v, w in adj[u]:
+                nd = d + w
                 if nd < dist[v] - 1e-12:
                     dist[v] = nd
                     sigma[v] = sigma[u]
                     preds[v] = [u]
-                    heapq.heappush(heap, (nd, net.index(v), v))
+                    heapq.heappush(heap, (nd, v))
                 elif abs(nd - dist[v]) <= 1e-12:
                     sigma[v] += sigma[u]
                     preds[v].append(u)
         # accumulate dependencies in reverse settle order
-        delta = {s: 0.0 for s in net.states}
+        delta = [0.0] * n
         for u in reversed(order):
             for p in preds[u]:
                 delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
             if u != source:
                 scores[u] += delta[u]
-    return scores
+    return dict(zip(net.states, scores))
 
 
 # -- export ------------------------------------------------------------

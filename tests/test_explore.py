@@ -80,6 +80,16 @@ def test_delivery_corridor_routes_each_source_home():
     assert corridor == {"s0", "s1", "s2", "s5"}
 
 
+def test_delivery_corridor_takes_the_lower_index_parent_on_ties():
+    # diamond hub-{z, a}-src: both middles are one hop from each end; "z"
+    # precedes "a" in state order though not in name order
+    net = _bidirectional(["hub", "z", "a", "src"],
+                         [("hub", "z"), ("hub", "a"), ("z", "src"), ("a", "src")])
+    corridor = _delivery_corridor(net, net.states, {0: "hub", 1: "src"},
+                                  ["src"], "hub")
+    assert corridor == {"hub", "z", "src"}
+
+
 # -- reward shaping --------------------------------------------------------------
 
 

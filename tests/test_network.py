@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from icplan.errors import InstanceError
 from icplan.io import network_to_dict
-from icplan.network import (all_pairs_mobility_distance, betweenness_centrality,
-                            build_network, load_network,
-                            shortest_mobility_distance, time_extended, to_dot)
+from icplan.explore import induced_network
+from icplan.network import (betweenness_centrality, build_network, load_network,
+                            mobility_distances, shortest_mobility_distance,
+                            time_extended, to_dot)
 
 from _helpers import bellman_ford, line_network, random_net
 
@@ -141,15 +142,56 @@ def test_shortest_distance_uses_layer_costs():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000))
-def test_all_pairs_agrees_with_single_source(seed):
-    net = random_net(seed, n=7)
-    table = all_pairs_mobility_distance(net)
-    for a in net.states:
-        for b in net.states:
-            expect = shortest_mobility_distance(net, a, b)
-            got = table[a].get(b, float("inf"))
-            assert got == pytest.approx(expect) or (math.isinf(got) and math.isinf(expect))
+@given(st.integers(0, 10_000), st.floats(0.0, 1.0))
+def test_dijkstra_matches_bellman_ford_in_both_directions(seed, extra):
+    net = random_net(seed, n=7, extra=extra)
+    from_src = {a: bellman_ford(net, a) for a in net.states}
+    for b in net.states:
+        succ = mobility_distances(net, b, "succ")
+        pred = mobility_distances(net, b, "pred")
+        for a in net.states:
+            # integer weights: exact sums
+            assert succ[net.index(a)] == from_src[b][a]
+            assert pred[net.index(a)] == from_src[a][b]
+
+
+def _shortcut_net(overrides=None):
+    """Path a->b->c of cost 2 beside a direct a->c edge of base cost 1."""
+    return build_network(["a", "b", "c"],
+                         [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)], [],
+                         mobility_overrides=overrides)
+
+
+def test_cached_adjacency_reads_layer_costs():
+    base = _shortcut_net()
+    net = _shortcut_net({(0, "a", "c"): 5.0, (2, "a", "c"): 0.5})
+    # the base weight keeps b off every shortest path; the layer-0 cost puts it on
+    assert betweenness_centrality(base)["b"] == 0.0
+    assert betweenness_centrality(net)["b"] == 1.0
+    assert mobility_distances(base, "c", "pred")[0] == 1.0
+    assert mobility_distances(net, "c", "pred")[0] == 2.0
+    assert shortest_mobility_distance(net, "a", "c", t=0) == 2.0
+    assert shortest_mobility_distance(net, "a", "c", t=1) == 1.0
+    assert shortest_mobility_distance(net, "a", "c", t=2) == 0.5
+
+
+def test_induced_network_builds_its_own_adjacency():
+    net = random_net(3, n=8)
+    betweenness_centrality(net)                       # fill the parent's cache
+    keep = net.states[2:]
+    sub = induced_network(net, keep)
+    fresh = build_network(
+        keep, [(a, b, w) for (a, b), w in net.mobility.items()
+               if a in keep and b in keep], [], self_loops=False)
+    assert sub.weighted_mobility() == fresh.weighted_mobility()
+    assert betweenness_centrality(sub) == betweenness_centrality(fresh)
+
+
+def test_cache_does_not_change_equality():
+    net, twin = random_net(4), random_net(4)
+    betweenness_centrality(net)
+    mobility_distances(net, net.states[0], "pred", t=3)
+    assert net == twin
 
 
 def test_betweenness_on_a_line_is_hand_computable():
