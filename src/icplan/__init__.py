@@ -13,9 +13,9 @@ exploration loop for unknown environments.
 from .errors import (ConfigurationError, GuardExceeded, IcplanError,
                      InstanceError, SolverError, UnbalancedFlowError)
 from .ilp import MASTER_FLOW, AgentConfig, MilpModel, ProblemSpec, assemble
-from .network import (MobilityCommNetwork, TimeExtendedGraph,
-                      betweenness_centrality, build_network, load_network,
-                      shortest_mobility_distance, time_extended, to_dot)
+from .network import (MobilityCommNetwork, betweenness_centrality,
+                      build_network, load_network, shortest_mobility_distance,
+                      to_dot)
 from .solver import BACKENDS, SolveResult, export_lp, parse_lp, solve, solve_problem
 from .verify import (OracleResult, PlanSolution, ReachabilityReport,
                      brute_force_solve, check_consistency, check_dynamics,
@@ -29,11 +29,11 @@ __all__ = [
     "IcplanError", "InstanceError", "MASTER_FLOW", "MilpModel",
     "MobilityCommNetwork",
     "OracleResult", "PlanSolution", "ProblemSpec", "ReachabilityReport",
-    "SolveResult", "SolverError", "TimeExtendedGraph", "UnbalancedFlowError",
+    "SolveResult", "SolverError", "UnbalancedFlowError",
     "assemble", "betweenness_centrality", "brute_force_solve",
     "build_network", "check_consistency", "check_dynamics", "check_flows",
     "decompose_flows", "export_lp", "extract_solution",
     "information_reachability", "load_network", "load_solution", "parse_lp",
     "save_solution", "shortest_mobility_distance", "solve", "solve_problem",
-    "time_extended", "to_dot",
+    "to_dot",
 ]

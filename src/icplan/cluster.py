@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InstanceError
 from .ilp import AgentConfig
-from .network import COMM, MOBILITY, MobilityCommNetwork, mobility_distances
+from .network import COMM, MobilityCommNetwork, hop_bfs, mobility_distances
 
 CO_LOCATED_FACTOR = 10.0    # similarity assigned to co-located agents
 MAX_SPLIT_ROUNDS = 32
@@ -201,13 +201,6 @@ def _merge_shared_starts(groups: dict[int, tuple[int, ...]],
 # -- state territory growth -------------------------------------------------
 
 
-def _undirected_neighbors(net: MobilityCommNetwork, s: str):
-    nbrs = (set(net.neighbors(s, "succ", MOBILITY))
-            | set(net.neighbors(s, "pred", MOBILITY)))
-    nbrs.discard(s)
-    return nbrs
-
-
 def grow_state_clusters(net: MobilityCommNetwork,
                         groups: dict[int, tuple[int, ...]],
                         initial: dict[int, str]):
@@ -222,6 +215,10 @@ def grow_state_clusters(net: MobilityCommNetwork,
     """
     dist_to = {s: mobility_distances(net, s, "pred")
                for s in {initial[r] for g in groups.values() for r in g}}
+    rows = net.undirected_mobility()
+
+    def neighbours(s):
+        return {net.states[v] for v in rows[net.index(s)]}
 
     assigned: dict[str, int] = {}
     for cid in sorted(groups):
@@ -234,7 +231,7 @@ def grow_state_clusters(net: MobilityCommNetwork,
     free = {s for s in net.states if s not in assigned}
     fringe = {cid: set() for cid in groups}
     for s, cid in assigned.items():
-        fringe[cid] |= _undirected_neighbors(net, s) & free
+        fringe[cid] |= neighbours(s) & free
 
     def pull(cid, i):
         best = float("inf")
@@ -256,7 +253,7 @@ def grow_state_clusters(net: MobilityCommNetwork,
                 s = net.states[best[1]]
                 assigned[s] = cid
                 free.discard(s)
-                fringe[cid] |= _undirected_neighbors(net, s) & free
+                fringe[cid] |= neighbours(s) & free
                 progress = True
             if not free:
                 break
@@ -273,20 +270,10 @@ def weak_components(net: MobilityCommNetwork, states) -> list[frozenset[str]]:
     seen: set[str] = set()
     out = []
     for s in sorted(keep, key=net.index):
-        if s in seen:
-            continue
-        comp = {s}
-        frontier = [s]
-        while frontier:
-            u = frontier.pop()
-            nbrs = (set(net.neighbors(u, "succ", MOBILITY))
-                    | set(net.neighbors(u, "pred", MOBILITY)))
-            for v in nbrs:
-                if v != u and v in keep and v not in comp:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        out.append(frozenset(comp))
+        if s not in seen:
+            comp = frozenset(hop_bfs(net, [s], within=keep))
+            seen |= comp
+            out.append(comp)
     return out
 
 
@@ -387,10 +374,11 @@ def _touching_cluster(net: MobilityCommNetwork, state_sets, orphan,
     """Cluster whose territory borders the orphan's (preferring `preferred`)."""
     assigned = {s: cid for cid, states in state_sets.items()
                 for s in states if cid != orphan}
+    rows = net.undirected_mobility()
     touching = set()
     for s in state_sets[orphan]:
-        for v in _undirected_neighbors(net, s):
-            cid = assigned.get(v)
+        for v in rows[net.index(s)]:
+            cid = assigned.get(net.states[v])
             if cid is not None:
                 touching.add(cid)
     for pool in (touching & set(preferred), touching):
@@ -437,16 +425,14 @@ def prune_dead_states(net: MobilityCommNetwork, states=None,
     """Iteratively strip unprotected leaf states (undirected degree <= 1)."""
     kept = set(net.states if states is None else states)
     protected = set(protected)
+    rows = net.undirected_mobility()
     changed = True
     while changed:
         changed = False
         for s in sorted(kept, key=net.index):
             if s in protected:
                 continue
-            nbrs = (set(net.neighbors(s, "succ", MOBILITY))
-                    | set(net.neighbors(s, "pred", MOBILITY)))
-            nbrs = {v for v in nbrs if v != s and v in kept}
-            if len(nbrs) <= 1:
+            if sum(net.states[v] in kept for v in rows[net.index(s)]) <= 1:
                 kept.remove(s)
                 changed = True
     return frozenset(kept)

@@ -31,6 +31,7 @@ stall.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,8 +40,8 @@ from pathlib import Path
 from . import verify
 from .cluster import Clustering, cluster_instance, clusters_to_dot, prune_dead_states
 from .ilp import AgentConfig, ProblemSpec
-from .network import (MOBILITY, MobilityCommNetwork, betweenness_centrality,
-                      build_network)
+from .network import (MobilityCommNetwork, betweenness_centrality, build_network,
+                      hop_bfs)
 from .solver import solve_problem
 
 FRONTIER_REWARD = 100.0     # base value of reaching a frontier state
@@ -58,7 +59,8 @@ MAX_CYCLES = 40
 SOLVE_TIME_LIMIT = 55.0
 PRE_GAP = 0.05              # relative MIP gap: reward plans near-optimal
 POST_GAP = 0.25             # collection plans only need to be feasible
-DEBUG = False
+
+logger = logging.getLogger(__name__)
 
 
 # -- world bookkeeping ------------------------------------------------------
@@ -66,21 +68,15 @@ DEBUG = False
 
 def reveal_neighborhood(truth: MobilityCommNetwork, s: str) -> set[str]:
     """States revealed by visiting s: itself plus its mobility neighbours."""
-    return ({s} | set(truth.neighbors(s, "succ", MOBILITY))
-            | set(truth.neighbors(s, "pred", MOBILITY)))
+    row = truth.undirected_mobility()[truth.index(s)]
+    return {s} | {truth.states[v] for v in row}
 
 
 def detect_frontiers(truth: MobilityCommNetwork, known: set[str]) -> tuple[str, ...]:
     """Known states with at least one unknown mobility neighbour."""
-    out = []
-    for s in truth.states:
-        if s not in known:
-            continue
-        nbrs = (set(truth.neighbors(s, "succ", MOBILITY))
-                | set(truth.neighbors(s, "pred", MOBILITY)))
-        if any(v not in known for v in nbrs):
-            out.append(s)
-    return tuple(out)
+    rows = truth.undirected_mobility()
+    return tuple(s for s, row in zip(truth.states, rows)
+                 if s in known and any(truth.states[v] not in known for v in row))
 
 
 def induced_network(net: MobilityCommNetwork, states) -> MobilityCommNetwork:
@@ -93,51 +89,12 @@ def induced_network(net: MobilityCommNetwork, states) -> MobilityCommNetwork:
     return build_network(ordered, mobility, comm, self_loops=False)
 
 
-def hop_diameter(net: MobilityCommNetwork, states) -> int:
-    """Longest undirected hop distance within `states` (0 for singletons)."""
-    keep = sorted(set(states), key=net.index)
-    keep_set = set(keep)
-    best = 0
-    for s in keep:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                nbrs = (set(net.neighbors(u, "succ", MOBILITY))
-                        | set(net.neighbors(u, "pred", MOBILITY)))
-                for v in nbrs:
-                    if v != u and v in keep_set and v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
-
-
 def _hop_distances(net: MobilityCommNetwork, sources, within=None) -> dict[str, int]:
-    """Undirected multi-source BFS hop distances, optionally restricted."""
-    keep = set(within) if within is not None else None
-    dist = {s: 0 for s in sources if keep is None or s in keep}
-    frontier = list(dist)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            nbrs = (set(net.neighbors(u, "succ", MOBILITY))
-                    | set(net.neighbors(u, "pred", MOBILITY)))
-            for v in nbrs:
-                if v == u or v in dist or (keep is not None and v not in keep):
-                    continue
-                dist[v] = dist[u] + 1
-                nxt.append(v)
-        frontier = nxt
+    """Undirected multi-source hop distances, optionally restricted."""
+    dist: dict[str, int] = {}
+    for s, p in hop_bfs(net, sources, within).items():
+        dist[s] = 0 if s == p else dist[p] + 1
     return dist
-
-
-def _reach_radius(net: MobilityCommNetwork, states, sources) -> int:
-    """Farthest hop distance from `sources` to any state of `states`."""
-    dist = _hop_distances(net, sources, within=states)
-    return max((dist.get(s, 0) for s in states), default=0)
 
 
 def _delivery_corridor(net: MobilityCommNetwork, allowed, initial,
@@ -148,19 +105,7 @@ def _delivery_corridor(net: MobilityCommNetwork, allowed, initial,
     undirected path to the submaster; keeps collection problems small even
     in large territories.
     """
-    parent: dict[str, str] = {sm_position: sm_position}
-    frontier = [sm_position]
-    keep = set(allowed)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            nbrs = (set(net.neighbors(u, "succ", MOBILITY))
-                    | set(net.neighbors(u, "pred", MOBILITY)))
-            for v in sorted(nbrs, key=net.index):   # BFS parents by state order
-                if v != u and v in keep and v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
+    parent = hop_bfs(net, [sm_position], within=allowed)
     corridor = {sm_position} | set(initial.values())
     for p in src_positions:
         while p in parent and p != sm_position:
@@ -361,15 +306,13 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
         failed = False
 
         # pre phase, top-down
-        if DEBUG:
-            print(f"  cycle {cycle}: k={k} groups={clustering.groups} "
-                  f"parents={clustering.parents} "
-                  f"submasters={clustering.submasters}")
+        logger.debug("cycle %d: k=%d groups=%s parents=%s submasters=%s",
+                     cycle, k, clustering.groups, clustering.parents,
+                     clustering.submasters)
         for cid in by_depth:
             if cid not in endowed:
-                if DEBUG:
-                    print(f"    pre c{cid}: NOT ENDOWED "
-                          f"(members {clustering.groups[cid]})")
+                logger.debug("pre c%d: not endowed (members %s)",
+                             cid, clustering.groups[cid])
                 continue
             territory = clustering.state_sets[cid]
             sm_world = clustering.submasters[cid]
@@ -419,16 +362,15 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
                 break
             master_layers = verify.master_token_layers(spec, plan.paths)
             covered = set().union(*master_layers) if master_layers else set()
-            if DEBUG:
+            if logger.isEnabledFor(logging.DEBUG):
                 sta = {c: (positions[clustering.submasters[c]],
                            positions[clustering.submasters[c]] in covered)
                        for c in children[cid]}
-                print(f"    pre c{cid} depth={clustering.depth(cid)} "
-                      f"members={clustering.groups[cid]} sm={sm_world} "
-                      f"|terr|={len(territory)} T={T} "
-                      f"obj={result.objective:.1f} "
-                      f"rewards={len(rewards)} stations={sta} "
-                      f"pos={[positions[r] for r in clustering.groups[cid]]}")
+                logger.debug("pre c%d depth=%d members=%s sm=%d |terr|=%d T=%d "
+                             "obj=%.1f rewards=%d stations=%s pos=%s",
+                             cid, clustering.depth(cid), clustering.groups[cid],
+                             sm_world, len(territory), T, result.objective,
+                             len(rewards), sta, member_pos)
             # execute: move members, record reveals, spot stranded members
             for i, entry in enumerate(roster):
                 if isinstance(entry, tuple):
@@ -558,11 +500,10 @@ def _cluster_rewards(plan_net, clustering: Clustering, cid, frontier_set,
             rewards[(station, 1)] = rewards.get((station, 1), 0.0) + value
     if not rewards:
         inside = set(territory)
+        rows = plan_net.undirected_mobility()
         border = [s for s in territory
-                  if any(v not in inside
-                         for v in (set(plan_net.neighbors(s, "succ", MOBILITY))
-                                   | set(plan_net.neighbors(s, "pred", MOBILITY)))
-                         if v != s)]
+                  if any(plan_net.states[v] not in inside
+                         for v in rows[plan_net.index(s)])]
         for s in border:
             for k in range(1, K_MAX + 1):
                 rewards[(s, k)] = EVAC_REWARD * REWARD_DECAY ** (k - 1)

@@ -38,35 +38,15 @@ optional everywhere.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
-from .network import MobilityCommNetwork, load_network
-
-
-def _coerce(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            try:
-                text = Path(source).read_text()
-            except OSError as exc:
-                raise InstanceError(
-                    f"cannot read instance file {str(source)!r}: {exc}"
-                ) from None
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"invalid instance JSON: {exc}") from None
-    raise InstanceError(f"cannot load instance from {type(source).__name__}")
+from .network import MobilityCommNetwork, load_network, read_json_object
 
 
 def load_instance(source):
     """Read (net, spec_or_None, extras) from a dict, JSON string or path."""
-    data = _coerce(source)
+    data = read_json_object(source)
     if "network" not in data:
         raise InstanceError("instance is missing the 'network' section")
     net = load_network(data["network"])
@@ -100,7 +80,7 @@ def load_exploration(source):
     The base defaults to the master's initial state when the "exploration"
     section does not name one.
     """
-    data = _coerce(source)
+    data = read_json_object(source)
     net, _, extras = load_instance(data)
     if "agents" not in data:
         raise InstanceError("exploration worlds need an 'agents' section")

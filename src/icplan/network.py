@@ -1,4 +1,4 @@
-"""Mobility-communication networks and their time-extended expansion.
+"""Mobility-communication networks, their graph primitives and JSON loading.
 
 A network couples two directed edge sets over one state set: mobility edges,
 which agents traverse between consecutive time steps, and communication edges,
@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import InstanceError
 
@@ -51,6 +52,7 @@ class MobilityCommNetwork:
         object.__setattr__(self, "_csucc", _adjacency(self.states, self.comm, 0))
         object.__setattr__(self, "_cpred", _adjacency(self.states, self.comm, 1))
         object.__setattr__(self, "_weighted", {})   # (direction, t) -> rows
+        object.__setattr__(self, "_undirected", None)
 
     # -- basic queries -------------------------------------------------
 
@@ -94,6 +96,20 @@ class MobilityCommNetwork:
                 rows.append(tuple(row))
             rows = self._weighted[(direction, t)] = tuple(rows)
         return rows
+
+    def undirected_mobility(self):
+        """Per state index, the indices of its mobility neighbours either way.
+
+        Rows are ascending and hold no self-loops.  Built on first use.
+        """
+        if self._undirected is None:
+            rows = []
+            for i, s in enumerate(self.states):
+                nbrs = {self._index[v] for v in self._succ[s] + self._pred[s]}
+                nbrs.discard(i)
+                rows.append(tuple(sorted(nbrs)))
+            object.__setattr__(self, "_undirected", tuple(rows))
+        return self._undirected
 
     def mobility_cost(self, t: int, a: str, b: str) -> float:
         w = self.mobility_overrides.get((t, a, b))
@@ -159,7 +175,7 @@ def build_network(states, mobility_edges, comm_edges, self_loops=True,
 
 def load_network(source) -> MobilityCommNetwork:
     """Load a network from an instance dict, JSON string, or file path."""
-    data = _coerce_instance(source)
+    data = read_json_object(source)
     try:
         states = list(data["states"])
     except KeyError:
@@ -184,57 +200,50 @@ def load_network(source) -> MobilityCommNetwork:
     )
 
 
-def _coerce_instance(source) -> dict:
+def read_json_object(source) -> dict:
+    """The JSON object in a dict, a JSON string, or a str or Path file path."""
     if isinstance(source, dict):
         return source
-    text = None
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
+    if not isinstance(source, (str, Path)):
+        raise InstanceError(f"cannot load instance from {type(source).__name__}")
+    text = source
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
         try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InstanceError(f"cannot read instance: {exc}") from None
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InstanceError(
+                f"cannot read instance file {str(source)!r}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from None
+        raise InstanceError(f"invalid instance JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError("instance root must be an object")
     return data
 
 
-# -- time extension ----------------------------------------------------
+# -- hop BFS, shortest paths and centrality ----------------------------
 
 
-@dataclass(frozen=True)
-class TimeExtendedGraph:
-    """Layered expansion of a network over horizon T.
+def hop_bfs(net: MobilityCommNetwork, sources, within=None) -> dict[str, str]:
+    """Undirected mobility BFS: each reached state -> its BFS parent.
 
-    Vertices are (state, t) for t in 0..T.  Mobility arcs cross layers,
-    ((s,t),(s',t+1)) for t < T; communication arcs stay within a layer,
-    ((s,t),(s',t)) for every t in 0..T.
+    Sources map to themselves; `within`, when given, limits the other states
+    the search may enter.  States appear in discovery order and a state's
+    parent is its first discoverer (neighbours are taken in state order), so
+    hop counts follow from the parent chain.
     """
-
-    net: MobilityCommNetwork
-    T: int
-    vertices: tuple[tuple[str, int], ...]
-    mobility_arcs: tuple[tuple[str, str, int], ...]   # (s, s', t): layer t -> t+1
-    comm_arcs: tuple[tuple[str, str, int], ...]       # (s, s', t): within layer t
-
-
-def time_extended(net: MobilityCommNetwork, T: int) -> TimeExtendedGraph:
-    if T < 0:
-        raise ValueError("horizon T must be >= 0")
-    vertices = tuple((s, t) for t in range(T + 1) for s in net.states)
-    mob = tuple((a, b, t) for t in range(T) for (a, b) in net.mobility)
-    comm = tuple((a, b, t) for t in range(T + 1) for (a, b) in net.comm)
-    return TimeExtendedGraph(net=net, T=T, vertices=vertices,
-                             mobility_arcs=mob, comm_arcs=comm)
-
-
-# -- shortest paths and centrality ------------------------------------
+    rows = net.undirected_mobility()
+    keep = None if within is None else set(within)
+    parent = {s: s for s in sources}
+    queue = [net.index(s) for s in parent]
+    for u in queue:                 # the loop also visits states appended below
+        for v in rows[u]:
+            s = net.states[v]
+            if s not in parent and (keep is None or s in keep):
+                parent[s] = net.states[u]
+                queue.append(v)
+    return parent
 
 
 def mobility_distances(net: MobilityCommNetwork, source: str,

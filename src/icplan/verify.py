@@ -377,18 +377,6 @@ def check_consistency(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
     return bad
 
 
-def agents_received(plan: PlanSolution, spec: ProblemSpec) -> dict[int, int]:
-    """Agents covered by the master token, mapped to first coverage layer."""
-    master = master_token_layers(spec, plan.paths)
-    out = {}
-    for r, path in plan.paths.items():
-        for t, layer in enumerate(master):
-            if path[t] in layer:
-                out[r] = t
-                break
-    return out
-
-
 # -- flow decomposition ----------------------------------------------------
 
 

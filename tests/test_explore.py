@@ -1,13 +1,20 @@
 """World bookkeeping, reward shaping, and the exploration loop end to end."""
 
+import dataclasses
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import icplan
 from icplan.cluster import Clustering
 from icplan.explore import (_cluster_rewards, _delivery_corridor, _hop_distances,
-                            _reach_radius, detect_frontiers, hop_diameter,
-                            induced_network, reveal_neighborhood, run_exploration)
+                            detect_frontiers, induced_network, reveal_neighborhood,
+                            run_exploration)
 from icplan.ilp import AgentConfig
 from icplan.instances import exploration_world
 from icplan.network import build_network
@@ -50,26 +57,12 @@ def test_induced_network_keeps_interior_edges_only():
     assert set(sub.comm) == set(sub.mobility) - loops
 
 
-def test_hop_diameter_on_lines_and_fragments():
-    net = line_network(5)
-    assert hop_diameter(net, net.states) == 4
-    assert hop_diameter(net, {"s2"}) == 0
-    # a disconnected restriction measures within components only
-    assert hop_diameter(net, {"s0", "s4"}) == 0
-
-
 def test_hop_distances_respect_the_restriction():
     net = line_network(5)
     assert _hop_distances(net, ["s0"]) == {"s0": 0, "s1": 1, "s2": 2,
                                            "s3": 3, "s4": 4}
     assert _hop_distances(net, ["s0"], within={"s0", "s1", "s2"}) == \
         {"s0": 0, "s1": 1, "s2": 2}
-
-
-def test_reach_radius_is_the_farthest_hop():
-    net = line_network(5)
-    assert _reach_radius(net, net.states, ["s2"]) == 2
-    assert _reach_radius(net, net.states, ["s0"]) == 4
 
 
 def test_delivery_corridor_routes_each_source_home():
@@ -194,6 +187,15 @@ def test_cycle_budget_cuts_the_loop_short():
     assert log.cycles == 1
 
 
+def test_debug_log_describes_each_pre_solve(caplog):
+    caplog.set_level(logging.DEBUG, logger="icplan.explore")
+    truth, agents, base = exploration_world(seed=0, n_states=20, n_agents=4)
+    run_exploration(truth, agents, base, max_cycles=1)
+    messages = [rec.getMessage() for rec in caplog.records]   # formats every record
+    assert messages[0].startswith("cycle 1: k=")
+    assert any(m.startswith("pre c1 depth=0 ") for m in messages)
+
+
 def test_unreachable_islands_do_not_block_completion():
     net = _bidirectional(["s0", "s1", "s2", "s3", "x", "y"],
                          [("s0", "s1"), ("s1", "s2"), ("s2", "s3"),
@@ -218,3 +220,29 @@ def test_log_serialisation_matches_the_run():
     assert data["coverage"] == log.coverage
     for outcome in data["outcomes"]:
         assert outcome["max_solve_time"] <= data["max_solve_time"]
+
+
+_RECORDS = """
+import dataclasses
+from icplan.explore import run_exploration
+from icplan.instances import exploration_world
+truth, agents, base = exploration_world(seed=5, n_states=15, n_agents=3)
+log = run_exploration(truth, agents, base)
+print(log.status)
+print([dataclasses.replace(r, wall_time=0.0) for r in log.subproblems])
+"""
+
+
+def test_exploration_records_do_not_follow_the_hash_seed():
+    # on this world, taking BFS neighbours in set order changes the records
+    src = str(Path(icplan.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        outs.append(subprocess.run([sys.executable, "-c", _RECORDS], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert "phase='post'" in outs[0]
+    assert outs[0] == outs[1]

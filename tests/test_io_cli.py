@@ -106,6 +106,20 @@ def test_load_instance_rejects_malformed_sources():
         load_instance(data)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"5", "root must be an object"),
+    (b'"network"', "root must be an object"),
+    (b"\xff\xfe{", "cannot read"),                 # not UTF-8
+])
+def test_files_that_hold_no_json_object_are_rejected(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for load in (load_instance, load_exploration):
+        for source in (path, str(path)):
+            with pytest.raises(InstanceError, match=message):
+                load(source)
+
+
 def test_load_instance_accepts_dicts_and_json_strings():
     net, spec = relay_spec()
     data = instance_to_dict(net, spec)

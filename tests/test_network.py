@@ -1,4 +1,4 @@
-"""Network construction, time extension, metrics, and export."""
+"""Network construction, graph primitives, metrics, and export."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from icplan.errors import InstanceError
 from icplan.io import network_to_dict
 from icplan.explore import induced_network
-from icplan.network import (betweenness_centrality, build_network, load_network,
-                            mobility_distances, shortest_mobility_distance,
-                            time_extended, to_dot)
+from icplan.network import (betweenness_centrality, build_network, hop_bfs,
+                            load_network, mobility_distances,
+                            shortest_mobility_distance, to_dot)
 
 from _helpers import bellman_ford, line_network, random_net
 
@@ -84,36 +84,84 @@ def test_cost_overrides_apply_at_their_layer_only():
     assert net.comm_cost(2, "a", "b") == 0.5
 
 
-# -- time extension ----------------------------------------------------------
+# -- undirected neighbourhood and hop BFS -------------------------------------
 
 
-def test_time_extended_counts():
-    net = random_net(1, n=6)
-    T = 3
-    te = time_extended(net, T)
-    assert len(te.vertices) == len(net.states) * (T + 1)
-    assert len(te.mobility_arcs) == len(net.mobility) * T
-    assert len(te.comm_arcs) == len(net.comm) * (T + 1)
+@st.composite
+def _mixed_nets(draw):
+    """Asymmetric edges and explicit self-loops, states out of name order;
+    without default loops some states stay loop-free."""
+    n = draw(st.integers(1, 8))
+    states = draw(st.permutations([f"s{i}" for i in range(n)]))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))
+    mobility = [(states[a], states[b], 1.0) for a, b in sorted(pairs)]
+    return build_network(states, mobility, [], self_loops=draw(st.booleans()))
 
 
-def test_time_extended_horizon_zero_has_no_motion():
-    net = line_network(3)
-    te = time_extended(net, 0)
-    assert len(te.mobility_arcs) == 0
-    assert len(te.comm_arcs) == len(net.comm)
-    assert all(t == 0 for (_, t) in te.vertices)
+@settings(max_examples=60, deadline=None)
+@given(_mixed_nets(), st.data())
+def test_undirected_rows_and_hop_bfs_match_references(net, data):
+    rows = net.undirected_mobility()
+    for i, s in enumerate(net.states):
+        union = (set(net.neighbors(s, "succ")) | set(net.neighbors(s, "pred"))) - {s}
+        assert rows[i] == tuple(sorted(net.index(v) for v in union))
+
+    sources = data.draw(st.lists(st.sampled_from(net.states), min_size=1, max_size=3))
+    within = data.draw(st.none() | st.sets(st.sampled_from(net.states)))
+    parent = hop_bfs(net, sources, within)
+    assert all(parent[s] == s for s in sources)
+    hops: dict[str, int] = {}
+    for s, p in parent.items():
+        hops[s] = 0 if s == p else hops[p] + 1
+
+    # reference: unit-weight Bellman-Ford on the symmetrised graph over the
+    # states the search may enter
+    area = [s for s in net.states if within is None or s in within or s in sources]
+    edges = []
+    for a, b in net.mobility:
+        if a != b and a in area and b in area:
+            edges += [(a, b, 1.0), (b, a, 1.0)]
+    sym = build_network(area, edges, [], self_loops=False)
+    ref = {s: min(bellman_ford(sym, src)[s] for src in sources) for s in area}
+    assert hops == {s: d for s, d in ref.items() if d < math.inf}
+
+    # discovery order by hops; the parent is the first-discovered neighbour
+    # one hop nearer, and it discovers its children in state order
+    order = list(parent)
+    assert [hops[s] for s in order] == sorted(hops.values())
+    for s, p in parent.items():
+        if s != p:
+            nearer = [u for u in order if hops[u] == hops[s] - 1
+                      and net.index(s) in rows[net.index(u)]]
+            assert p == nearer[0]
+        children = [net.index(v) for v in order if v != s and parent[v] == s]
+        assert children == sorted(children)
 
 
-def test_time_extended_rejects_negative_horizon():
-    with pytest.raises(ValueError):
-        time_extended(line_network(2), -1)
+def test_hop_bfs_on_lines_and_fragments():
+    net = line_network(5)
+    assert hop_bfs(net, ["s0"]) == {"s0": "s0", "s1": "s0", "s2": "s1",
+                                    "s3": "s2", "s4": "s3"}
+    assert list(hop_bfs(net, ["s2"])) == ["s2", "s1", "s3", "s0", "s4"]
+    # two sources: s2 is first discovered from s1, the earlier-queued side
+    assert hop_bfs(net, ["s0", "s4"]) == {"s0": "s0", "s4": "s4", "s1": "s0",
+                                          "s3": "s4", "s2": "s1"}
+    assert hop_bfs(net, ["s2"], within={"s2"}) == {"s2": "s2"}
+    # a disconnected restriction keeps the search in the source's component
+    assert hop_bfs(net, ["s0"], within={"s0", "s4"}) == {"s0": "s0"}
 
 
-def test_time_extended_arcs_are_layered():
-    net = line_network(3)
-    te = time_extended(net, 2)
-    assert all(0 <= t < 2 for (_, _, t) in te.mobility_arcs)
-    assert all(0 <= t <= 2 for (_, _, t) in te.comm_arcs)
+def test_induced_network_builds_its_own_undirected_rows():
+    net = random_net(3, n=8)
+    net.undirected_mobility()                         # fill the parent's cache
+    keep = net.states[2:]
+    sub = induced_network(net, keep)
+    fresh = build_network(
+        keep, [(a, b, w) for (a, b), w in net.mobility.items()
+               if a in keep and b in keep], [], self_loops=False)
+    assert len(sub.undirected_mobility()) == len(keep)
+    assert sub.undirected_mobility() == fresh.undirected_mobility()
 
 
 # -- shortest paths and centrality -------------------------------------------
@@ -191,6 +239,7 @@ def test_cache_does_not_change_equality():
     net, twin = random_net(4), random_net(4)
     betweenness_centrality(net)
     mobility_distances(net, net.states[0], "pred", t=3)
+    net.undirected_mobility()
     assert net == twin
 
 

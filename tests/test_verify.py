@@ -7,7 +7,7 @@ import pytest
 from icplan.errors import GuardExceeded, UnbalancedFlowError
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec
 from icplan.solver import solve_problem
-from icplan.verify import (PlanSolution, agents_received, brute_force_solve,
+from icplan.verify import (PlanSolution, brute_force_solve,
                            check_consistency, check_dynamics, check_flows,
                            decompose_flows, information_reachability,
                            load_solution, master_token_layers, save_solution,
@@ -215,11 +215,6 @@ def test_token_layers_stage_through_the_relay(gated_relay):
     assert layers[0] == frozenset({"s0", "s1"})
     assert "s3" not in layers[0]
     assert "s3" in layers[1]
-
-
-def test_agents_received_reports_first_coverage(gated_relay):
-    spec, plan = gated_relay
-    assert agents_received(plan, spec) == {0: 0, 1: 0, 2: 1}
 
 
 def test_consistent_plan_passes(gated_relay):
