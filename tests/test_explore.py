@@ -57,12 +57,31 @@ def test_induced_network_keeps_interior_edges_only():
     assert set(sub.comm) == set(sub.mobility) - loops
 
 
+def test_hop_diameter_on_lines_and_fragments():
+    net = line_network(5)
+
+    def diameter(within):
+        return max(max(_hop_distances(net, [s], within=within).values())
+                   for s in within)
+
+    assert diameter(set(net.states)) == 4
+    assert diameter({"s2"}) == 0
+    # a disconnected restriction measures within components only
+    assert diameter({"s0", "s4"}) == 0
+
+
 def test_hop_distances_respect_the_restriction():
     net = line_network(5)
     assert _hop_distances(net, ["s0"]) == {"s0": 0, "s1": 1, "s2": 2,
                                            "s3": 3, "s4": 4}
     assert _hop_distances(net, ["s0"], within={"s0", "s1", "s2"}) == \
         {"s0": 0, "s1": 1, "s2": 2}
+
+
+def test_reach_radius_is_the_farthest_hop():
+    net = line_network(5)
+    assert max(_hop_distances(net, ["s2"], within=set(net.states)).values()) == 2
+    assert max(_hop_distances(net, ["s0"], within=set(net.states)).values()) == 4
 
 
 def test_delivery_corridor_routes_each_source_home():
