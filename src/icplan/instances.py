@@ -6,7 +6,7 @@ import math
 import random
 
 from .ilp import AgentConfig, ProblemSpec
-from .network import MobilityCommNetwork, build_network
+from .network import MobilityCommNetwork, build_network, count_walks
 
 ORACLE_CLASSES = ("p1", "p2", "p2_collision", "p2_awareness")
 
@@ -124,14 +124,7 @@ def random_oracle_instance(seed: int, klass: str):
 def _joint_path_count(net, agents, T):
     total = 1
     for r in range(agents.count):
-        ways = {agents.initial[r]: 1}
-        for _ in range(T):
-            nxt: dict[str, int] = {}
-            for s, n in ways.items():
-                for sp in net.neighbors(s, "succ", "mobility"):
-                    nxt[sp] = nxt.get(sp, 0) + n
-            ways = nxt
-        total *= max(sum(ways.values()), 1)
+        total *= max(count_walks(net, agents.initial[r], T), 1)
     return total
 
 

@@ -40,12 +40,22 @@ class MobilityCommNetwork:
             raise InstanceError("duplicate state identifiers")
         if not self.states:
             raise InstanceError("empty state set")
-        for name, edges in ((MOBILITY, self.mobility), (COMM, self.comm)):
+        for name, edges, overrides in ((MOBILITY, self.mobility, self.mobility_overrides),
+                                       (COMM, self.comm, self.comm_overrides)):
             for (a, b), w in edges.items():
                 if a not in index or b not in index:
                     raise InstanceError(f"dangling {name} edge ({a!r}, {b!r})")
                 if w < 0:
                     raise InstanceError(f"negative weight on {name} edge ({a!r}, {b!r})")
+            for (t, a, b), w in overrides.items():
+                if not isinstance(t, int) or t < 0:
+                    raise InstanceError(f"{name} override ({t!r}, {a!r}, {b!r}): "
+                                        f"layer must be an int >= 0")
+                if (a, b) not in edges:
+                    raise InstanceError(f"{name} override on missing edge ({a!r}, {b!r})")
+                if w < 0:
+                    raise InstanceError(f"negative weight on {name} override "
+                                        f"({t!r}, {a!r}, {b!r})")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_succ", _adjacency(self.states, self.mobility, 0))
         object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
@@ -222,7 +232,19 @@ def read_json_object(source) -> dict:
     return data
 
 
-# -- hop BFS, shortest paths and centrality ----------------------------
+# -- walk counting, hop BFS, shortest paths and centrality -------------
+
+
+def count_walks(net: MobilityCommNetwork, s0: str, T: int) -> int:
+    """Number of T-step mobility walks from s0 (self-loops count as steps)."""
+    ways = {s0: 1}
+    for _ in range(T):
+        nxt: dict[str, int] = {}
+        for s, n in ways.items():
+            for sp in net.neighbors(s, "succ", MOBILITY):
+                nxt[sp] = nxt.get(sp, 0) + n
+        ways = nxt
+    return sum(ways.values())
 
 
 def hop_bfs(net: MobilityCommNetwork, sources, within=None) -> dict[str, str]:

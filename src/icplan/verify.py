@@ -33,7 +33,7 @@ from scipy.optimize import linprog
 
 from .errors import GuardExceeded, InstanceError, UnbalancedFlowError
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import COMM, MOBILITY, MobilityCommNetwork
+from .network import COMM, MOBILITY, MobilityCommNetwork, count_walks
 
 TOL = 1e-6
 
@@ -100,9 +100,8 @@ class _Sim:
                 return cur
             cur = nxt
 
-    def spread(self, paths, seed_mask: int, gate_layers=None):
-        """Token layer masks; gate_layers restricts transmission senders."""
-        occ = self.occupancy(paths)
+    def spread(self, paths, occ, seed_mask: int, gate_layers=None):
+        """Token layer masks over occupancy occ; gate_layers restricts senders."""
         T = len(occ) - 1
         layers = []
         cur = seed_mask & occ[0]
@@ -128,7 +127,7 @@ def master_token_layers(spec: ProblemSpec, paths) -> list[frozenset[str]]:
     seed = 0
     for s in spec.agents.master_states():
         seed |= sim.bit[s]
-    return [sim.to_states(m) for m in sim.spread(paths, seed)]
+    return [sim.to_states(m) for m in sim.spread(paths, sim.occupancy(paths), seed)]
 
 
 # -- dynamics and flow bookkeeping ---------------------------------------
@@ -549,19 +548,7 @@ class OracleResult:
     status: str                     # optimal | infeasible
     objective: float | None
     paths: dict[int, tuple[str, ...]] | None
-    candidates: int = 0
-    feasible: int = 0
-
-
-def _count_walks(net, s0, T):
-    ways = {s0: 1}
-    for _ in range(T):
-        nxt: dict[str, int] = {}
-        for s, n in ways.items():
-            for sp in net.neighbors(s, "succ", MOBILITY):
-                nxt[sp] = nxt.get(sp, 0) + n
-        ways = nxt
-    return sum(ways.values())
+    candidates: int = 0             # joint path combinations enumerated
 
 
 def _agent_paths(net, s0, T):
@@ -577,16 +564,38 @@ def _agent_paths(net, s0, T):
     return paths
 
 
+def _reward_ceiling(reward_items, finals) -> float:
+    """Positive rewards that capable agents ending on `finals` could claim."""
+    counts: dict[str, int] = {}
+    for s in finals:
+        counts[s] = counts.get(s, 0) + 1
+    return sum(max(v, 0.0) for (s, k), v in reward_items if counts.get(s, 0) >= k)
+
+
 def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult:
     """Exhaustive optimum over joint mobility paths.
 
-    Refuses when the joint path count exceeds the guard.
+    Refuses when the joint path count exceeds the guard.  Candidates are
+    enumerated in `itertools.product` order over each agent's paths, and a
+    later candidate replaces the incumbent only when it is better by more
+    than 1e-12, so the first maximiser wins.
+
+    A candidate is skipped unevaluated when its reward ceiling (the positive
+    rewards its capable agents' final states could claim, `_reward_ceiling`)
+    minus its movement cost g1 falls below the incumbent by more than TOL.
+    The ceiling bounds every evaluated value: the awareness filter only
+    drops claims, the pairwise communication cost g2 is >= 0, and the
+    residual LP's objective is >= -(its positive claims) because
+    communication costs are non-negative (the network rejects negative
+    weights and overrides).  The TOL margin covers LP round-off, so no
+    candidate that could replace the incumbent is skipped.  `candidates`
+    still counts every enumerated combination.
     """
     spec.validate()
     net, T, agents = spec.net, spec.T, spec.agents
     total = 1
     for r in range(agents.count):
-        n = 1 if r in agents.static else _count_walks(net, agents.initial[r], T)
+        n = 1 if r in agents.static else count_walks(net, agents.initial[r], T)
         if n == 0:
             return OracleResult("infeasible", None, None)
         total *= n
@@ -611,14 +620,19 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     pairs = (spec.collision_pairs if spec.collision_pairs is not None
              else tuple(itertools.combinations(range(agents.count), 2)))
     comm_costed = any(net.comm_cost(t, a, b) > 0
-                      for (a, b) in net.comm for t in range(1, T + 1)) and bool(net.comm)
+                      for (a, b) in net.comm for t in range(1, T + 1))
     reward_items = spec.sorted_rewards()
 
     best, best_paths = None, None
-    n_cand = n_feas = 0
+    n_cand = 0
     lp_cache: dict = {}
     for combo in itertools.product(*(range(len(p)) for p in per_agent)):
         n_cand += 1
+        g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
+        if best is not None:
+            finals = [per_agent[r][combo[r]][T] for r in capable]
+            if _reward_ceiling(reward_items, finals) - g1 < best - TOL:
+                continue
         paths = {r: per_agent[r][combo[r]] for r in range(agents.count)}
         if spec.collision_avoidance and _collides(paths, pairs, T):
             continue
@@ -626,14 +640,12 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
                                     comm_costed, reward_items, lp_cache)
         if value is None:
             continue
-        n_feas += 1
-        g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
         total_value = value - g1
         if best is None or total_value > best + 1e-12:
             best, best_paths = total_value, paths
     if best is None:
-        return OracleResult("infeasible", None, None, n_cand, 0)
-    return OracleResult("optimal", best, best_paths, n_cand, n_feas)
+        return OracleResult("infeasible", None, None, n_cand)
+    return OracleResult("optimal", best, best_paths, n_cand)
 
 
 def _collides(paths, pairs, T):
@@ -656,7 +668,7 @@ def _evaluate_candidate(spec, sim, paths, starts_mask, capable,
 
     master = None
     if spec.information_consistent:
-        master = sim.spread(paths, starts_mask)
+        master = sim.spread(paths, occ, starts_mask)
         for r in range(spec.agents.count):
             s0 = spec.agents.initial[r]
             if sim.bit[s0] & starts_mask:
@@ -669,7 +681,7 @@ def _evaluate_candidate(spec, sim, paths, starts_mask, capable,
 
     # per-pair reachability under (gated) token semantics
     for i in spec.src:
-        layers = sim.spread(paths, sim.bit[paths[i][0]], gate_layers=master)
+        layers = sim.spread(paths, occ, sim.bit[paths[i][0]], gate_layers=master)
         for j in spec.snk:
             if not (layers[T] & sim.bit[paths[j][T]]):
                 return None
@@ -696,7 +708,7 @@ def _evaluate_candidate(spec, sim, paths, starts_mask, capable,
             return None
         return sum(max(v, 0.0) for (_, _, v) in claimable) - g2
 
-    return _residual_lp_value(spec, paths, master, sim, claimable, lp_cache)
+    return _residual_lp_value(spec, paths, occ, master, sim, claimable, lp_cache)
 
 
 def _admissible_arcs(spec, paths, occ, sim):
@@ -751,14 +763,13 @@ def _te_dijkstra(net, T, traversed, comm_ok, source):
     return dist
 
 
-def _residual_lp_value(spec, paths, master, sim, claimable, lp_cache):
+def _residual_lp_value(spec, paths, occ, master, sim, claimable, lp_cache):
     """Exact rewards-minus-g2 for fixed paths via an LP over admissible arcs.
 
     Couples data flows, master deliveries, gating, and awareness claims the
     same way the integer model does once occupancy is fixed.
     """
     net, T = spec.net, spec.T
-    occ = sim.occupancy(paths)
     traversed, comm_ok = _admissible_arcs(spec, paths, occ, sim)
     key = (tuple(tuple(sorted(t_arcs)) for t_arcs in traversed),
            tuple(tuple(layer) for layer in comm_ok),

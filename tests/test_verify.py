@@ -1,16 +1,21 @@
 """Plan verification: dynamics, flow certificates, reachability, consistency."""
 
+import itertools
 import warnings
 
 import pytest
 
-from icplan.errors import GuardExceeded, UnbalancedFlowError
+from icplan.errors import GuardExceeded, InstanceError, UnbalancedFlowError
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec
+from icplan.instances import ORACLE_CLASSES, random_oracle_instance
+from icplan.network import build_network
 from icplan.solver import solve_problem
-from icplan.verify import (PlanSolution, brute_force_solve,
-                           check_consistency, check_dynamics, check_flows,
-                           decompose_flows, information_reachability,
-                           load_solution, master_token_layers, save_solution,
+from icplan.verify import (TOL, PlanSolution, _agent_paths, _collides,
+                           _evaluate_candidate, _reward_ceiling, _Sim,
+                           brute_force_solve, check_consistency,
+                           check_dynamics, check_flows, decompose_flows,
+                           information_reachability, load_solution,
+                           master_token_layers, save_solution,
                            solution_from_dict, solution_to_dict)
 
 from _helpers import line_network, relay_spec
@@ -321,7 +326,6 @@ def test_oracle_and_solver_agree_on_collision_pruning():
 
 
 def test_oracle_reports_infeasible():
-    from icplan.network import build_network
     net = build_network(["a", "b"], [], [])
     agents = AgentConfig(count=2, initial={0: "a", 1: "b"})
     spec = ProblemSpec(net=net, agents=agents, T=1, src=(0,), snk=(1,))
@@ -332,3 +336,104 @@ def test_oracle_guard_refuses_large_joint_spaces(line4):
     _, spec = line4
     with pytest.raises(GuardExceeded):
         brute_force_solve(spec, guard=5)
+
+
+def _assert_oracle_is_exhaustive(spec):
+    """Score every joint plan without pruning and compare with the oracle.
+
+    Each evaluated value minus its movement cost must stay within TOL of the
+    oracle's bound (its reward ceiling minus the same cost); the oracle must
+    return the first maximiser in enumeration order under its strict
+    `> best + 1e-12` rule and count every joint plan.
+    """
+    net, T, agents = spec.net, spec.T, spec.agents
+    per_agent = [[(agents.initial[r],) * (T + 1)] if r in agents.static
+                 else _agent_paths(net, agents.initial[r], T)
+                 for r in range(agents.count)]
+    sim = _Sim(net)
+    starts_mask = 0
+    for s in agents.master_states():
+        starts_mask |= sim.bit[s]
+    capable = sorted(agents.capable())
+    pairs = (spec.collision_pairs if spec.collision_pairs is not None
+             else tuple(itertools.combinations(range(agents.count), 2)))
+    comm_costed = any(net.comm_cost(t, a, b) > 0
+                      for (a, b) in net.comm for t in range(1, T + 1))
+    reward_items = spec.sorted_rewards()
+    best, best_paths, n = None, None, 0
+    lp_cache: dict = {}
+    for combo in itertools.product(*per_agent):
+        n += 1
+        paths = dict(enumerate(combo))
+        if spec.collision_avoidance and _collides(paths, pairs, T):
+            continue
+        value = _evaluate_candidate(spec, sim, paths, starts_mask, capable,
+                                    comm_costed, reward_items, lp_cache)
+        if value is None:
+            continue
+        g1 = sum(sum(net.mobility_cost(t, p[t], p[t + 1]) for t in range(T))
+                 for p in combo)
+        ceiling = _reward_ceiling(reward_items, [paths[r][T] for r in capable])
+        assert value - g1 <= ceiling - g1 + TOL, (paths, value, ceiling)
+        if best is None or value - g1 > best + 1e-12:
+            best, best_paths = value - g1, paths
+
+    oracle = brute_force_solve(spec)
+    assert oracle.candidates == n
+    if best is None:
+        assert oracle.status == "infeasible"
+    else:
+        assert oracle.status == "optimal"
+        assert oracle.objective == best
+        assert oracle.paths == best_paths
+    return oracle
+
+
+@pytest.mark.parametrize("klass", ORACLE_CLASSES)
+def test_pruned_oracle_matches_exhaustive_scoring(klass):
+    # the benchmark's oracle corpus: seeds 0-5 of every C1 class
+    for seed in range(6):
+        _assert_oracle_is_exhaustive(random_oracle_instance(seed, klass)[1])
+
+
+def test_oracle_keeps_the_first_of_tied_plans():
+    net = line_network(3)
+    agents = AgentConfig(count=1, initial={0: "s1"})
+    tied = ProblemSpec(net=net, agents=agents, T=1,
+                       rewards={("s0", 1): 5.0, ("s2", 1): 5.0})
+    oracle = _assert_oracle_is_exhaustive(tied)
+    assert oracle.paths[0] == ("s1", "s0")          # enumerated before s1 -> s2
+    assert oracle.objective == 4.0
+    # a later plan better by less than the pruning margin still wins
+    near = ProblemSpec(net=net, agents=agents, T=1,
+                       rewards={("s0", 1): 5.0, ("s2", 1): 5.0 + 1e-7})
+    oracle = _assert_oracle_is_exhaustive(near)
+    assert oracle.paths[0] == ("s1", "s2")
+    assert oracle.objective == pytest.approx(4.0 + 1e-7, abs=1e-12)
+
+
+@pytest.mark.parametrize("consistent, T, optimum", [(False, 1, 8.0), (True, 2, 7.0)])
+def test_oracle_prices_negative_rewards_and_costed_comm(consistent, T, optimum):
+    # meeting at s1 unlocks 10 beside an unclaimed -8; an earlier plan that
+    # keeps agent 0 on its reward at s0 pays one costed comm hop instead
+    net = line_network(3, comm_cost=1.0)
+    agents = AgentConfig(count=2, initial={0: "s0", 1: "s2"},
+                         masters=frozenset({0}) if consistent else frozenset())
+    spec = ProblemSpec(net=net, agents=agents, T=T, src=(0,), snk=(1,),
+                       rewards={("s0", 1): 6.0, ("s1", 1): -8.0, ("s1", 2): 10.0},
+                       information_consistent=consistent)
+    oracle = _assert_oracle_is_exhaustive(spec)
+    assert oracle.objective == pytest.approx(optimum)
+    assert {p[T] for p in oracle.paths.values()} == {"s1"}
+    assert solve_problem(spec)[1].objective == pytest.approx(optimum, abs=1e-6)
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"mobility_overrides": {(0, "a", "b"): -5.0}}, "negative weight"),
+    ({"comm_overrides": {(1, "b", "a"): 1.0}}, "missing edge"),
+    ({"mobility_overrides": {(-3, "a", "b"): 1.0}}, "layer must be"),
+])
+def test_invalid_cost_overrides_are_rejected(overrides, match):
+    # the oracle's bound and both Dijkstras rely on non-negative layer costs
+    with pytest.raises(InstanceError, match=match):
+        build_network(["a", "b"], [("a", "b", 1.0)], [("a", "b", 1.0)], **overrides)
