@@ -22,15 +22,13 @@ def main():
     parser.add_argument("--methods", default="flow,powerset,adaptive")
     parser.add_argument("--sizes", default="4,5,6,8,10,15",
                         help="comma-separated line lengths")
-    parser.add_argument("--backend", default="scipy")
     parser.add_argument("--time-limit", type=float, default=120.0)
     parser.add_argument("--out", default="bench.csv")
     args = parser.parse_args()
 
     methods = [m for m in args.methods.split(",") if m]
     sizes = [int(n) for n in args.sizes.split(",") if n]
-    rows = bench_rows(methods, sizes, backend=args.backend,
-                      time_limit=args.time_limit)
+    rows = bench_rows(methods, sizes, time_limit=args.time_limit)
 
     header = ["method", "N", "T", "status", "wall_time", "objective"]
     with open(args.out, "w") as fh:

@@ -23,7 +23,6 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-states", type=int, default=100)
     parser.add_argument("--n-agents", type=int, default=10)
-    parser.add_argument("--backend", default="scipy")
     parser.add_argument("--trace-dir", default=None)
     parser.add_argument("--out", default="exploration_log.json")
     args = parser.parse_args()
@@ -31,8 +30,7 @@ def main():
     net, agents, base = exploration_world(seed=args.seed,
                                           n_states=args.n_states,
                                           n_agents=args.n_agents)
-    log = run_exploration(net, agents, base, backend=args.backend,
-                          trace_dir=args.trace_dir)
+    log = run_exploration(net, agents, base, trace_dir=args.trace_dir)
 
     for o in log.outcomes:
         print(f"cycle {o.cycle:2d}: clusters={o.n_clusters} "

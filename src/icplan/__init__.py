@@ -16,7 +16,7 @@ from .ilp import MASTER_FLOW, AgentConfig, MilpModel, ProblemSpec, assemble
 from .network import (MobilityCommNetwork, betweenness_centrality,
                       build_network, load_network, shortest_mobility_distance,
                       to_dot)
-from .solver import BACKENDS, SolveResult, export_lp, parse_lp, solve, solve_problem
+from .solver import SolveResult, export_lp, solve, solve_problem
 from .verify import (OracleResult, PlanSolution, ReachabilityReport,
                      brute_force_solve, check_consistency, check_dynamics,
                      check_flows, decompose_flows, extract_solution,
@@ -25,7 +25,7 @@ from .verify import (OracleResult, PlanSolution, ReachabilityReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentConfig", "BACKENDS", "ConfigurationError", "GuardExceeded",
+    "AgentConfig", "ConfigurationError", "GuardExceeded",
     "IcplanError", "InstanceError", "MASTER_FLOW", "MilpModel",
     "MobilityCommNetwork",
     "OracleResult", "PlanSolution", "ProblemSpec", "ReachabilityReport",
@@ -33,7 +33,7 @@ __all__ = [
     "assemble", "betweenness_centrality", "brute_force_solve",
     "build_network", "check_consistency", "check_dynamics", "check_flows",
     "decompose_flows", "export_lp", "extract_solution",
-    "information_reachability", "load_network", "load_solution", "parse_lp",
+    "information_reachability", "load_network", "load_solution",
     "save_solution", "shortest_mobility_distance", "solve", "solve_problem",
     "to_dot",
 ]

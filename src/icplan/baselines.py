@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, GuardExceeded
 from .ilp import (MilpModel, ProblemSpec, allocate_variables, build_dynamics,
-                  build_extensions, build_reward_link)
+                  build_extensions, build_reward_and_motion_terms,
+                  build_reward_link)
 from .solver import SolveResult, solve
 from .verify import PlanSolution, extract_solution
 
@@ -64,14 +65,7 @@ def _build_base_model(spec: ProblemSpec) -> MilpModel:
                 model.add_constr(coeffs, "<=", 0.0, "comm_active")
     build_extensions(model, spec)
 
-    for (s, k), value in spec.sorted_rewards():
-        model.add_objective(model.var("y", s, k), value)
-    for t in range(T):
-        for (a, b) in net.mobility:
-            cost = net.mobility_cost(t, a, b)
-            if cost:
-                for r in range(spec.agents.count):
-                    model.add_objective(model.var("x", r, a, b, t), -cost)
+    build_reward_and_motion_terms(model, spec)
     for t in range(1, T + 1):
         for (a, b) in net.comm:
             cost = net.comm_cost(t, a, b)
@@ -138,10 +132,10 @@ def build_powerset_model(spec: ProblemSpec) -> MilpModel:
     return model
 
 
-def solve_powerset(spec: ProblemSpec, backend: str = "scipy",
+def solve_powerset(spec: ProblemSpec,
                    time_limit: float | None = None) -> BaselineRun:
     model = build_powerset_model(spec)
-    result = solve(model, backend=backend, time_limit=time_limit)
+    result = solve(model, time_limit=time_limit)
     plan = extract_baseline_solution(spec, result) if result.ok else None
     return BaselineRun(model, result, plan, rounds=1,
                        cuts_added=model.info.get("powerset_cuts", 0),
@@ -182,7 +176,7 @@ def _reachable_vertices(spec: ProblemSpec, assignment) -> dict[int, set]:
     return out
 
 
-def solve_adaptive_powerset(spec: ProblemSpec, backend: str = "scipy",
+def solve_adaptive_powerset(spec: ProblemSpec,
                             time_limit: float | None = None,
                             max_rounds: int = ADAPTIVE_MAX_ROUNDS) -> BaselineRun:
     """Cut-and-resolve: add the complement of each deficient reachable set."""
@@ -196,7 +190,7 @@ def solve_adaptive_powerset(spec: ProblemSpec, backend: str = "scipy",
     n_cuts = 0
     seen_cuts: set[frozenset] = set()
     for round_no in range(1, max_rounds + 1):
-        result = solve(model, backend=backend, time_limit=time_limit)
+        result = solve(model, time_limit=time_limit)
         total_time += result.wall_time
         if not result.ok:
             return BaselineRun(model, result, None, round_no, n_cuts, total_time)

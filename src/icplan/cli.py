@@ -58,18 +58,17 @@ def _cmd_solve(args) -> int:
         _write(args.dot_out, to_dot(net))
         print(f"wrote {args.dot_out}")
     if args.method == "flow":
-        model, result, plan = solve_problem(spec, backend=args.backend,
-                                            time_limit=args.time_limit,
+        model, result, plan = solve_problem(spec, time_limit=args.time_limit,
                                             gap=args.gap)
     else:
         solver = (baselines.solve_powerset if args.method == "powerset"
                   else baselines.solve_adaptive_powerset)
-        run = solver(spec, backend=args.backend, time_limit=args.time_limit)
+        run = solver(spec, time_limit=args.time_limit)
         result, plan = run.result, run.plan
         print(f"rounds={run.rounds} cuts={run.cuts_added}")
     obj = "-" if result.objective is None else f"{result.objective:.6g}"
     print(f"status={result.status} objective={obj} "
-          f"wall={result.wall_time:.2f}s backend={result.backend}")
+          f"wall={result.wall_time:.2f}s")
     if plan is not None and args.out:
         verify.save_solution(plan, args.out)
         print(f"wrote {args.out}")
@@ -135,7 +134,7 @@ def _cmd_explore(args) -> int:
         initially_known = None
     log = run_exploration(net, agents, base, initially_known=initially_known,
                           t_max=args.t_max, max_cycles=args.max_cycles,
-                          backend=args.backend, trace_dir=args.trace_dir)
+                          trace_dir=args.trace_dir)
     for o in log.outcomes:
         print(f"cycle {o.cycle}: clusters={o.n_clusters} "
               f"frontiers={o.frontiers_before} new={len(o.new_states)} "
@@ -164,14 +163,14 @@ def _parse_n_range(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
-def bench_rows(methods, sizes, backend="scipy", time_limit=None):
+def bench_rows(methods, sizes, time_limit=None):
     """One CSV row dict per (method, N) pair on the line relay family."""
     rows = []
     for n in sizes:
         net, spec = line_instance(n)
         for method in methods:
             if method == "flow":
-                model, result, plan = solve_problem(spec, backend=backend,
+                model, result, plan = solve_problem(spec,
                                                     time_limit=time_limit)
                 status, wall, obj = result.status, result.wall_time, \
                     result.objective
@@ -179,7 +178,7 @@ def bench_rows(methods, sizes, backend="scipy", time_limit=None):
                 solver = (baselines.solve_powerset if method == "powerset"
                           else baselines.solve_adaptive_powerset)
                 try:
-                    run = solver(spec, backend=backend, time_limit=time_limit)
+                    run = solver(spec, time_limit=time_limit)
                     status, wall, obj = (run.result.status, run.wall_time,
                                          run.result.objective)
                 except GuardExceeded:
@@ -196,7 +195,7 @@ def _cmd_bench(args) -> int:
         if m not in ("flow", "powerset", "adaptive"):
             raise IcplanError(f"unknown bench method {m!r}")
     rows = bench_rows(methods, _parse_n_range(args.n_range),
-                      backend=args.backend, time_limit=args.time_limit)
+                      time_limit=args.time_limit)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=["method", "N", "T", "status",
                                              "wall_time", "objective"])
@@ -215,11 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multi-agent missions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--backend", default="scipy",
-                       choices=("scipy", "glpk", "lp-file"))
-        p.add_argument("--time-limit", type=float, default=None)
-
     p = sub.add_parser("solve", help="solve a planning instance")
     p.add_argument("instance")
     p.add_argument("--method", default="flow",
@@ -228,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the solution JSON here")
     p.add_argument("--lp-out", help="export the model in LP format")
     p.add_argument("--dot-out", help="export the network in DOT format")
-    common(p)
+    p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a saved solution")
@@ -254,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     p.add_argument("--trace-dir", help="write per-cycle DOT/JSON traces here")
     p.add_argument("--out", help="write the run log JSON here")
-    common(p)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("bench", help="benchmark on line relay instances")
@@ -262,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", default="4:12:2",
                    help="sizes as start:stop[:step] or a comma list")
     p.add_argument("--out", help="write CSV here instead of stdout")
-    common(p)
+    p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=_cmd_bench)
     return parser
 

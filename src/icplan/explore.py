@@ -80,13 +80,20 @@ def detect_frontiers(truth: MobilityCommNetwork, known: set[str]) -> tuple[str, 
 
 
 def induced_network(net: MobilityCommNetwork, states) -> MobilityCommNetwork:
-    """Subnetwork on `states` keeping every edge with both endpoints inside."""
+    """Subnetwork on `states` keeping every edge and cost override inside it."""
     keep = set(states)
     ordered = [s for s in net.states if s in keep]
     mobility = [(a, b, w) for (a, b), w in net.mobility.items()
                 if a in keep and b in keep]
     comm = [(a, b, w) for (a, b), w in net.comm.items() if a in keep and b in keep]
-    return build_network(ordered, mobility, comm, self_loops=False)
+
+    def kept(overrides):
+        return {(t, a, b): w for (t, a, b), w in overrides.items()
+                if a in keep and b in keep}
+
+    return build_network(ordered, mobility, comm, self_loops=False,
+                         mobility_overrides=kept(net.mobility_overrides),
+                         comm_overrides=kept(net.comm_overrides))
 
 
 def _hop_distances(net: MobilityCommNetwork, sources, within=None) -> dict[str, int]:
@@ -243,8 +250,7 @@ def _verify_plan(spec, plan, phase):
 
 def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
                     initially_known=None, t_max: int = T_MAX,
-                    max_cycles: int = MAX_CYCLES, backend: str = "scipy",
-                    trace_dir=None) -> ExplorationLog:
+                    max_cycles: int = MAX_CYCLES, trace_dir=None) -> ExplorationLog:
     """Explore `truth` until the base knows every reachable state."""
     start = time.time()
     R = agents.count
@@ -342,7 +348,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
             rewards = {(s, kk): v for (s, kk), v in rewards.items()
                        if sub_net.has_state(s)}
             spec = _pre_spec(sub_net, config, T, rewards)
-            model, result, plan = solve_problem(spec, backend=backend,
+            model, result, plan = solve_problem(spec,
                                                 time_limit=SOLVE_TIME_LIMIT,
                                                 gap=PRE_GAP)
             if plan is None:
@@ -419,7 +425,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
                                 if i not in config.static)
                 at_base = cid == by_depth[0] and n_dynamic > 0
                 record, plan, used_src = _solve_post(
-                    sub_net, config, t_max, sm_index, src, at_base, backend,
+                    sub_net, config, t_max, sm_index, src, at_base,
                     cycle, cid, roster)
                 if record is None:
                     continue    # every source proved unreachable; regroup later
@@ -510,7 +516,7 @@ def _cluster_rewards(plan_net, clustering: Clustering, cid, frontier_set,
     return rewards
 
 
-def _solve_post(sub_net, config, t_max, sm_index, src, at_base, backend,
+def _solve_post(sub_net, config, t_max, sm_index, src, at_base,
                 cycle, cid, roster):
     """Collection problem with horizon-retry and source-drop ladders.
 
@@ -528,7 +534,7 @@ def _solve_post(sub_net, config, t_max, sm_index, src, at_base, backend,
     horizon = t0
     while src_left:
         spec = _post_spec(sub_net, config, horizon, sm_index, src_left, at_base)
-        model, result, plan = solve_problem(spec, backend=backend,
+        model, result, plan = solve_problem(spec,
                                             time_limit=SOLVE_TIME_LIMIT,
                                             gap=POST_GAP)
         if plan is not None:

@@ -476,8 +476,8 @@ def build_extensions(model: MilpModel, spec: ProblemSpec,
         model.add_constr(coeffs, ">=", 1.0, "return_to_base")
 
 
-def build_objective(model: MilpModel, spec: ProblemSpec):
-    """Maximize terminal rewards minus mobility cost minus communication cost."""
+def build_reward_and_motion_terms(model: MilpModel, spec: ProblemSpec):
+    """Objective terms every model shares: terminal rewards minus mobility cost."""
     net, T = spec.net, spec.T
     for (s, k), value in spec.sorted_rewards():
         model.add_objective(model.var("y", s, k), value)
@@ -487,6 +487,12 @@ def build_objective(model: MilpModel, spec: ProblemSpec):
                 cost = net.mobility_cost(t, a, b)
                 if cost:
                     model.add_objective(model.var("x", r, a, b, t), -cost)
+
+
+def build_objective(model: MilpModel, spec: ProblemSpec):
+    """Maximize terminal rewards minus mobility cost minus communication cost."""
+    build_reward_and_motion_terms(model, spec)
+    net, T = spec.net, spec.T
     for fid in spec.flow_ids():
         for t in range(1, T + 1):
             for (a, b) in net.comm:

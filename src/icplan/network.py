@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,16 +46,16 @@ class MobilityCommNetwork:
             for (a, b), w in edges.items():
                 if a not in index or b not in index:
                     raise InstanceError(f"dangling {name} edge ({a!r}, {b!r})")
-                if w < 0:
-                    raise InstanceError(f"negative weight on {name} edge ({a!r}, {b!r})")
+                if not 0 <= w < math.inf:    # also false for NaN
+                    raise InstanceError(f"{_bad_weight(w)} on {name} edge ({a!r}, {b!r})")
             for (t, a, b), w in overrides.items():
                 if not isinstance(t, int) or t < 0:
                     raise InstanceError(f"{name} override ({t!r}, {a!r}, {b!r}): "
                                         f"layer must be an int >= 0")
                 if (a, b) not in edges:
                     raise InstanceError(f"{name} override on missing edge ({a!r}, {b!r})")
-                if w < 0:
-                    raise InstanceError(f"negative weight on {name} override "
+                if not 0 <= w < math.inf:
+                    raise InstanceError(f"{_bad_weight(w)} on {name} override "
                                         f"({t!r}, {a!r}, {b!r})")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_succ", _adjacency(self.states, self.mobility, 0))
@@ -144,6 +145,10 @@ class MobilityCommNetwork:
 
     def comm_edges(self):
         return tuple(self.comm)
+
+
+def _bad_weight(w) -> str:
+    return "negative weight" if w < 0 else f"non-finite weight {w!r}"
 
 
 def _adjacency(states, edges, end):

@@ -1,23 +1,13 @@
-"""Solver backends and LP-format text exchange.
+"""HiGHS solves of the solver-neutral model, and its LP-format export.
 
-Three backends share one solver-neutral model:
-
-- "scipy": in-process HiGHS via scipy.optimize.milp (default).
-- "glpk": in-process GLPK via cvxopt, if cvxopt is installed.
-- "lp-file": writes CPLEX-LP text and shells out to an external solver named
-  by the ICPLAN_LP_SOLVER environment variable (CBC-style command line);
-  the portability path when no in-process solver is available.
-
-The LP writer and parser round-trip: parsing an exported model reconstructs
-the same variable, constraint, and objective term counts.
+`solve` hands a `MilpModel` to HiGHS through scipy.optimize.milp;
+`export_lp` writes the same model as CPLEX-LP text for inspection or for
+an external solver.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +19,6 @@ from .errors import SolverError
 from .ilp import MilpModel, ProblemSpec, assemble
 
 INT_TOL = 1e-6
-BACKENDS = ("scipy", "glpk", "lp-file")
 
 
 @dataclass
@@ -38,7 +27,6 @@ class SolveResult:
     objective: float | None
     assignment: dict[tuple, float] = field(default_factory=dict)
     wall_time: float = 0.0
-    backend: str = ""
     message: str = ""
 
     @property
@@ -46,19 +34,12 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def solve(model: MilpModel, backend: str = "scipy", time_limit: float | None = None,
+def solve(model: MilpModel, time_limit: float | None = None,
           gap: float | None = None) -> SolveResult:
-    if backend not in BACKENDS:
-        raise SolverError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
+    """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap."""
     start = time.perf_counter()
-    if backend == "scipy":
-        result = _solve_scipy(model, time_limit, gap)
-    elif backend == "glpk":
-        result = _solve_glpk(model, time_limit)
-    else:
-        result = _solve_lp_file(model, time_limit)
+    result = _solve_highs(model, time_limit, gap)
     result.wall_time = time.perf_counter() - start
-    result.backend = backend
     return result
 
 
@@ -94,7 +75,7 @@ def _constraint_matrix(model: MilpModel):
     return A, lb, ub
 
 
-def _solve_scipy(model: MilpModel, time_limit, gap) -> SolveResult:
+def _solve_highs(model: MilpModel, time_limit, gap) -> SolveResult:
     n = model.n_variables
     c = np.zeros(n)
     for idx, coeff in model.objective.items():
@@ -132,66 +113,6 @@ def _solve_scipy(model: MilpModel, time_limit, gap) -> SolveResult:
     if res.status == 3:
         return SolveResult("unbounded", None, message=res.message)
     return SolveResult("error", None, message=res.message)
-
-
-def _solve_glpk(model: MilpModel, time_limit) -> SolveResult:
-    try:
-        from cvxopt import glpk, matrix, spmatrix
-    except ImportError as exc:
-        raise SolverError("glpk backend needs cvxopt") from exc
-
-    n = model.n_variables
-    c = [0.0] * n
-    for idx, coeff in model.objective.items():
-        c[idx] = -coeff
-    g_rows, g_cols, g_vals, h = [], [], [], []
-    a_rows, a_cols, a_vals, b = [], [], [], []
-    for coeffs, rel, rhs, _ in model.constraints:
-        if rel == "==":
-            row = len(b)
-            for idx, coeff in coeffs.items():
-                a_rows.append(row), a_cols.append(idx), a_vals.append(coeff)
-            b.append(rhs)
-        else:
-            sign = 1.0 if rel == "<=" else -1.0
-            row = len(h)
-            for idx, coeff in coeffs.items():
-                g_rows.append(row), g_cols.append(idx), g_vals.append(sign * coeff)
-            h.append(sign * rhs)
-    # explicit nonnegativity for continuous vars; binaries are bounded by B
-    for idx, d in enumerate(model.domains):
-        if d == "C":
-            row = len(h)
-            g_rows.append(row), g_cols.append(idx), g_vals.append(-1.0)
-            h.append(0.0)
-    if not h:                                # glpk requires a nonempty G
-        g_rows.append(0), g_cols.append(0), g_vals.append(0.0)
-        h.append(1.0)
-    G = spmatrix(g_vals, g_rows, g_cols, (len(h), n))
-    h = matrix(h)
-    options = {"msg_lev": "GLP_MSG_OFF"}
-    if time_limit is not None:
-        options["tm_lim"] = int(time_limit * 1000)
-    binaries = {i for i, d in enumerate(model.domains) if d == "B"}
-    args = dict(c=matrix(c), G=G, h=h, I=set(), B=binaries, options=options)
-    if b:
-        A = spmatrix(a_vals, a_rows, a_cols, (len(b), n))
-        args.update(A=A, b=matrix(b))
-    try:
-        status, x = glpk.ilp(**args)
-    except Exception as exc:                 # pragma: no cover - defensive
-        raise SolverError(f"glpk failed: {exc}") from exc
-    if status == "optimal":
-        xs = [x[i] for i in range(n)]
-        assignment = _round_assignment(model, xs)
-        objective = sum(model.objective.get(i, 0.0) * xs[i]
-                        for i in model.objective)
-        return SolveResult("optimal", objective, assignment)
-    if "infeasible" in status:
-        return SolveResult("infeasible", None, message=status)
-    if "dual infeasible" in status or "unbounded" in status:
-        return SolveResult("unbounded", None, message=status)
-    return SolveResult("error", None, message=status)
 
 
 # -- LP text ------------------------------------------------------------
@@ -245,198 +166,16 @@ def export_lp(model: MilpModel, name: str = "icplan") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ParsedLP:
-    objective: dict[str, float]
-    constraints: list[tuple[str, dict[str, float], str, float]]
-    binaries: set[str]
-    variables: set[str]
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.variables)
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
-
-_NUM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-
-def _tokenize_lp(text: str):
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0]
-        for tok in line.replace("<=", " <= ").replace(">=", " >= ") \
-                        .replace("=", " = ").replace("< =", " <= ") \
-                        .split():
-            yield tok
-
-
-def parse_lp(text: str) -> ParsedLP:
-    """Parse LP text produced by export_lp (subset of the CPLEX-LP format)."""
-    tokens = list(_tokenize_lp(text))
-    # re-join '<' '=' splits caused by the '=' expansion
-    fixed, i = [], 0
-    while i < len(tokens):
-        if tokens[i] in ("<", ">") and i + 1 < len(tokens) and tokens[i + 1] == "=":
-            fixed.append(tokens[i] + "=")
-            i += 2
-        else:
-            fixed.append(tokens[i])
-            i += 1
-    tokens = fixed
-
-    objective: dict[str, float] = {}
-    constraints: list[tuple[str, dict[str, float], str, float]] = []
-    binaries: set[str] = set()
-    variables: set[str] = set()
-
-    def parse_terms(toks, stop):
-        coeffs: dict[str, float] = {}
-        sign, coeff = 1.0, None
-        k = 0
-        while k < len(toks):
-            tok = toks[k]
-            if tok.lower() in stop or tok in stop:
-                break
-            if tok == "+":
-                pass
-            elif tok == "-":
-                sign = -sign
-            elif _NUM.match(tok):
-                coeff = (coeff if coeff is not None else 1.0) * float(tok)
-            else:
-                value = sign * (coeff if coeff is not None else 1.0)
-                coeffs[tok] = coeffs.get(tok, 0.0) + value
-                variables.add(tok)
-                sign, coeff = 1.0, None
-            k += 1
-        return coeffs, k
-
-    i = 0
-    mode = None
-    while i < len(tokens):
-        tok = tokens[i]
-        low = tok.lower()
-        if low in ("maximize", "minimize"):
-            mode = "objective"
-            i += 1
-            continue
-        if low == "subject":
-            mode = "constraints"
-            i += 2 if i + 1 < len(tokens) and tokens[i + 1].lower() == "to" else 1
-            continue
-        if low == "bounds":
-            mode = "bounds"
-            i += 1
-            continue
-        if low in ("binaries", "binary"):
-            mode = "binaries"
-            i += 1
-            continue
-        if low in ("generals", "general"):
-            mode = "generals"
-            i += 1
-            continue
-        if low == "end":
-            break
-
-        if mode == "objective":
-            if tok.endswith(":"):
-                i += 1
-                continue
-            coeffs, used = parse_terms(tokens[i:], {"subject"})
-            objective.update(coeffs)
-            i += used
-        elif mode == "constraints":
-            name = f"c{len(constraints)}"
-            if tok.endswith(":"):
-                name = tok[:-1]
-                i += 1
-            coeffs, used = parse_terms(tokens[i:], {"<=", ">=", "="})
-            i += used
-            rel = tokens[i]
-            rhs = float(tokens[i + 1])
-            i += 2
-            constraints.append((name, coeffs, "==" if rel == "=" else rel, rhs))
-        elif mode == "bounds":
-            # forms: "0 <= name" / "name <= 5" / "lo <= name <= hi" / "name free"
-            if not _NUM.match(tok) and tok not in ("<=", ">=", "=", "free"):
-                variables.add(tok)
-            i += 1
-        elif mode in ("binaries", "generals"):
-            variables.add(tok)
-            if mode == "binaries":
-                binaries.add(tok)
-            i += 1
-        else:
-            i += 1
-    return ParsedLP(objective, constraints, binaries, variables)
-
-
-# -- external solver ----------------------------------------------------
-
-
-def _solve_lp_file(model: MilpModel, time_limit) -> SolveResult:
-    command = os.environ.get("ICPLAN_LP_SOLVER")
-    if not command:
-        raise SolverError("lp-file backend: set ICPLAN_LP_SOLVER to a CBC-style solver")
-    names = _var_names(model)
-    index = {nm: i for i, nm in enumerate(names)}
-    with tempfile.TemporaryDirectory(prefix="icplan_") as tmp:
-        lp_path = os.path.join(tmp, "model.lp")
-        sol_path = os.path.join(tmp, "model.sol")
-        with open(lp_path, "w") as fh:
-            fh.write(export_lp(model))
-        argv = [command, lp_path]
-        if time_limit is not None:
-            argv += ["sec", str(int(time_limit))]
-        argv += ["solve", "printingOptions", "all", "solution", sol_path]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=None)
-        except OSError as exc:
-            raise SolverError(f"cannot run {command!r}: {exc}") from exc
-        if proc.returncode != 0 and not os.path.exists(sol_path):
-            raise SolverError(f"solver exited {proc.returncode}: {proc.stderr[:500]}")
-        return _parse_cbc_solution(model, index, sol_path)
-
-
-def _parse_cbc_solution(model, index, sol_path) -> SolveResult:
-    try:
-        with open(sol_path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise SolverError(f"no solution file: {exc}") from exc
-    if not lines:
-        raise SolverError("empty solution file")
-    header = lines[0].lower()
-    if "infeasible" in header:
-        return SolveResult("infeasible", None, message=lines[0])
-    if "unbounded" in header:
-        return SolveResult("unbounded", None, message=lines[0])
-    if "optimal" not in header:
-        return SolveResult("error", None, message=lines[0])
-    x = [0.0] * model.n_variables
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) >= 3 and parts[1] in index:
-            x[index[parts[1]]] = float(parts[2])
-    assignment = _round_assignment(model, x)
-    objective = model.evaluate_objective(assignment)
-    return SolveResult("optimal", objective, assignment, message=lines[0])
-
-
 # -- convenience --------------------------------------------------------
 
 
-def solve_problem(spec: ProblemSpec, backend: str = "scipy",
-                  time_limit: float | None = None, gap: float | None = None):
+def solve_problem(spec: ProblemSpec, time_limit: float | None = None,
+                  gap: float | None = None):
     """Assemble, solve, and extract a plan. Returns (model, result, plan)."""
     from . import verify
 
     model = assemble(spec)
-    result = solve(model, backend=backend, time_limit=time_limit, gap=gap)
+    result = solve(model, time_limit=time_limit, gap=gap)
     plan = None
     if result.assignment and result.status in ("optimal", "limit"):
         plan = verify.extract_solution(spec, result.assignment, result.objective)

@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
-from icplan.baselines import (build_powerset_model, solve_adaptive_powerset,
-                              solve_powerset)
+from icplan.baselines import (_build_base_model, build_powerset_model,
+                              solve_adaptive_powerset, solve_powerset)
 from icplan.errors import ConfigurationError, GuardExceeded
-from icplan.ilp import AgentConfig, ProblemSpec
+from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import line_instance, random_oracle_instance
 from icplan.solver import solve_problem
 from icplan.verify import check_dynamics, information_reachability
@@ -119,3 +119,23 @@ def test_adaptive_matches_flow_on_random_free_comm_instances():
         if checked == 6:
             break
     assert checked == 6
+
+
+def test_baseline_and_flow_objectives_share_reward_and_mobility_terms():
+    def terms(model, kinds):
+        return {model.refs[i]: c for i, c in model.objective.items()
+                if model.refs[i][0] in kinds}
+
+    priced = set()
+    for seed in range(12):
+        _, spec = random_oracle_instance(seed, "p1")
+        flow, base = assemble(spec), _build_base_model(spec)
+        shared = terms(flow, {"x", "y"})
+        assert terms(base, {"x", "y"}) == shared
+        priced |= {ref[0] for ref in shared}
+        # each model keeps only its own communication price
+        assert terms(flow, {"x", "y", "fbar"}).keys() == \
+            {flow.refs[i] for i in flow.objective}
+        assert terms(base, {"x", "y", "comm"}).keys() == \
+            {base.refs[i] for i in base.objective}
+    assert priced == {"x", "y"}

@@ -233,6 +233,17 @@ def test_cli_explore_signals_cut_short_runs(tmp_path):
     assert code == cli.EXIT_STALL
 
 
+def test_cli_time_limit_is_only_on_solve_and_bench(capsys):
+    # explore's loop always uses explore.SOLVE_TIME_LIMIT
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explore", "--time-limit", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --time-limit 5" in capsys.readouterr().err
+    parser = cli._build_parser()
+    assert parser.parse_args(["solve", "x.json", "--time-limit", "5"]).time_limit == 5
+    assert parser.parse_args(["bench", "--time-limit", "5"]).time_limit == 5
+
+
 def test_cli_bench_emits_csv_with_guard_refusals(tmp_path):
     out = tmp_path / "bench.csv"
     code = cli.main(["bench", "--methods", "flow,powerset",

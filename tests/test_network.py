@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icplan.errors import InstanceError
-from icplan.io import network_to_dict
+from icplan.io import load_instance, network_to_dict
 from icplan.explore import induced_network
 from icplan.network import (betweenness_centrality, build_network, hop_bfs,
                             load_network, mobility_distances,
@@ -66,6 +66,21 @@ def test_dangling_edge_rejected():
 def test_negative_weight_rejected():
     with pytest.raises(InstanceError):
         build_network(["a", "b"], [("a", "b", -1.0)], [])
+
+
+def test_non_finite_weights_rejected(tmp_path):
+    # NaN passes `w < 0`; +inf used to fail only later, inside HiGHS
+    for w in (math.nan, math.inf):
+        with pytest.raises(InstanceError, match="non-finite weight"):
+            build_network(["a", "b"], [("a", "b", w)], [])
+        with pytest.raises(InstanceError, match="non-finite weight"):
+            build_network(["a", "b"], [("a", "b", 1.0)], [("a", "b", 1.0)],
+                          comm_overrides={(0, "a", "b"): w})
+    path = tmp_path / "nan.json"
+    path.write_text('{"network": {"states": ["a", "b"], "comm_edges": [], '
+                    '"mobility_edges": [{"from": "a", "to": "b", "weight": NaN}]}}')
+    with pytest.raises(InstanceError, match="non-finite weight"):
+        load_instance(path)
 
 
 def test_unknown_state_lookup_raises():
