@@ -97,20 +97,31 @@ def _lp_sections(text: str) -> dict[str, list[str]]:
     return sections
 
 
-def test_export_lp_lists_every_constraint_binary_and_objective_term(line4):
-    for _, spec in (line4, relay_spec(masters=(0,), information_consistent=True)):
-        model = assemble(spec)
-        sections = _lp_sections(export_lp(model))
-        rows = [line for line in sections["Subject To"]
-                if re.match(r" c\d+_\w+: ", line)]
-        assert len(rows) == model.n_constraints
-        assert [line.split(":")[0] for line in rows] == \
-            [f" c{i}_{c[3]}" for i, c in enumerate(model.constraints)]
-        binaries = [nm for line in sections["Binaries"] for nm in line.split()]
-        assert len(binaries) == sum(1 for d in model.domains if d == "B")
-        assert len(set(binaries)) == len(binaries)
-        [objective] = sections["Maximize"]
-        head, *terms = objective.split()
-        assert head == "obj:"
-        assert len(terms) % 3 == 0      # "+|- coefficient name" per term
-        assert len(terms) // 3 == len(model.objective) > 0
+def _check_lp_counts(model) -> None:
+    """The LP text holds every variable, constraint and objective term of model."""
+    sections = _lp_sections(export_lp(model))
+    rows = [line for line in sections["Subject To"]
+            if re.match(r" c\d+_\w+: ", line)]
+    assert len(rows) == model.n_constraints
+    assert [line.split(":")[0] for line in rows] == \
+        [f" c{i}_{c[3]}" for i, c in enumerate(model.constraints)]
+    binaries = [nm for line in sections["Binaries"] for nm in line.split()]
+    assert len(binaries) == sum(1 for d in model.domains if d == "B")
+    continuous = [line.split()[-1] for line in sections.get("Bounds", [])]
+    names = binaries + continuous
+    assert len(names) == len(set(names)) == model.n_variables
+    [objective] = sections["Maximize"]
+    head, *terms = objective.split()
+    assert head == "obj:"
+    assert len(terms) % 3 == 0      # "+|- coefficient name" per term
+    assert len(terms) // 3 == len(model.objective) > 0
+
+
+def test_lp_round_trip_preserves_counts(line4):
+    _, spec = line4
+    _check_lp_counts(assemble(spec))
+
+
+def test_lp_round_trip_on_a_consistent_instance():
+    _, spec = relay_spec(masters=(0,), information_consistent=True)
+    _check_lp_counts(assemble(spec))
