@@ -138,7 +138,7 @@ def _cmd_explore(args) -> int:
     for o in log.outcomes:
         print(f"cycle {o.cycle}: clusters={o.n_clusters} "
               f"frontiers={o.frontiers_before} new={len(o.new_states)} "
-              f"base+={o.base_gain}")
+              f"base+={o.base_gain} slowest_solve={o.max_solve_time:.1f}s")
     print(f"status={log.status} cycles={log.cycles} "
           f"coverage={log.coverage:.2f} base={log.base_coverage:.2f} "
           f"subproblems={len(log.subproblems)} verified={log.all_verified} "

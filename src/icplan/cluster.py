@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InstanceError
 from .ilp import AgentConfig
-from .network import COMM, MobilityCommNetwork, hop_bfs, mobility_distances
+from .network import COMM, MobilityCommNetwork, hop_bfs
 
 CO_LOCATED_FACTOR = 10.0    # similarity assigned to co-located agents
 MAX_SPLIT_ROUNDS = 32
@@ -41,21 +41,6 @@ class Clustering:
 
     def active_ids(self):
         return sorted(self.parents)
-
-    def inactive_ids(self):
-        return sorted(set(self.groups) - set(self.parents))
-
-    def cluster_of_agent(self, r: int) -> int:
-        for cid, group in self.groups.items():
-            if r in group:
-                return cid
-        raise KeyError(r)
-
-    def cluster_of_state(self, s: str) -> int | None:
-        for cid, states in self.state_sets.items():
-            if s in states:
-                return cid
-        return None
 
     def depth(self, cid: int) -> int:
         d, cur = 0, cid
@@ -93,12 +78,9 @@ def similarity_matrix(net: MobilityCommNetwork, initial_states) -> np.ndarray:
     finite entry so they are pulled into the same cluster.
     """
     n = len(initial_states)
-    to_state = {s: mobility_distances(net, s, "pred") for s in set(initial_states)}
-    dist = np.full((n, n), np.inf)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                dist[i, j] = to_state[initial_states[j]][net.index(initial_states[i])]
+    at = [net.index(s) for s in initial_states]
+    dist = net.mobility_distance_matrix("pred")[np.ix_(at, at)].T   # i -> j
+    np.fill_diagonal(dist, np.inf)
     sim = np.zeros((n, n))
     finite = []
     for i in range(n):
@@ -213,55 +195,41 @@ def grow_state_clusters(net: MobilityCommNetwork,
     what lets split-and-restart terminate.  States no territory can reach
     stay unassigned.
     """
-    dist_to = {s: mobility_distances(net, s, "pred")
-               for s in {initial[r] for g in groups.values() for r in g}}
+    to_state = net.mobility_distance_matrix("pred")
+    pull = {cid: to_state[[net.index(initial[r]) for r in g]].min(axis=0).tolist()
+            for cid, g in groups.items()}     # distance to the nearest start
     rows = net.undirected_mobility()
-
-    def neighbours(s):
-        return {net.states[v] for v in rows[net.index(s)]}
-
-    assigned: dict[str, int] = {}
+    owner: dict[int, int] = {}                # state index -> cluster
     for cid in sorted(groups):
         for r in groups[cid]:
-            s = initial[r]
-            if s in assigned and assigned[s] != cid:
-                raise InstanceError(
-                    f"groups {assigned[s]} and {cid} share initial state {s!r}")
-            assigned[s] = cid
-    free = {s for s in net.states if s not in assigned}
+            i = net.index(initial[r])
+            if owner.get(i, cid) != cid:
+                raise InstanceError(f"groups {owner[i]} and {cid} share "
+                                    f"initial state {initial[r]!r}")
+            owner[i] = cid
+    free = set(range(len(net.states))) - owner.keys()
     fringe = {cid: set() for cid in groups}
-    for s, cid in assigned.items():
-        fringe[cid] |= neighbours(s) & free
-
-    def pull(cid, i):
-        best = float("inf")
-        for r in groups[cid]:
-            best = min(best, dist_to[initial[r]][i])
-        return best
-
+    for i, cid in owner.items():
+        fringe[cid].update(rows[i])
     while free:
         progress = False
         for cid in sorted(groups):
             fringe[cid] &= free
-            best = None
-            for s in fringe[cid]:
-                i = net.index(s)
-                d = pull(cid, i)
-                if d < float("inf") and (best is None or (d, i) < best):
-                    best = (d, i)
-            if best is not None:
-                s = net.states[best[1]]
-                assigned[s] = cid
-                free.discard(s)
-                fringe[cid] |= neighbours(s) & free
+            near = pull[cid]
+            reach = [(near[i], i) for i in fringe[cid] if near[i] < math.inf]
+            if reach:
+                i = min(reach)[1]
+                owner[i] = cid
+                free.discard(i)
+                fringe[cid].update(rows[i])
                 progress = True
             if not free:
                 break
         if not progress:
             break
-    state_sets = {cid: tuple(s for s in net.states if assigned.get(s) == cid)
+    state_sets = {cid: tuple(s for i, s in enumerate(net.states) if owner.get(i) == cid)
                   for cid in sorted(groups)}
-    return state_sets, tuple(sorted(free, key=net.index))
+    return state_sets, tuple(net.states[i] for i in sorted(free))
 
 
 def weak_components(net: MobilityCommNetwork, states) -> list[frozenset[str]]:
@@ -331,14 +299,11 @@ def build_hierarchy(net: MobilityCommNetwork, agents: AgentConfig,
     submasters = {root: anchor if anchor in groups[root] else min(groups[root])}
     activation_edges: dict[int, tuple[str, str]] = {}
 
-    dist_from_parent: dict[tuple[int, str], float] = {}
+    to_state = net.mobility_distance_matrix("pred")
 
     def parent_dist(pid, s):
-        if (pid, s) not in dist_from_parent:
-            d = mobility_distances(net, s, "pred")
-            dist_from_parent[(pid, s)] = min(
-                (d[net.index(u)] for u in state_sets[pid]), default=float("inf"))
-        return dist_from_parent[(pid, s)]
+        row = to_state[net.index(s)]
+        return min((float(row[net.index(u)]) for u in state_sets[pid]), default=math.inf)
 
     grew = True
     while grew:

@@ -172,9 +172,6 @@ class MilpModel:
     def var(self, *ref) -> int:
         return self.by_ref[ref]
 
-    def has_var(self, *ref) -> bool:
-        return ref in self.by_ref
-
     def add_objective(self, idx: int, coeff: float):
         self.objective[idx] = self.objective.get(idx, 0.0) + coeff
 
@@ -193,12 +190,6 @@ class MilpModel:
         for _, _, _, tag in self.constraints:
             counts[tag] = counts.get(tag, 0) + 1
         return counts
-
-    def evaluate_objective(self, assignment: dict[tuple, float]) -> float:
-        total = 0.0
-        for idx, coeff in self.objective.items():
-            total += coeff * assignment.get(self.refs[idx], 0.0)
-        return total
 
 
 # -- variable allocation ------------------------------------------------

@@ -13,11 +13,14 @@ per-edge base weight; instance files carry only the base weight.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InstanceError
 
@@ -62,7 +65,7 @@ class MobilityCommNetwork:
         object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
         object.__setattr__(self, "_csucc", _adjacency(self.states, self.comm, 0))
         object.__setattr__(self, "_cpred", _adjacency(self.states, self.comm, 1))
-        object.__setattr__(self, "_weighted", {})   # (direction, t) -> rows
+        object.__setattr__(self, "_distances", {})  # (direction, t) -> matrix
         object.__setattr__(self, "_undirected", None)
 
     # -- basic queries -------------------------------------------------
@@ -89,24 +92,26 @@ class MobilityCommNetwork:
         self.index(s)
         return tuple(table.get(s, ()))
 
-    def weighted_mobility(self, direction: str = "succ", t: int = 0):
-        """Per state index, the (neighbour index, layer-t cost) pairs in state order.
+    def mobility_distance_matrix(self, direction: str = "succ", t: int = 0):
+        """All-pairs layer-t mobility distances, inf where unreachable.
 
-        Self-loops are dropped.  For "pred" the cost is that of the edge from
-        the neighbour into the state.  Built on first use per (direction, t).
+        Row i holds the distances from ("succ") or to ("pred") state i; one
+        compiled Dijkstra builds it on first use per (direction, t), "pred"
+        on the reversed graph so that each path's costs are summed from i
+        outward.  The matrix is read-only.
         """
-        rows = self._weighted.get((direction, t))
-        if rows is None:
-            rows = []
-            for s in self.states:
-                row = []
-                for v in self.neighbors(s, direction):
-                    if v != s:
-                        a, b = (s, v) if direction == "succ" else (v, s)
-                        row.append((self._index[v], self.mobility_cost(t, a, b)))
-                rows.append(tuple(row))
-            rows = self._weighted[(direction, t)] = tuple(rows)
-        return rows
+        if direction not in ("succ", "pred"):
+            raise ValueError(f"direction must be succ or pred, got {direction!r}")
+        dist = self._distances.get((direction, t))
+        if dist is None:
+            tails, heads, w = _mobility_arcs(self, t)
+            if direction == "pred":
+                tails, heads = heads, tails
+            n = len(self.states)
+            graph = sparse.csr_matrix((w, (tails, heads)), shape=(n, n))
+            dist = self._distances[(direction, t)] = dijkstra(graph)
+            dist.setflags(write=False)
+        return dist
 
     def undirected_mobility(self):
         """Per state index, the indices of its mobility neighbours either way.
@@ -273,29 +278,21 @@ def hop_bfs(net: MobilityCommNetwork, sources, within=None) -> dict[str, str]:
     return parent
 
 
+def _mobility_arcs(net: MobilityCommNetwork, t: int = 0):
+    """(tail, head, layer-t cost) arrays of the mobility edges, self-loops dropped."""
+    index, layer = net._index, net.mobility_overrides
+    arcs = [(index[a], index[b], layer.get((t, a, b), w))
+            for (a, b), w in net.mobility.items() if a != b]
+    tails, heads, w = zip(*arcs) if arcs else ((), (), ())
+    return (np.array(tails, dtype=np.intp), np.array(heads, dtype=np.intp),
+            np.array(w, dtype=float))
+
+
 def mobility_distances(net: MobilityCommNetwork, source: str,
                        direction: str = "succ", t: int = 0) -> list[float]:
-    """Weighted mobility distances per state index, inf where unreachable.
-
-    "succ" gives distances from `source`, "pred" distances to it.  Weights
-    are taken at the fixed layer t (time-dependent costs are sampled, not
-    accumulated along a schedule).
-    """
-    adj = net.weighted_mobility(direction, t)
-    dist = [float("inf")] * len(net.states)
-    start = net.index(source)
-    dist[start] = 0.0
-    heap = [(0.0, start)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    """Distances per state index from ("succ") or to ("pred") `source`, inf
+    where unreachable: its row of `net.mobility_distance_matrix`."""
+    return net.mobility_distance_matrix(direction, t)[net.index(source)].tolist()
 
 
 def shortest_mobility_distance(net: MobilityCommNetwork, a: str, b: str,
@@ -308,45 +305,68 @@ def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     """Exact weighted betweenness over directed mobility edges (Brandes).
 
     Self-loops are ignored; scores are raw pair-dependency sums with
-    endpoints excluded, no normalization.
+    endpoints excluded, no normalization; costs are those of layer 0.  From
+    each source an edge u -> v is tight when |d(u) + w - d(v)| <= 1e-12, and
+    shortest paths are the chains of tight edges that follow the settle
+    order: by distance, then zero-cost depth (0 for the source and for states
+    with a tight edge from a nearer state, else 1 + the least depth of their
+    tight predecessors at equal distance), then state index.  So zero-cost
+    cycles add no paths, and a zero-cost edge between states of equal
+    distance and depth counts only toward the higher index.  A state's
+    distance is its first tight predecessor's plus the edge cost, the label a
+    label-setting search gives it (rounding can put it above the float
+    minimum: 0.1 + 0.2 against 0.3); the order is re-derived until the labels
+    agree with it.
     """
-    adj = net.weighted_mobility("succ", 0)
     n = len(net.states)
-    scores = [0.0] * n
-    for source in range(n):
-        # single-source shortest paths with path counts; heap ties by index
-        dist = [float("inf")] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[source] = 0.0
-        sigma[source] = 1.0
-        order = []
-        seen = [False] * n
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if seen[u]:
-                continue
-            seen[u] = True
-            order.append(u)
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v] - 1e-12:
-                    dist[v] = nd
-                    sigma[v] = sigma[u]
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - dist[v]) <= 1e-12:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        # accumulate dependencies in reverse settle order
-        delta = [0.0] * n
-        for u in reversed(order):
-            for p in preds[u]:
-                delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
-            if u != source:
-                scores[u] += delta[u]
-    return dict(zip(net.states, scores))
+    tails, heads, w = _mobility_arcs(net, 0)
+    dist = net.mobility_distance_matrix("succ", 0)
+    ids = np.arange(n)
+    for _ in range(n):                           # n rounds settle every label
+        with np.errstate(invalid="ignore"):      # inf - inf off the reach
+            d_tail, d_head = dist[:, tails], dist[:, heads]
+            tight = np.abs(d_tail + w - d_head) <= 1e-12
+        level = tight & (d_tail == d_head)
+        depth = np.zeros((n, n))                 # zero-cost depth
+        if level.any():
+            src, arc = np.nonzero(level)
+            depth = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
+            up, up_arc = np.nonzero(tight & (d_tail < d_head))
+            depth[up, heads[up_arc]] = 0.0
+            before = None
+            while not np.array_equal(depth, before):
+                before = depth.copy()
+                np.minimum.at(depth, (src, heads[arc]), depth[src, tails[arc]] + 1.0)
+        rank = np.empty((n, n), dtype=np.intp)
+        rank[ids[:, None], np.lexsort((depth, dist))] = ids
+        src, arc = np.nonzero(tight)
+        head_rank, tail_rank = rank[src, heads[arc]], rank[src, tails[arc]]
+        pairs = np.argsort((head_rank * n + src) * n + tail_rank)
+        src, arc = src[pairs], arc[pairs]            # by head rank, source, tail rank
+        head_rank, tail_rank = head_rank[pairs], tail_rank[pairs]
+        tail_at, head_at = src * n + tails[arc], src * n + heads[arc]   # flat n x n
+        first = np.diff(head_at, prepend=-1) != 0    # each head's first predecessor
+        label = dist.ravel()[tail_at[first]] + w[arc[first]]
+        if np.array_equal(label, dist.ravel()[head_at[first]]):
+            break
+        dist = dist.copy()
+        dist.ravel()[head_at[first]] = label
+    on_paths = tail_rank < head_rank
+    tail_at, head_at, head_rank = tail_at[on_paths], head_at[on_paths], head_rank[on_paths]
+    cuts = np.searchsorted(head_rank, ids + 1).tolist()   # one span per head rank
+    spans = [(tail_at[a:b], head_at[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+    sigma = np.eye(n).ravel()                    # path counts, flat n x n
+    for p, u in spans:
+        np.add.at(sigma, u, sigma[p])
+    paths = np.where(sigma > 0, sigma, 1.0)      # a chain-less state adds 0
+    delta = np.zeros(n * n)
+    for p, u in reversed(spans):
+        delta[p] += sigma[p] / paths[u] * (1.0 + delta[u])
+    delta[ids * (n + 1)] = 0.0                   # endpoints excluded
+    scores = np.zeros(n)
+    for row in delta.reshape(n, n):              # sources in order
+        scores += row
+    return dict(zip(net.states, scores.tolist()))
 
 
 # -- export ------------------------------------------------------------

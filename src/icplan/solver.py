@@ -7,8 +7,11 @@ an external solver.
 
 from __future__ import annotations
 
+import os
 import re
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +78,25 @@ def _constraint_matrix(model: MilpModel):
     return A, lb, ub
 
 
+@contextmanager
+def _quiet_fd1():
+    """Null file descriptor 1 for the block: HiGHS writes some lines there
+    even with disp=False, which would corrupt a CSV on stdout."""
+    if sys.stdout is None:                   # started without fd 1
+        yield
+        return
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
+        yield
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _solve_highs(model: MilpModel, time_limit, gap) -> SolveResult:
     n = model.n_variables
     c = np.zeros(n)
@@ -90,8 +112,9 @@ def _solve_highs(model: MilpModel, time_limit, gap) -> SolveResult:
     if gap is not None:
         options["mip_rel_gap"] = float(gap)
     try:
-        res = milp(c=c, constraints=LinearConstraint(A, lb, ub),
-                   integrality=integrality, bounds=bounds, options=options)
+        with _quiet_fd1():
+            res = milp(c=c, constraints=LinearConstraint(A, lb, ub),
+                       integrality=integrality, bounds=bounds, options=options)
     except Exception as exc:                 # pragma: no cover - defensive
         raise SolverError(f"scipy/HiGHS failed: {exc}") from exc
     if res.status == 0:

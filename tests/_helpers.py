@@ -1,5 +1,6 @@
 """Hand-built networks and instances shared across test modules."""
 
+import heapq
 import random
 
 from icplan.ilp import AgentConfig, ProblemSpec
@@ -72,3 +73,80 @@ def bellman_ford(net, source, t=0):
         if not changed:
             break
     return dist
+
+
+def _weighted_rows(net, direction, t):
+    """Per state index, the (neighbour index, layer-t cost) pairs in state
+    order, self-loops dropped; "pred" costs are those of the edge into the
+    state."""
+    rows = []
+    for s in net.states:
+        row = []
+        for v in net.neighbors(s, direction):
+            if v != s:
+                a, b = (s, v) if direction == "succ" else (v, s)
+                row.append((net.index(v), net.mobility_cost(t, a, b)))
+        rows.append(row)
+    return rows
+
+
+def heap_dijkstra(net, source, direction="succ", t=0):
+    """Reference distances per state index: a binary-heap Dijkstra rooted at
+    `source`, forward ("succ") or on the reversed graph ("pred")."""
+    adj = _weighted_rows(net, direction, t)
+    dist = [float("inf")] * len(net.states)
+    start = net.index(source)
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def heap_betweenness(net):
+    """Reference Brandes betweenness at layer 0: per source a heap Dijkstra
+    with path counts (heap ties by state index, the 1e-12 tie rule,
+    predecessors in relaxation order), then dependencies in reverse settle
+    order."""
+    adj = _weighted_rows(net, "succ", 0)
+    n = len(net.states)
+    scores = [0.0] * n
+    for source in range(n):
+        dist = [float("inf")] * n
+        sigma = [0.0] * n
+        preds = [[] for _ in range(n)]
+        dist[source] = 0.0
+        sigma[source] = 1.0
+        order = []
+        seen = [False] * n
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if seen[u]:
+                continue
+            seen[u] = True
+            order.append(u)
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v] - 1e-12:
+                    dist[v] = nd
+                    sigma[v] = sigma[u]
+                    preds[v] = [u]
+                    heapq.heappush(heap, (nd, v))
+                elif abs(nd - dist[v]) <= 1e-12:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = [0.0] * n
+        for u in reversed(order):
+            for p in preds[u]:
+                delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
+            if u != source:
+                scores[u] += delta[u]
+    return dict(zip(net.states, scores))

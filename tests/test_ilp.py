@@ -227,19 +227,7 @@ def test_src_snk_deduplicated_and_sorted():
 # -- model object ----------------------------------------------------------------
 
 
-def test_model_objective_evaluation():
-    model = MilpModel()
-    a = model.add_var(("z", 0), "B")
-    b = model.add_var(("z", 1), "B")
-    model.add_objective(a, 2.5)
-    model.add_objective(b, -1.0)
-    assert model.evaluate_objective({("z", 0): 1.0, ("z", 1): 1.0}) == pytest.approx(1.5)
-    assert model.evaluate_objective({("z", 0): 1.0}) == pytest.approx(2.5)
-
-
 def test_model_var_lookup():
     model = MilpModel()
     idx = model.add_var(("x", 1, "a"), "C")
     assert model.var("x", 1, "a") == idx
-    assert model.has_var("x", 1, "a")
-    assert not model.has_var("x", 2, "a")

@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import icplan
 
 from icplan import cli, verify
 from icplan.errors import InstanceError
 from icplan.ilp import AgentConfig, ProblemSpec
-from icplan.instances import exploration_world
+from icplan.instances import exploration_world, random_oracle_instance
 from icplan.io import (instance_to_dict, load_exploration, load_instance,
                        save_instance)
 from icplan.network import build_network
@@ -149,6 +155,20 @@ def test_cli_solve_writes_every_artifact(tmp_path, capsys):
     assert not verify.check_flows(plan, spec)
 
 
+def test_cli_solve_stdout_carries_no_solver_chatter(tmp_path):
+    # HiGHS writes a line straight to fd 1 on this instance, disp=False or not
+    path = tmp_path / "c1.json"
+    save_instance(path, *random_oracle_instance(6, "p2_awareness"))
+    src = str(Path(icplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "icplan.cli", "solve", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == cli.EXIT_OK
+    assert run.stdout.startswith("status=optimal ")
+    assert len(run.stdout.splitlines()) == 1
+
+
 def test_cli_solve_reports_infeasibility(tmp_path):
     net, spec = _island_instance()
     instance = tmp_path / "island.json"
@@ -216,7 +236,9 @@ def test_cli_explore_runs_synthetic_and_file_worlds(tmp_path, capsys):
     code = cli.main(["explore", "--seed", "0", "--n-states", "12",
                      "--n-agents", "3", "--out", str(log_path)])
     assert code == cli.EXIT_OK
-    assert "status=complete" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status=complete" in out
+    assert out.startswith("cycle 1: clusters=") and " slowest_solve=" in out
     log = json.loads(log_path.read_text())
     assert log["status"] == "complete"
     assert log["coverage"] == 1.0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,8 @@ from icplan.network import (betweenness_centrality, build_network, hop_bfs,
                             load_network, mobility_distances,
                             shortest_mobility_distance, to_dot)
 
-from _helpers import bellman_ford, line_network, random_net
+from _helpers import (bellman_ford, heap_betweenness, heap_dijkstra, line_network,
+                      random_net)
 
 
 # -- construction -----------------------------------------------------------
@@ -246,7 +248,9 @@ def test_induced_network_builds_its_own_adjacency():
     fresh = build_network(
         keep, [(a, b, w) for (a, b), w in net.mobility.items()
                if a in keep and b in keep], [], self_loops=False)
-    assert sub.weighted_mobility() == fresh.weighted_mobility()
+    for direction in ("succ", "pred"):
+        assert np.array_equal(sub.mobility_distance_matrix(direction),
+                              fresh.mobility_distance_matrix(direction))
     assert betweenness_centrality(sub) == betweenness_centrality(fresh)
 
 
@@ -256,6 +260,83 @@ def test_cache_does_not_change_equality():
     mobility_distances(net, net.states[0], "pred", t=3)
     net.undirected_mobility()
     assert net == twin
+
+
+@st.composite
+def _float_nets(draw):
+    """Three-decimal weights that are small multiples of one unit, so that
+    distances tie and rounding splits some ties (0.1 + 0.2 against 0.3); a
+    random tree with one-way and two-way edges plus chords, states no edge
+    touches, and cost overrides at layers 0 and 2."""
+    n = draw(st.integers(1, 40))
+    states = [f"s{i}" for i in range(n)]
+    unit = draw(st.integers(1, 2000))
+    multiple = st.integers(1, draw(st.sampled_from([1, 1, 2, 4])))
+    cost = multiple.map(lambda k: k * unit / 1000)
+    linked = n - draw(st.integers(0, min(3, n - 1)))   # the rest stay isolated
+    pairs = set(draw(st.lists(st.tuples(st.integers(0, linked - 1),
+                                        st.integers(0, linked - 1)),
+                              min_size=linked // 2, max_size=2 * n)))
+    for i in range(1, linked):
+        j = draw(st.integers(0, i - 1))
+        way = draw(st.sampled_from(["both", "both", "down", "up"]))
+        pairs |= {(j, i)} if way == "down" else {(i, j)} if way == "up" else {(i, j), (j, i)}
+    mobility = [(states[a], states[b], draw(cost)) for a, b in sorted(pairs) if a != b]
+    overrides = {}
+    if mobility:
+        for t, e, w in draw(st.lists(st.tuples(st.sampled_from([0, 2]),
+                                               st.integers(0, len(mobility) - 1),
+                                               cost), max_size=n)):
+            overrides[(t, *mobility[e][:2])] = w
+    return build_network(states, mobility, [], mobility_overrides=overrides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_nets())
+def test_distances_and_betweenness_equal_the_heap_references(net):
+    assert betweenness_centrality(net) == heap_betweenness(net)
+    for t in (0, 2):
+        for direction in ("succ", "pred"):
+            for s in net.states:
+                assert (mobility_distances(net, s, direction, t)
+                        == heap_dijkstra(net, s, direction, t))
+
+
+def test_rounding_split_ties_settle_by_first_label():
+    # from e, f is reached at 0.3 directly and at 0.2 + 0.1 through c, and d
+    # at 0.4 + 0.2 through a and at 0.5 + 0.1 through b: sums that tie in
+    # exact arithmetic but not in floats settle by the first label found
+    net = build_network(list("abcdefghij"), [
+        ("a", "d", 0.2), ("b", "g", 0.3), ("b", "h", 0.2), ("b", "i", 0.1),
+        ("b", "j", 0.2), ("b", "d", 0.1), ("c", "b", 0.3), ("c", "f", 0.1),
+        ("e", "c", 0.2), ("e", "f", 0.3), ("f", "a", 0.1)], [])
+    assert betweenness_centrality(net) == heap_betweenness(net)
+
+
+def test_zero_cost_ties_follow_the_settle_order():
+    # a -> {b, c} -> d with free moves between b and c: from a, a-b-c-d is a
+    # shortest path but a-c-b-d is not (the free edge counts toward the
+    # higher index only); from b and from c the free edge is the first step
+    diamond = build_network(["a", "b", "c", "d"],
+                            [("a", "b", 1.0), ("a", "c", 1.0), ("b", "c", 0.0),
+                             ("c", "b", 0.0), ("b", "d", 1.0), ("c", "d", 1.0)], [])
+    assert betweenness_centrality(diamond) == pytest.approx(
+        {"a": 0.0, "b": 1 / 2 + 2 / 3 + 1 / 2, "c": 2 / 3 + 1 / 2, "d": 0.0})
+    # a free chain c -> b -> x settles in chain order whatever the indices
+    chain = build_network(["x", "b", "c", "y"],
+                          [("c", "b", 0.0), ("b", "x", 0.0), ("x", "y", 1.0)], [])
+    assert betweenness_centrality(chain) == {"x": 2.0, "b": 2.0, "c": 0.0, "y": 0.0}
+
+
+def test_distance_matrix_is_cached_and_read_only():
+    net = _shortcut_net({(2, "a", "c"): 0.5})
+    dist = net.mobility_distance_matrix("pred", 2)
+    assert net.mobility_distance_matrix("pred", 2) is dist
+    assert dist[net.index("c")].tolist() == [0.5, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        dist[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        net.mobility_distance_matrix("both")
 
 
 def test_betweenness_on_a_line_is_hand_computable():
