@@ -24,7 +24,7 @@ from .ilp import (MilpModel, ProblemSpec, allocate_variables, build_dynamics,
                   build_extensions, build_reward_and_motion_terms,
                   build_reward_link)
 from .solver import SolveResult, solve
-from .verify import PlanSolution, extract_solution
+from .verify import PlanSolution, extract_solution, information_reachability
 
 POWERSET_GUARD = 18         # max (T+1)*|S| for full subset enumeration
 ADAPTIVE_MAX_ROUNDS = 200
@@ -142,40 +142,6 @@ def solve_powerset(spec: ProblemSpec,
                        wall_time=result.wall_time)
 
 
-def _reachable_vertices(spec: ProblemSpec, assignment) -> dict[int, set]:
-    """Per-source info-reachable time-extended vertices under the solution."""
-    net, T = spec.net, spec.T
-    carries = [set() for _ in range(max(T, 1))]
-    actives = [set() for _ in range(T + 1)]
-    for t in range(T):
-        for (a, b) in net.mobility:
-            for r in range(spec.agents.count):
-                if assignment.get(("x", r, a, b, t), 0.0) > 0.5:
-                    carries[t].add((a, b))
-                    break
-    for t in range(T + 1):
-        for (a, b) in net.comm:
-            if assignment.get(("comm", a, b, t), 0.0) > 0.5:
-                actives[t].add((a, b))
-
-    out = {}
-    for i in spec.src:
-        seed = (spec.agents.initial[i], 0)
-        reach = {seed}
-        frontier = [seed]
-        while frontier:
-            s, t = frontier.pop()
-            succ = [(b, t) for (a, b) in actives[t] if a == s]
-            if t < T:
-                succ += [(b, t + 1) for (a, b) in carries[t] if a == s]
-            for v in succ:
-                if v not in reach:
-                    reach.add(v)
-                    frontier.append(v)
-        out[i] = reach
-    return out
-
-
 def solve_adaptive_powerset(spec: ProblemSpec,
                             time_limit: float | None = None,
                             max_rounds: int = ADAPTIVE_MAX_ROUNDS) -> BaselineRun:
@@ -194,21 +160,15 @@ def solve_adaptive_powerset(spec: ProblemSpec,
         total_time += result.wall_time
         if not result.ok:
             return BaselineRun(model, result, None, round_no, n_cuts, total_time)
-        reach = _reachable_vertices(spec, result.assignment)
-        violated = []
-        for i in spec.src:
-            terminals = set()
-            for j in spec.snk:
-                term = [s for s in net.states
-                        if result.assignment.get(("z", j, s, T), 0.0) > 0.5]
-                terminals.update((s, T) for s in term)
-            if not all(v in reach[i] for v in terminals):
-                violated.append(i)
+        plan = extract_baseline_solution(spec, result)
+        report = information_reachability(plan, spec)
+        violated = [i for i in spec.src
+                    if not all(report.pair_matrix[(i, j)] for j in spec.snk)]
         if not violated:
-            plan = extract_baseline_solution(spec, result)
             return BaselineRun(model, result, plan, round_no, n_cuts, total_time)
         for i in violated:
-            cut = vertices - frozenset(reach[i])
+            cut = vertices - {(s, t) for t, layer in enumerate(report.token_layers[i])
+                              for s in layer}
             if cut in seen_cuts:
                 continue
             seen_cuts.add(cut)

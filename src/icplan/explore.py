@@ -198,51 +198,208 @@ class ExplorationLog:
 # -- subproblem assembly -----------------------------------------------------
 
 
-def _sub_agents(positions, locals_, stations, submaster):
+def _world_id(entry) -> int:
+    """World agent id of a roster entry: a member id or ("station", id)."""
+    return entry[1] if isinstance(entry, tuple) else entry
+
+
+def _sub_agents(positions, clustering: Clustering, cid, children):
     """AgentConfig over cluster members plus static pseudo agents at stations.
 
-    Returns (config, roster): roster[i] is the world agent id for local
-    index i, or ("station", world_id) for a child submaster's station.
+    Returns (config, roster, sm_index, stations): roster[i] is the world agent
+    id for local index i, or ("station", world_id) for a child submaster's
+    station, and stations is the set of station states.
     """
-    roster = [r for r in locals_] + [("station", r) for r, _ in stations]
-    initial = {}
-    static = set()
-    for i, entry in enumerate(roster):
-        if isinstance(entry, tuple):
-            initial[i] = dict(stations)[entry[1]]
-            static.add(i)
-        else:
-            initial[i] = positions[entry]
-    sm_index = roster.index(submaster)
-    static.add(sm_index)
+    members = list(clustering.groups[cid])
+    roster = members + [("station", clustering.submasters[c]) for c in children]
+    initial = {i: positions[_world_id(entry)] for i, entry in enumerate(roster)}
+    sm_index = roster.index(clustering.submasters[cid])
+    static = set(range(len(members), len(roster))) | {sm_index}
     config = AgentConfig(count=len(roster), initial=initial,
                          static=frozenset(static),
                          masters=frozenset({sm_index}))
-    return config, roster, sm_index
+    stations = {initial[i] for i in range(len(members), len(roster))}
+    return config, roster, sm_index, stations
 
 
-def _pre_spec(sub_net, config, T, rewards):
-    return ProblemSpec(net=sub_net, agents=config, T=T, src=(), snk=(),
-                       rewards=rewards, information_consistent=True,
-                       awareness_reward=True)
-
-
-def _post_spec(sub_net, config, T, sm_index, src, at_base):
-    return ProblemSpec(net=sub_net, agents=config, T=T,
-                       src=tuple(src), snk=(sm_index,), rewards={},
-                       return_to_base=at_base)
-
-
-def _verify_plan(spec, plan, phase):
-    violations = list(verify.check_dynamics(plan, spec))
-    violations += verify.check_flows(plan, spec)
-    if phase == "pre":
-        violations += verify.check_consistency(plan, spec)
+def _record(cycle, cid, phase, roster, spec, result, plan) -> SubproblemRecord:
+    """Record of one solve: the plan's violations, or why there is no plan."""
+    if plan is None:
+        violations = [result.message or result.status]
     else:
-        report = verify.information_reachability(plan, spec)
-        violations += [f"undelivered source {i} -> sink {j}"
-                       for (i, j) in report.unreachable()]
-    return violations
+        violations = verify.check_dynamics(plan, spec) + verify.check_flows(plan, spec)
+        if phase == "pre":
+            violations += verify.check_consistency(plan, spec)
+        else:
+            report = verify.information_reachability(plan, spec)
+            violations += [f"undelivered source {i} -> sink {j}"
+                           for (i, j) in report.unreachable()]
+    return SubproblemRecord(cycle, cid, phase, tuple(roster), spec.T,
+                            result.status, result.objective, result.wall_time,
+                            not violations, tuple(violations))
+
+
+def _execute(truth, plan, roster, positions, reveals):
+    """Move the roster's members along `plan` and collect what they reveal."""
+    for i, entry in enumerate(roster):
+        if not isinstance(entry, tuple):
+            positions[entry] = plan.paths[i][-1]
+            for s in plan.paths[i]:
+                reveals[entry] |= reveal_neighborhood(truth, s)
+
+
+# -- cycle stages ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _CyclePlan:
+    """One cycle's planning network, clustering and shared reward inputs."""
+    net: MobilityCommNetwork
+    k: int
+    clustering: Clustering
+    frontiers: frozenset[str]
+    frontier_dist: dict[str, int]
+    centrality: dict[str, float]
+    by_depth: list[int]                  # active clusters, root first
+    children: dict[int, list[int]]
+    subtree_value: dict[int, float]      # frontier value, decayed per tier
+    subtree_members: dict[int, set[int]]
+
+
+def _plan_cycle(truth, known, positions, frontiers, base, master,
+                t_max) -> _CyclePlan:
+    """Prune, induce, cluster and rank the known world for one cycle."""
+    R = len(positions)
+    plan_states = prune_dead_states(
+        induced_network(truth, known), None,
+        protected=set(positions.values()) | set(frontiers) | {base})
+    net = induced_network(truth, plan_states)
+    cycle_agents = AgentConfig(count=R, initial=dict(positions),
+                               masters=frozenset({master}),
+                               static=frozenset({master}))
+    k = max(math.ceil(R / 4),
+            min(R // 2, math.ceil(len(net.states) / (TERRITORY_SPAN * t_max))))
+    clustering = cluster_instance(net, cycle_agents, k=k)
+    centrality = betweenness_centrality(net)
+    frontier_dist = _hop_distances(net, [s for s in frontiers if net.has_state(s)])
+
+    by_depth = sorted(clustering.active_ids(),
+                      key=lambda c: (clustering.depth(c), c))
+    children = {cid: [c for c in by_depth if clustering.parents.get(c) == cid]
+                for cid in by_depth}
+    frontier_set = frozenset(frontiers)
+    subtree_value: dict[int, float] = {}
+    subtree_members: dict[int, set[int]] = {}
+    for cid in reversed(by_depth):
+        own = sum(FRONTIER_REWARD for s in clustering.state_sets[cid]
+                  if s in frontier_set)
+        subtree_value[cid] = own + sum(REWARD_DECAY * subtree_value[c]
+                                       for c in children[cid])
+        subtree_members[cid] = set(clustering.groups[cid]).union(
+            *(subtree_members[c] for c in children[cid]))
+    return _CyclePlan(net, k, clustering, frontier_set, frontier_dist, centrality,
+                      by_depth, children, subtree_value, subtree_members)
+
+
+def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
+               records, t_max):
+    """Top-down consistent plans, each executed as soon as it verifies.
+
+    Moves members in `positions`, adds what they reveal to `reveals` and
+    every solve to `records`.  Returns (endowed, frozen, failed): a child is
+    endowed when the master token covers its station, and frozen[cid] holds
+    the members the token never reached, which therefore stayed put.
+    """
+    cl = plan.clustering
+    logger.debug("cycle %d: k=%d groups=%s parents=%s submasters=%s",
+                 cycle, plan.k, cl.groups, cl.parents, cl.submasters)
+    endowed = {plan.by_depth[0]} if plan.by_depth else set()
+    frozen: dict[int, set[int]] = {}
+    for cid in plan.by_depth:
+        if cid not in endowed:
+            logger.debug("pre c%d: not endowed (members %s)", cid, cl.groups[cid])
+            continue
+        sm_world, children = cl.submasters[cid], plan.children[cid]
+        news_children = {c for c in children
+                         if any(knowledge[r] - knowledge[sm_world]
+                                for r in plan.subtree_members[c])}
+        rewards = _cluster_rewards(plan.net, cl, cid, plan.frontiers,
+                                   plan.frontier_dist, plan.centrality, children,
+                                   plan.subtree_value, positions, news_children)
+        if not rewards and not children:
+            continue    # nothing to chase, nobody to endow
+        config, roster, _, stations = _sub_agents(positions, cl, cid, children)
+        territory = cl.state_sets[cid]
+        member_pos = [positions[r] for r in cl.groups[cid]]
+        reach = _hop_distances(plan.net, member_pos, within=territory)
+        T = max(1, min(t_max, max(reach.values(), default=0) + 2))
+        # states beyond T hops are unreachable within the horizon;
+        # trimming them keeps the model small without losing plans
+        in_range = {s for s in territory if reach.get(s, t_max + 1) <= T}
+        sub_net = induced_network(plan.net, in_range | stations)
+        rewards = {(s, kk): v for (s, kk), v in rewards.items()
+                   if sub_net.has_state(s)}
+        spec = ProblemSpec(net=sub_net, agents=config, T=T, src=(), snk=(),
+                           rewards=rewards, information_consistent=True,
+                           awareness_reward=True)
+        _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
+                                       gap=PRE_GAP)
+        record = _record(cycle, cid, "pre", roster, spec, result, sol)
+        records.append(record)
+        if not record.verified:
+            return endowed, frozen, True
+        covered = set().union(*verify.master_token_layers(spec, sol.paths))
+        if logger.isEnabledFor(logging.DEBUG):
+            sta = {c: (positions[cl.submasters[c]],
+                       positions[cl.submasters[c]] in covered) for c in children}
+            logger.debug("pre c%d depth=%d members=%s sm=%d |terr|=%d T=%d "
+                         "obj=%.1f rewards=%d stations=%s pos=%s",
+                         cid, cl.depth(cid), cl.groups[cid], sm_world,
+                         len(territory), T, result.objective, len(rewards), sta,
+                         member_pos)
+        _execute(truth, sol, roster, positions, reveals)
+        frozen[cid] = {r for i, r in enumerate(cl.groups[cid])
+                       if len(set(sol.paths[i])) == 1
+                       and sol.paths[i][0] not in covered}
+        endowed |= {c for c in children if positions[cl.submasters[c]] in covered}
+    return endowed, frozen, False
+
+
+def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
+                knowledge, reveals, records, t_max) -> bool:
+    """Bottom-up collection of findings at each endowed cluster's submaster.
+
+    Sources are members holding news the submaster lacks plus the frozen
+    members, which regroup here.  Moves members, merges delivered knowledge
+    into the submaster's, records every solve, and returns True when one
+    fails.
+    """
+    cl = plan.clustering
+    for cid in sorted(endowed, key=lambda c: (-cl.depth(c), c)):
+        sm_world = cl.submasters[cid]
+        config, roster, sm_index, stations = _sub_agents(
+            positions, cl, cid, plan.children[cid])
+        src = [i for i, entry in enumerate(roster)
+               if knowledge[_world_id(entry)] - knowledge[sm_world]
+               or _world_id(entry) in frozen.get(cid, ())]
+        if not src:
+            continue    # nothing to deliver, nobody to regroup
+        corridor = _delivery_corridor(
+            plan.net, set(cl.state_sets[cid]) | stations, config.initial,
+            [config.initial[i] for i in src], config.initial[sm_index])
+        at_base = cid == plan.by_depth[0] and config.count > len(config.static)
+        record, sol, used_src = _solve_post(
+            induced_network(plan.net, corridor), config, t_max, sm_index, src,
+            at_base, cycle, cid, roster)
+        if record is None:
+            continue    # every source proved unreachable; regroup later
+        records.append(record)
+        if not record.verified:
+            return True
+        for i in used_src:
+            knowledge[sm_world] |= knowledge[_world_id(roster[i])]
+        _execute(truth, sol, roster, positions, reveals)
+    return False
 
 
 # -- the loop -----------------------------------------------------------------
@@ -251,13 +408,16 @@ def _verify_plan(spec, plan, phase):
 def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
                     initially_known=None, t_max: int = T_MAX,
                     max_cycles: int = MAX_CYCLES, trace_dir=None) -> ExplorationLog:
-    """Explore `truth` until the base knows every reachable state."""
-    start = time.time()
+    """Explore `truth` until the base knows every reachable state.
+
+    Each cycle plans (`_plan_cycle`), pushes plans down the hierarchy
+    (`_pre_phase`) and collects findings back up (`_post_phase`).
+    """
+    start = time.perf_counter()
     R = agents.count
     master = min(agents.masters) if agents.masters else 0
     positions = {r: agents.initial[r] for r in range(R)}
-    known: set[str] = (set(initially_known) if initially_known is not None
-                       else set())
+    known: set[str] = set(initially_known or ())
     for r in range(R):
         known |= reveal_neighborhood(truth, positions[r])
     knowledge = {r: set(known) for r in range(R)}
@@ -269,194 +429,30 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
             log.status = "complete"
             break
         base_before = len(knowledge[master])
-
-        plan_states = prune_dead_states(
-            induced_network(truth, known), None,
-            protected=set(positions.values()) | set(frontiers) | {base})
-        plan_net = induced_network(truth, plan_states)
-        cycle_agents = AgentConfig(count=R, initial=dict(positions),
-                                   masters=frozenset({master}),
-                                   static=frozenset({master}))
-        k = max(math.ceil(R / 4),
-                min(R // 2,
-                    math.ceil(len(plan_net.states) / (TERRITORY_SPAN * t_max))))
-        clustering = cluster_instance(plan_net, cycle_agents, k=k)
-        centrality = betweenness_centrality(plan_net)
-        frontier_dist = _hop_distances(plan_net,
-                                       [s for s in frontiers
-                                        if plan_net.has_state(s)])
+        plan = _plan_cycle(truth, known, positions, frontiers, base, master, t_max)
         if trace_dir is not None:
-            _write_trace(trace_dir, cycle, plan_net, clustering, positions, known)
-
-        by_depth = sorted(clustering.active_ids(),
-                          key=lambda c: (clustering.depth(c), c))
-        children = {cid: [c for c in by_depth
-                          if clustering.parents.get(c) == cid]
-                    for cid in by_depth}
-        frontier_set = set(frontiers)
-        subtree_value: dict[int, float] = {}
-        subtree_members: dict[int, set[int]] = {}
-        for cid in reversed(by_depth):
-            own = sum(FRONTIER_REWARD for s in clustering.state_sets[cid]
-                      if s in frontier_set)
-            subtree_value[cid] = own + sum(REWARD_DECAY * subtree_value[c]
-                                           for c in children[cid])
-            subtree_members[cid] = set(clustering.groups[cid]).union(
-                *(subtree_members[c] for c in children[cid]))
-
-        endowed = {by_depth[0]} if by_depth else set()
-        cycle_reveals: dict[int, set[str]] = {r: set() for r in range(R)}
-        post_reveals: dict[int, set[str]] = {r: set() for r in range(R)}
-        frozen: dict[int, set[int]] = {}
+            _write_trace(trace_dir, cycle, plan.net, plan.clustering, positions,
+                         known)
+        pre_reveals = {r: set() for r in range(R)}
+        post_reveals = {r: set() for r in range(R)}
         records: list[SubproblemRecord] = []
-        failed = False
-
-        # pre phase, top-down
-        logger.debug("cycle %d: k=%d groups=%s parents=%s submasters=%s",
-                     cycle, k, clustering.groups, clustering.parents,
-                     clustering.submasters)
-        for cid in by_depth:
-            if cid not in endowed:
-                logger.debug("pre c%d: not endowed (members %s)",
-                             cid, clustering.groups[cid])
-                continue
-            territory = clustering.state_sets[cid]
-            sm_world = clustering.submasters[cid]
-            news_children = {
-                c for c in children[cid]
-                if any(knowledge[r] - knowledge[sm_world]
-                       for r in subtree_members[c])}
-            rewards = _cluster_rewards(plan_net, clustering, cid, frontier_set,
-                                       frontier_dist, centrality, children[cid],
-                                       subtree_value, positions, news_children)
-            if not rewards and not children[cid]:
-                continue    # nothing to chase, nobody to endow
-            stations = [(clustering.submasters[c],
-                         positions[clustering.submasters[c]])
-                        for c in children[cid]]
-            config, roster, sm_index = _sub_agents(
-                positions, clustering.groups[cid], stations, sm_world)
-            member_pos = [positions[r] for r in clustering.groups[cid]]
-            reach = _hop_distances(plan_net, member_pos, within=territory)
-            T = max(1, min(t_max,
-                           max((d for d in reach.values()), default=0) + 2))
-            # states beyond T hops are unreachable within the horizon;
-            # trimming them keeps the model small without losing plans
-            in_range = {s for s in territory if reach.get(s, t_max + 1) <= T}
-            sub_net = induced_network(
-                plan_net, in_range | {s for _, s in stations})
-            rewards = {(s, kk): v for (s, kk), v in rewards.items()
-                       if sub_net.has_state(s)}
-            spec = _pre_spec(sub_net, config, T, rewards)
-            model, result, plan = solve_problem(spec,
-                                                time_limit=SOLVE_TIME_LIMIT,
-                                                gap=PRE_GAP)
-            if plan is None:
-                records.append(SubproblemRecord(
-                    cycle, cid, "pre", tuple(roster), T, result.status,
-                    result.objective, result.wall_time, False,
-                    (result.message or result.status,)))
-                failed = True
-                break
-            violations = _verify_plan(spec, plan, "pre")
-            records.append(SubproblemRecord(
-                cycle, cid, "pre", tuple(roster), T, result.status,
-                result.objective, result.wall_time, not violations,
-                tuple(violations)))
-            if violations:
-                failed = True
-                break
-            master_layers = verify.master_token_layers(spec, plan.paths)
-            covered = set().union(*master_layers) if master_layers else set()
-            if logger.isEnabledFor(logging.DEBUG):
-                sta = {c: (positions[clustering.submasters[c]],
-                           positions[clustering.submasters[c]] in covered)
-                       for c in children[cid]}
-                logger.debug("pre c%d depth=%d members=%s sm=%d |terr|=%d T=%d "
-                             "obj=%.1f rewards=%d stations=%s pos=%s",
-                             cid, clustering.depth(cid), clustering.groups[cid],
-                             sm_world, len(territory), T, result.objective,
-                             len(rewards), sta, member_pos)
-            # execute: move members, record reveals, spot stranded members
-            for i, entry in enumerate(roster):
-                if isinstance(entry, tuple):
-                    continue
-                path = plan.paths[i]
-                positions[entry] = path[-1]
-                for s in path:
-                    cycle_reveals[entry] |= reveal_neighborhood(truth, s)
-                if len(set(path)) == 1 and path[0] not in covered:
-                    frozen.setdefault(cid, set()).add(entry)
-            # endow children whose stations the master token covered
-            for c in children[cid]:
-                if positions[clustering.submasters[c]] in covered:
-                    endowed.add(c)
-
-        # knowledge gained while exploring
+        endowed, frozen, failed = _pre_phase(truth, plan, cycle, positions,
+                                             knowledge, pre_reveals, records, t_max)
         if not failed:
-            for r in range(R):
-                knowledge[r] |= cycle_reveals[r]
-
-            # post phase, bottom-up
-            for cid in sorted(endowed,
-                              key=lambda c: (-clustering.depth(c), c)):
-                territory = clustering.state_sets[cid]
-                sm_world = clustering.submasters[cid]
-                stations = [(clustering.submasters[c],
-                             positions[clustering.submasters[c]])
-                            for c in children[cid]]
-                config, roster, sm_index = _sub_agents(
-                    positions, clustering.groups[cid], stations, sm_world)
-                src = []
-                for i, entry in enumerate(roster):
-                    wid = entry[1] if isinstance(entry, tuple) else entry
-                    has_news = bool(knowledge[wid] - knowledge[sm_world])
-                    if has_news or wid in frozen.get(cid, ()):
-                        src.append(i)
-                if not src:
-                    continue    # nothing to deliver, nobody to regroup
-                allowed = set(territory) | {s for _, s in stations}
-                corridor = _delivery_corridor(
-                    plan_net, allowed, config.initial,
-                    [config.initial[i] for i in src],
-                    config.initial[sm_index])
-                sub_net = induced_network(plan_net, corridor)
-                n_dynamic = sum(1 for i in range(config.count)
-                                if i not in config.static)
-                at_base = cid == by_depth[0] and n_dynamic > 0
-                record, plan, used_src = _solve_post(
-                    sub_net, config, t_max, sm_index, src, at_base,
-                    cycle, cid, roster)
-                if record is None:
-                    continue    # every source proved unreachable; regroup later
-                records.append(record)
-                if plan is None or not record.verified:
-                    failed = True
-                    break
-                delivered = set()
-                for i in used_src:
-                    entry = roster[i]
-                    wid = entry[1] if isinstance(entry, tuple) else entry
-                    delivered |= knowledge[wid]
-                knowledge[sm_world] |= delivered
-                for i, entry in enumerate(roster):
-                    if isinstance(entry, tuple):
-                        continue
-                    path = plan.paths[i]
-                    positions[entry] = path[-1]
-                    for s in path:
-                        post_reveals[entry] |= reveal_neighborhood(truth, s)
+            for r in range(R):      # knowledge gained while exploring
+                knowledge[r] |= pre_reveals[r]
+            failed = _post_phase(truth, plan, cycle, endowed, frozen, positions,
+                                 knowledge, post_reveals, records, t_max)
 
         log.subproblems.extend(records)
-        revealed = set().union(*cycle_reveals.values()) \
-            | set().union(*post_reveals.values())
-        new_states = revealed - known
+        new_states = set().union(*pre_reveals.values(),
+                                 *post_reveals.values()) - known
         for r in range(R):
             knowledge[r] |= post_reveals[r]
         known |= new_states
         base_gain = len(knowledge[master]) - base_before
         log.outcomes.append(CycleOutcome(
-            cycle=cycle, n_clusters=len(clustering.groups),
+            cycle=cycle, n_clusters=len(plan.clustering.groups),
             endowed=tuple(sorted(endowed)),
             frontiers_before=len(frontiers),
             new_states=tuple(sorted(new_states,
@@ -476,7 +472,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
 
     log.known = frozenset(known)
     log.base_knowledge = frozenset(knowledge[master])
-    log.wall_time = time.time() - start
+    log.wall_time = time.perf_counter() - start
     return log
 
 
@@ -533,30 +529,23 @@ def _solve_post(sub_net, config, t_max, sm_index, src, at_base,
                         default=1) + 2))
     horizon = t0
     while src_left:
-        spec = _post_spec(sub_net, config, horizon, sm_index, src_left, at_base)
-        model, result, plan = solve_problem(spec,
-                                            time_limit=SOLVE_TIME_LIMIT,
-                                            gap=POST_GAP)
-        if plan is not None:
-            violations = _verify_plan(spec, plan, "post")
-            return SubproblemRecord(
-                cycle, cid, "post", tuple(roster), horizon, result.status,
-                result.objective, result.wall_time, not violations,
-                tuple(violations)), plan, src_left
-        if result.status in ("infeasible", "limit"):
-            if result.status == "infeasible" and horizon + 2 <= POST_T_CAP:
-                horizon += 2
-                continue
+        spec = ProblemSpec(net=sub_net, agents=config, T=horizon,
+                           src=tuple(src_left), snk=(sm_index,), rewards={},
+                           return_to_base=at_base)
+        _, result, plan = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
+                                        gap=POST_GAP)
+        if plan is None and result.status == "infeasible" \
+                and horizon + 2 <= POST_T_CAP:
+            horizon += 2
+        elif plan is None and result.status in ("infeasible", "limit"):
             # out of ladder: postpone the farthest source to a later cycle
             drop = max(src_left,
                        key=lambda i: (dist.get(config.initial[i], far), i))
             src_left.remove(drop)
             horizon = t0
-            continue
-        return SubproblemRecord(
-            cycle, cid, "post", tuple(roster), horizon, result.status,
-            result.objective, result.wall_time, False,
-            (result.message or result.status,)), None, src_left
+        else:
+            return (_record(cycle, cid, "post", roster, spec, result, plan),
+                    plan, src_left)
     return None, None, []
 
 

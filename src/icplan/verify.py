@@ -155,17 +155,30 @@ def check_dynamics(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
         if r in spec.agents.static and any(s != path[0] for s in path):
             bad.append(f"agent {r} is static but moves")
     if spec.collision_avoidance and not bad:
-        pairs = (spec.collision_pairs if spec.collision_pairs is not None
-                 else tuple(itertools.combinations(range(spec.agents.count), 2)))
-        for i, j in pairs:
-            pi, pj = plan.paths[i], plan.paths[j]
-            for t in range(T + 1):
-                if pi[t] == pj[t]:
-                    bad.append(f"collision: agents {i},{j} share {pi[t]!r} at t={t}")
-            for t in range(T):
-                if pi[t] == pj[t + 1] and pj[t] == pi[t + 1] and pi[t] != pj[t]:
-                    bad.append(f"collision: agents {i},{j} swap {pi[t]!r}/{pj[t]!r} at step {t}")
+        bad += _collisions(plan.paths, _collision_pairs(spec), T)
     return bad
+
+
+def _collision_pairs(spec: ProblemSpec):
+    """The declared collision pairs, else every pair of agents."""
+    return (spec.collision_pairs if spec.collision_pairs is not None
+            else tuple(itertools.combinations(range(spec.agents.count), 2)))
+
+
+def _collisions(paths, pairs, T):
+    """Shared states, then swaps, per pair: one message each, lazily."""
+    for i, j in pairs:
+        pi, pj = paths[i], paths[j]
+        for t in range(T + 1):
+            if pi[t] == pj[t]:
+                yield f"collision: agents {i},{j} share {pi[t]!r} at t={t}"
+        for t in range(T):
+            if pi[t] == pj[t + 1] and pj[t] == pi[t + 1] and pi[t] != pj[t]:
+                yield f"collision: agents {i},{j} swap {pi[t]!r}/{pj[t]!r} at step {t}"
+
+
+def _collides(paths, pairs, T) -> bool:
+    return any(_collisions(paths, pairs, T))
 
 
 def _arc_flows(plan: PlanSolution):
@@ -617,8 +630,7 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     for s in agents.master_states():
         starts_mask |= sim.bit[s]
     capable = sorted(agents.capable())
-    pairs = (spec.collision_pairs if spec.collision_pairs is not None
-             else tuple(itertools.combinations(range(agents.count), 2)))
+    pairs = _collision_pairs(spec)
     comm_costed = any(net.comm_cost(t, a, b) > 0
                       for (a, b) in net.comm for t in range(1, T + 1))
     reward_items = spec.sorted_rewards()
@@ -646,18 +658,6 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     if best is None:
         return OracleResult("infeasible", None, None, n_cand)
     return OracleResult("optimal", best, best_paths, n_cand)
-
-
-def _collides(paths, pairs, T):
-    for i, j in pairs:
-        pi, pj = paths[i], paths[j]
-        for t in range(T + 1):
-            if pi[t] == pj[t]:
-                return True
-        for t in range(T):
-            if pi[t] == pj[t + 1] and pj[t] == pi[t + 1] and pi[t] != pj[t]:
-                return True
-    return False
 
 
 def _evaluate_candidate(spec, sim, paths, starts_mask, capable,
