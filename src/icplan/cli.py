@@ -26,8 +26,8 @@ from .errors import GuardExceeded, IcplanError
 from .explore import MAX_CYCLES, T_MAX, run_exploration
 from .ilp import assemble
 from .instances import exploration_world, line_instance
-from .io import load_exploration, load_instance
-from .network import to_dot
+from .io import load_agents, load_exploration, load_instance
+from .network import read_json_object, to_dot
 from .solver import export_lp, solve_problem
 
 EXIT_OK = 0
@@ -97,25 +97,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from pathlib import Path
-
-    from .io import load_agents
-
-    net, spec, _ = load_instance(args.instance)
-    if spec is not None:
-        agents = spec.agents
-    else:
-        raw = json.loads(Path(args.instance).read_text())
-        if "agents" not in raw:
-            raise IcplanError(f"{args.instance} has no 'agents' section")
-        agents = load_agents(raw["agents"])
+    data = read_json_object(args.instance)
+    net, _, _ = load_instance(data)
+    if "agents" not in data:
+        raise IcplanError(f"{args.instance} has no 'agents' section")
+    agents = load_agents(data["agents"])
     clustering = cluster_instance(net, agents, k=args.k)
     print(f"clusters={len(clustering.groups)} "
           f"active={list(clustering.active_ids())} "
           f"submasters={dict(sorted(clustering.submasters.items()))} "
           f"split_rounds={clustering.split_rounds}")
     if args.out:
-        _write(args.out, clustering.to_json() + "\n")
+        _write(args.out, clustering.to_json())
         print(f"wrote {args.out}")
     if args.dot_out:
         _write(args.dot_out, clusters_to_dot(

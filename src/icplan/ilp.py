@@ -54,7 +54,7 @@ class AgentConfig:
             return frozenset(range(self.count))
         return self.frontier_capable
 
-    def master_states(self, net=None) -> frozenset[str]:
+    def master_states(self) -> frozenset[str]:
         return frozenset(self.initial[m] for m in self.masters)
 
 

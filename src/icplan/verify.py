@@ -33,7 +33,7 @@ from scipy.optimize import linprog
 
 from .errors import GuardExceeded, InstanceError, UnbalancedFlowError
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import COMM, MOBILITY, MobilityCommNetwork, count_walks
+from .network import MOBILITY, count_walks
 
 TOL = 1e-6
 
@@ -67,67 +67,88 @@ class ReachabilityReport:
         return sorted(k for k, v in self.pair_matrix.items() if not v)
 
 
-# -- token simulation core (bitmask engine) ------------------------------
+# -- token spread ---------------------------------------------------------
 
 
-class _Sim:
-    """Bitmask token spreading over one network."""
+def _spread(paths, seeds, links, gate=None):
+    """Token layers, each a dict from state to the pointer that first reached it.
 
-    def __init__(self, net: MobilityCommNetwork):
-        self.net = net
-        self.bit = {s: 1 << i for i, s in enumerate(net.states)}
-        self.comm_pairs = [(self.bit[a], self.bit[b]) for (a, b) in net.comm]
-
-    def occupancy(self, paths: dict[int, tuple[str, ...]]):
-        T = len(next(iter(paths.values()))) - 1
-        out = []
-        for t in range(T + 1):
-            mask = 0
-            for path in paths.values():
-                mask |= self.bit[path[t]]
-            out.append(mask)
-        return out
-
-    def closure(self, cur: int, occ: int, gate: int | None = None) -> int:
-        """Fixpoint of within-layer spreading over occupied comm endpoints."""
-        allowed = occ if gate is None else (occ & gate)
-        while True:
-            nxt = cur
-            for a, b in self.comm_pairs:
-                if (cur & allowed & a) and (occ & b):
-                    nxt |= b
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    def spread(self, paths, occ, seed_mask: int, gate_layers=None):
-        """Token layer masks over occupancy occ; gate_layers restricts senders."""
-        T = len(occ) - 1
-        layers = []
-        cur = seed_mask & occ[0]
-        cur = self.closure(cur, occ[0], gate_layers[0] if gate_layers else None)
-        layers.append(cur)
-        agents = sorted(paths)
-        for t in range(1, T + 1):
-            nxt = 0
+    Layer 0 starts from the seeds that agents occupy, every later layer from
+    the states that agents carry the previous layer's token to, both in agent
+    order.  Within layer t the token then spreads breadth-first along
+    links[t], which maps each sender to its receivers; gate[t], when given,
+    holds the states allowed to send.  A state's pointer is ("seed",),
+    ("carry", t - 1, state) or ("comm", t, sender), from its first discoverer.
+    """
+    agents = sorted(paths)
+    layers: list[dict[str, tuple]] = []
+    for t, senders in enumerate(links):
+        if t == 0:
+            layer = {paths[r][0]: ("seed",) for r in agents if paths[r][0] in seeds}
+        else:
+            layer = {}
             for r in agents:
-                if self.bit[paths[r][t - 1]] & layers[t - 1]:
-                    nxt |= self.bit[paths[r][t]]
-            nxt = self.closure(nxt, occ[t], gate_layers[t] if gate_layers else None)
-            layers.append(nxt)
-        return layers
+                prev = paths[r][t - 1]
+                if prev in layers[-1]:
+                    layer.setdefault(paths[r][t], ("carry", t - 1, prev))
+        queue = list(layer)
+        for a in queue:
+            if gate is not None and a not in gate[t]:
+                continue
+            for b in senders.get(a, ()):
+                if b not in layer:
+                    layer[b] = ("comm", t, a)
+                    queue.append(b)
+        layers.append(layer)
+    return layers
 
-    def to_states(self, mask: int) -> frozenset[str]:
-        return frozenset(s for s, b in self.bit.items() if mask & b)
+
+def _links(arcs):
+    """Per layer, each sender's receivers in the order `arcs` lists them."""
+    out = []
+    for layer in arcs:
+        senders: dict[str, list[str]] = {}
+        for a, b in layer:
+            senders.setdefault(a, []).append(b)
+        out.append(senders)
+    return out
+
+
+def _plan_arcs(net, paths, T):
+    """Occupied states and comm arcs per layer, traversed mobility arcs per step.
+
+    A comm arc counts as occupied when agents stand on both of its ends;
+    occupied arcs keep the network's edge order.
+    """
+    occupied = [frozenset(path[t] for path in paths.values()) for t in range(T + 1)]
+    traversed = [set() for _ in range(max(T, 1))]
+    for path in paths.values():
+        for t in range(T):
+            traversed[t].add((path[t], path[t + 1]))
+    comm_ok = [[(a, b) for (a, b) in net.comm if a in occ and b in occ]
+               for occ in occupied]
+    return occupied, traversed, comm_ok
 
 
 def master_token_layers(spec: ProblemSpec, paths) -> list[frozenset[str]]:
     """Master-token coverage per layer for the given joint paths."""
-    sim = _Sim(spec.net)
-    seed = 0
-    for s in spec.agents.master_states():
-        seed |= sim.bit[s]
-    return [sim.to_states(m) for m in sim.spread(paths, sim.occupancy(paths), seed)]
+    links = _links(_plan_arcs(spec.net, paths, spec.T)[2])
+    return [frozenset(layer)
+            for layer in _spread(paths, spec.agents.master_states(), links)]
+
+
+def _early_departures(spec: ProblemSpec, paths, master):
+    """(agent, t, start) for each agent off the master states that leaves its
+    start in step [t, t+1] before the master token covers it, lazily."""
+    starts = spec.agents.master_states()
+    for r in range(spec.agents.count):
+        s0 = spec.agents.initial[r]
+        if s0 in starts:
+            continue
+        path = paths[r]
+        for t in range(spec.T):
+            if path[t] == s0 and path[t + 1] != s0 and s0 not in master[t]:
+                yield r, t, s0
 
 
 # -- dynamics and flow bookkeeping ---------------------------------------
@@ -212,15 +233,34 @@ def _imbalances(arcs):
     return net_in
 
 
+def _required_inflow(spec: ProblemSpec, paths):
+    """Net inflow per (state, t) that each flow id must show; absent means 0.
+
+    Data flows must meet theirs exactly.  The master flow's values are
+    floors: its start states may emit up to |S| units at layer 0, and no
+    other vertex may lose master flow.
+    """
+    T, out = spec.T, {}
+    for fid in spec.data_flow_ids():
+        if spec.orientation() == "one_to_many":
+            terms = ([((paths[fid][0], 0), -len(spec.snk))]
+                     + [((paths[r][T], T), 1) for r in spec.snk])
+        else:
+            terms = ([((paths[r][0], 0), -1) for r in spec.src]
+                     + [((paths[fid][T], T), len(spec.src))])
+        need = out[fid] = {}
+        for v, amount in terms:
+            need[v] = need.get(v, 0.0) + amount
+    out[MASTER_FLOW] = {(s, 0): -float(len(spec.net.states))
+                        for s in spec.agents.master_states()}
+    return out
+
+
 def check_flows(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
     """Certificate validity: admissibility of arcs and balance patterns."""
     net, T = spec.net, spec.T
     bad = []
-    occupied = [set(path[t] for path in plan.paths.values()) for t in range(T + 1)]
-    traversed = [set() for _ in range(max(T, 1))]
-    for path in plan.paths.values():
-        for t in range(T):
-            traversed[t].add((path[t], path[t + 1]))
+    occupied, traversed, _ = _plan_arcs(net, plan.paths, T)
 
     for t, a, b, fid, amount in plan.comm_events:
         if (a, b) not in net.comm:
@@ -233,32 +273,21 @@ def check_flows(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
         elif (a, b) not in traversed[t]:
             bad.append(f"flow move {a!r}->{b!r} at t={t} not ridden by any agent")
 
-    orientation = spec.orientation()
+    required = _required_inflow(spec, plan.paths)
     flows = _arc_flows(plan)
     for fid in spec.data_flow_ids():
         net_in = _imbalances(flows.get(fid, {}))
         for t in range(T + 1):
             for s in net.states:
-                expected = 0.0
-                if orientation == "one_to_many":
-                    if t == 0 and s == plan.paths[fid][0]:
-                        expected -= len(spec.snk)
-                    if t == T:
-                        expected += sum(1 for r in spec.snk if plan.paths[r][T] == s)
-                else:
-                    if t == 0:
-                        expected -= sum(1 for r in spec.src if plan.paths[r][0] == s)
-                    if t == T and plan.paths[fid][T] == s:
-                        expected += len(spec.src)
+                expected = required[fid].get((s, t), 0.0)
                 got = net_in.get((s, t), 0.0)
                 if abs(got - expected) > TOL:
                     bad.append(f"flow {fid}: imbalance {got:+.4g} at ({s!r}, t={t}), "
                                f"expected {expected:+.4g}")
     if spec.information_consistent and MASTER_FLOW in flows:
         net_in = _imbalances(flows[MASTER_FLOW])
-        starts = spec.agents.master_states()
         for (s, t), got in sorted(net_in.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            floor = -float(len(net.states)) if (t == 0 and s in starts) else 0.0
+            floor = required[MASTER_FLOW].get((s, t), 0.0)
             if got < floor - TOL:
                 bad.append(f"master flow: net inflow {got:+.4g} below {floor:+.4g} "
                            f"at ({s!r}, t={t})")
@@ -276,81 +305,42 @@ def information_reachability(plan: PlanSolution, spec: ProblemSpec,
     events="declared" restricts within-layer spreading to the plan's own
     communication events; events="potential" uses every communication edge
     between occupied states (the feasibility semantics of the flow model).
+    A witness walks back from the sink's final state through first
+    discoverers (see `_spread`), so it never depends on set order.
     """
     if events not in ("declared", "potential"):
         raise ValueError("events must be 'declared' or 'potential'")
     net, T = spec.net, spec.T
     src = list(spec.src if src is None else src)
     snk = list(spec.snk if snk is None else snk)
-    declared = None
     if events == "declared":
-        declared = [set() for _ in range(T + 1)]
+        arcs = [[] for _ in range(T + 1)]
         for t, a, b, fid, amount in plan.comm_events:
             if amount > TOL:
-                declared[t].add((a, b))
+                arcs[t].append((a, b))
+    else:
+        arcs = _plan_arcs(net, plan.paths, T)[2]
+    links = _links(arcs)
 
     pair_matrix, witnesses, token_layers = {}, {}, {}
     for i in src:
-        layers, parents = _spread_with_parents(net, plan.paths, {plan.paths[i][0]},
-                                               declared)
+        layers = _spread(plan.paths, {plan.paths[i][0]}, links)
         token_layers[i] = [frozenset(layer) for layer in layers]
         for j in snk:
             target = plan.paths[j][T]
             ok = target in layers[T]
             pair_matrix[(i, j)] = ok
             if ok:
-                witnesses[(i, j)] = _walk_back(parents, T, target)
+                witnesses[(i, j)] = _walk_back(layers, T, target)
     return ReachabilityReport(pair_matrix, witnesses, token_layers)
 
 
-def _spread_with_parents(net, paths, seed_states, declared):
-    """Set-based token spread recording one parent pointer per acquisition."""
-    agents = sorted(paths)
-    T = len(paths[agents[0]]) - 1
-    occupied = [frozenset(paths[r][t] for r in agents) for t in range(T + 1)]
-    layers: list[set[str]] = []
-    parents: list[dict[str, tuple]] = []
-
-    def close(cur: set[str], t: int, par: dict):
-        frontier = list(cur)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                if declared is None:
-                    succ = [b for b in net.neighbors(a, "succ", COMM)
-                            if b in occupied[t]]
-                else:
-                    succ = [b for (x, b) in declared[t] if x == a]
-                for b in succ:
-                    if b not in cur:
-                        cur.add(b)
-                        par[b] = ("comm", t, a)
-                        nxt.append(b)
-            frontier = nxt
-        return cur
-
-    cur = {s for s in seed_states if s in occupied[0]}
-    par: dict[str, tuple] = {s: ("seed",) for s in cur}
-    layers.append(close(cur, 0, par))
-    parents.append(par)
-    for t in range(1, T + 1):
-        cur, par = set(), {}
-        for r in agents:
-            prev, here = paths[r][t - 1], paths[r][t]
-            if prev in layers[t - 1] and here not in cur:
-                cur.add(here)
-                par[here] = ("carry", t - 1, prev)
-        layers.append(close(cur, t, par))
-        parents.append(par)
-    return layers, parents
-
-
-def _walk_back(parents, T, target):
+def _walk_back(layers, T, target):
     """Witness info-path [(t, state), ...] ending at (T, target)."""
     out = [(T, target)]
     t, s = T, target
     while True:
-        kind = parents[t].get(s)
+        kind = layers[t].get(s)
         if kind is None or kind[0] == "seed":
             break
         if kind[0] == "comm":
@@ -369,19 +359,9 @@ def check_consistency(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
     """Master-gating audit: no early departures, no untokened senders."""
     if not spec.information_consistent:
         return []
-    T = spec.T
-    starts = spec.agents.master_states()
     master = master_token_layers(spec, plan.paths)
-    bad = []
-    for r in range(spec.agents.count):
-        s0 = spec.agents.initial[r]
-        if s0 in starts:
-            continue
-        path = plan.paths[r]
-        for t in range(T):
-            if path[t] == s0 and path[t + 1] != s0 and s0 not in master[t]:
-                bad.append(f"agent {r} departs {s0!r} in step [{t},{t + 1}] "
-                           f"before master token arrival")
+    bad = [f"agent {r} departs {s0!r} in step [{t},{t + 1}] before master token arrival"
+           for r, t, s0 in _early_departures(spec, plan.paths, master)]
     for t, a, b, fid, amount in plan.comm_events:
         if amount > TOL and a not in master[t]:
             bad.append(f"comm event {a!r}->{b!r} (flow {fid!r}) at t={t} "
@@ -392,7 +372,7 @@ def check_consistency(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
 # -- flow decomposition ----------------------------------------------------
 
 
-def decompose_flows(plan: PlanSolution, spec: ProblemSpec | None = None):
+def decompose_flows(plan: PlanSolution):
     """Greedy path decomposition of each flow family.
 
     Returns {flow_id: [(path, amount), ...]} with paths as [(t, state), ...].
@@ -577,12 +557,17 @@ def _agent_paths(net, s0, T):
     return paths
 
 
-def _reward_ceiling(reward_items, finals) -> float:
-    """Positive rewards that capable agents ending on `finals` could claim."""
+def _claimable(reward_items, finals):
+    """Rewards (s, k, v) whose threshold k the agents ending on `finals` meet."""
     counts: dict[str, int] = {}
     for s in finals:
         counts[s] = counts.get(s, 0) + 1
-    return sum(max(v, 0.0) for (s, k), v in reward_items if counts.get(s, 0) >= k)
+    return [(s, k, v) for (s, k), v in reward_items if counts.get(s, 0) >= k]
+
+
+def _reward_ceiling(reward_items, finals) -> float:
+    """Positive rewards that capable agents ending on `finals` could claim."""
+    return sum(max(v, 0.0) for (_, _, v) in _claimable(reward_items, finals))
 
 
 def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult:
@@ -625,10 +610,6 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
                      for p in per_agent[r]]
                  for r in range(agents.count)}
 
-    sim = _Sim(net)
-    starts_mask = 0
-    for s in agents.master_states():
-        starts_mask |= sim.bit[s]
     capable = sorted(agents.capable())
     pairs = _collision_pairs(spec)
     comm_costed = any(net.comm_cost(t, a, b) > 0
@@ -648,8 +629,8 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
         paths = {r: per_agent[r][combo[r]] for r in range(agents.count)}
         if spec.collision_avoidance and _collides(paths, pairs, T):
             continue
-        value = _evaluate_candidate(spec, sim, paths, starts_mask, capable,
-                                    comm_costed, reward_items, lp_cache)
+        value = _evaluate_candidate(spec, paths, capable, comm_costed,
+                                    reward_items, lp_cache)
         if value is None:
             continue
         total_value = value - g1
@@ -660,76 +641,44 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     return OracleResult("optimal", best, best_paths, n_cand)
 
 
-def _evaluate_candidate(spec, sim, paths, starts_mask, capable,
-                        comm_costed, reward_items, lp_cache):
+def _evaluate_candidate(spec, paths, capable, comm_costed, reward_items, lp_cache):
     """Rewards minus communication cost for one joint path set, or None."""
-    net, T = spec.net, spec.T
-    occ = sim.occupancy(paths)
+    T = spec.T
+    _, traversed, comm_ok = _plan_arcs(spec.net, paths, T)
+    links = _links(comm_ok)
 
     master = None
     if spec.information_consistent:
-        master = sim.spread(paths, occ, starts_mask)
-        for r in range(spec.agents.count):
-            s0 = spec.agents.initial[r]
-            if sim.bit[s0] & starts_mask:
-                continue
-            path = paths[r]
-            for t in range(T):
-                if path[t] == s0 and path[t + 1] != s0 \
-                        and not (master[t] & sim.bit[s0]):
-                    return None
+        master = _spread(paths, spec.agents.master_states(), links)
+        if any(_early_departures(spec, paths, master)):
+            return None
 
     # per-pair reachability under (gated) token semantics
     for i in spec.src:
-        layers = sim.spread(paths, occ, sim.bit[paths[i][0]], gate_layers=master)
-        for j in spec.snk:
-            if not (layers[T] & sim.bit[paths[j][T]]):
-                return None
+        layers = _spread(paths, {paths[i][0]}, links, gate=master)
+        if any(paths[j][T] not in layers[T] for j in spec.snk):
+            return None
 
-    counts: dict[str, int] = {}
-    for r in capable:
-        s = paths[r][T]
-        counts[s] = counts.get(s, 0) + 1
-    claimable = [(s, k, v) for (s, k), v in reward_items if counts.get(s, 0) >= k]
-
+    claimable = _claimable(reward_items, [paths[r][T] for r in capable])
     if spec.information_consistent and spec.awareness_reward:
-        covered = 0
-        for m in master:
-            covered |= m
+        starts = spec.agents.master_states()
+        covered = set().union(*master)
         claimable = [(s, k, v) for (s, k, v) in claimable
-                     if (sim.bit[s] & starts_mask) or (sim.bit[s] & covered)]
+                     if s in starts or s in covered]
+    claims = sum(max(v, 0.0) for (_, _, v) in claimable)
 
     if not comm_costed:
-        return sum(max(v, 0.0) for (_, _, v) in claimable)
-
+        return claims
     if not spec.information_consistent:
-        g2 = _pairwise_comm_cost(spec, sim, paths, occ)
-        if g2 is None:
-            return None
-        return sum(max(v, 0.0) for (_, _, v) in claimable) - g2
-
-    return _residual_lp_value(spec, paths, occ, master, sim, claimable, lp_cache)
+        g2 = _pairwise_comm_cost(spec, paths, traversed, comm_ok)
+        return None if g2 is None else claims - g2
+    return _residual_lp_value(spec, paths, traversed, comm_ok, master,
+                              claimable, lp_cache)
 
 
-def _admissible_arcs(spec, paths, occ, sim):
-    """Traversed mobility arcs per step and occupied comm arcs per layer."""
-    T = spec.T
-    traversed = [set() for _ in range(max(T, 1))]
-    for path in paths.values():
-        for t in range(T):
-            traversed[t].add((path[t], path[t + 1]))
-    comm_ok = []
-    for t in range(T + 1):
-        layer = [(a, b) for (a, b) in spec.net.comm
-                 if (occ[t] & sim.bit[a]) and (occ[t] & sim.bit[b])]
-        comm_ok.append(layer)
-    return traversed, comm_ok
-
-
-def _pairwise_comm_cost(spec, sim, paths, occ):
+def _pairwise_comm_cost(spec, paths, traversed, comm_ok):
     """Sum over src x snk of cheapest admissible time-extended info routes."""
     net, T = spec.net, spec.T
-    traversed, comm_ok = _admissible_arcs(spec, paths, occ, sim)
     total = 0.0
     for i in spec.src:
         dist = _te_dijkstra(net, T, traversed, comm_ok, (paths[i][0], 0))
@@ -763,24 +712,22 @@ def _te_dijkstra(net, T, traversed, comm_ok, source):
     return dist
 
 
-def _residual_lp_value(spec, paths, occ, master, sim, claimable, lp_cache):
+def _residual_lp_value(spec, paths, traversed, comm_ok, master, claimable, lp_cache):
     """Exact rewards-minus-g2 for fixed paths via an LP over admissible arcs.
 
     Couples data flows, master deliveries, gating, and awareness claims the
     same way the integer model does once occupancy is fixed.
     """
     net, T = spec.net, spec.T
-    traversed, comm_ok = _admissible_arcs(spec, paths, occ, sim)
     key = (tuple(tuple(sorted(t_arcs)) for t_arcs in traversed),
            tuple(tuple(layer) for layer in comm_ok),
            tuple(sorted((r, paths[r][0], paths[r][T]) for r in paths)),
-           tuple(tuple(sorted(sim.to_states(m))) for m in master),
+           tuple(tuple(sorted(m)) for m in master),
            tuple(claimable))
     if key in lp_cache:
         return lp_cache[key]
 
     starts = spec.agents.master_states()
-    orientation = spec.orientation()
     flow_ids = list(spec.flow_ids())
 
     cols: dict[tuple, int] = {}
@@ -833,28 +780,11 @@ def _residual_lp_value(spec, paths, occ, master, sim, claimable, lp_cache):
         rows.append(row)
         rhs_list.append(rhs)
 
-    snk_T: dict[str, int] = {}
-    for r in spec.snk:
-        snk_T[paths[r][T]] = snk_T.get(paths[r][T], 0) + 1
-    src_0: dict[str, int] = {}
-    for r in spec.src:
-        src_0[paths[r][0]] = src_0.get(paths[r][0], 0) + 1
-
+    required = _required_inflow(spec, paths)
     for fid in spec.data_flow_ids():
         for t in range(T + 1):
             for s in net.states:
-                rhs = 0.0
-                if orientation == "one_to_many":
-                    if t == 0 and s == paths[fid][0]:
-                        rhs -= float(len(spec.snk))
-                    if t == T:
-                        rhs += float(snk_T.get(s, 0))
-                else:
-                    if t == 0:
-                        rhs -= float(src_0.get(s, 0))
-                    if t == T and s == paths[fid][T]:
-                        rhs += float(len(spec.src))
-                add(A_eq, b_eq, inflow_terms(fid, s, t), rhs)
+                add(A_eq, b_eq, inflow_terms(fid, s, t), required[fid].get((s, t), 0.0))
 
     # master flow: net inflow >= floor everywhere
     cum: dict[str, list[list[tuple[int, float]]]] = {}
@@ -871,9 +801,8 @@ def _residual_lp_value(spec, paths, occ, master, sim, claimable, lp_cache):
 
     for t in range(T + 1):
         for s in net.states:
-            floor = -float(len(net.states)) if (t == 0 and s in starts) else 0.0
             add(A_ub, b_ub, [(i, -c) for i, c in inflow_terms(MASTER_FLOW, s, t)],
-                -floor)
+                -required[MASTER_FLOW].get((s, t), 0.0))
 
     N = float(spec.big_m_value())
     for r in range(spec.agents.count):

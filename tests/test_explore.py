@@ -372,13 +372,15 @@ def test_exploration_records_do_not_follow_the_hash_seed():
     assert outs[0] == outs[1]
 
 
-# Subproblem rows (cycle, cluster, phase, horizon, status, objective) of two
-# small worlds whose solves all end optimal, so the rows do not depend on host
-# speed; captured from the loop before it was split into stages, and equal
-# under PYTHONHASHSEED=0 and 1.  A change to them must be explained in
-# CHANGES.md.
+# Subproblem rows (cycle, cluster, phase, horizon, status, objective) of small
+# worlds, keyed by (seed, n_states, n_agents), whose solves all end optimal, so
+# the rows do not depend on host speed; equal under PYTHONHASHSEED=0 and 1.
+# The 15-state rows were captured from the loop before it was split into
+# stages.  The 5-agent world runs two clusters from cycle 2 on, so its rows
+# also cover child stations, endowment and a multi-cluster post phase.  A
+# change to them must be explained in CHANGES.md.
 _PINNED_ROWS = {
-    0: [
+    (0, 15, 3): [
         (1, 1, "pre", 3, "optimal", 256.0),
         (1, 1, "post", 3, "optimal", -0.0),
         (2, 1, "pre", 3, "optimal", 238.0),
@@ -388,7 +390,7 @@ _PINNED_ROWS = {
         (4, 1, "pre", 5, "optimal", 205.96),
         (4, 1, "post", 6, "optimal", -3.0),
     ],
-    2: [
+    (2, 15, 3): [
         (1, 1, "pre", 3, "optimal", 258.0),
         (1, 1, "post", 3, "optimal", -0.0),
         (2, 1, "pre", 3, "optimal", 258.0),
@@ -398,14 +400,30 @@ _PINNED_ROWS = {
         (4, 1, "pre", 5, "optimal", 206.0),
         (4, 1, "post", 3, "optimal", -0.0),
     ],
+    (0, 20, 5): [
+        (1, 1, "pre", 3, "optimal", 356.0),
+        (1, 1, "post", 3, "optimal", -0.0),
+        (2, 1, "pre", 3, "optimal", 245.0),
+        (2, 2, "pre", 3, "optimal", 157.0),
+        (2, 2, "post", 3, "optimal", -0.0),
+        (2, 1, "post", 4, "optimal", -0.0),
+        (3, 1, "pre", 3, "optimal", 215.6),
+        (3, 2, "pre", 4, "optimal", 150.0),
+        (3, 2, "post", 4, "optimal", -1.0),
+        (4, 1, "pre", 4, "optimal", 116.56),
+        (4, 2, "pre", 4, "optimal", 119.6),
+        (4, 2, "post", 5, "optimal", -2.0),
+        (4, 1, "post", 4, "optimal", -2.0),
+    ],
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_PINNED_ROWS))
-def test_small_world_records_are_pinned(seed):
-    truth, agents, base = exploration_world(seed=seed, n_states=15, n_agents=3)
+@pytest.mark.parametrize("seed, n_states, n_agents", sorted(_PINNED_ROWS))
+def test_small_world_records_are_pinned(seed, n_states, n_agents):
+    truth, agents, base = exploration_world(seed=seed, n_states=n_states,
+                                            n_agents=n_agents)
     log = run_exploration(truth, agents, base)
     assert log.status == "complete" and log.all_verified
     rows = [(r.cycle, r.cluster, r.phase, r.horizon, r.status,
              round(r.objective, 6)) for r in log.subproblems]
-    assert rows == _PINNED_ROWS[seed]
+    assert rows == _PINNED_ROWS[(seed, n_states, n_agents)]

@@ -227,8 +227,13 @@ def test_cli_cluster_writes_json_and_dot(tmp_path, capsys):
                      "--out", str(out), "--dot-out", str(dot)])
     assert code == cli.EXIT_OK
     assert "clusters=" in capsys.readouterr().out
-    assert "clusters" in json.loads(out.read_text())
+    text = out.read_text()
+    assert "clusters" in json.loads(text)
+    assert text.endswith("}\n")                   # one newline, no blank line
     assert dot.read_text().startswith("digraph")
+    save_instance(instance, truth)                  # no agents to cluster
+    assert cli.main(["cluster", str(instance)]) == cli.EXIT_ERROR
+    assert "no 'agents' section" in capsys.readouterr().err
 
 
 def test_cli_explore_runs_synthetic_and_file_worlds(tmp_path, capsys):

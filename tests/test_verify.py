@@ -1,17 +1,24 @@
 """Plan verification: dynamics, flow certificates, reachability, consistency."""
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import icplan
+from icplan import verify
 from icplan.errors import GuardExceeded, InstanceError, UnbalancedFlowError
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec
 from icplan.instances import ORACLE_CLASSES, random_oracle_instance
 from icplan.network import build_network
 from icplan.solver import solve_problem
 from icplan.verify import (TOL, PlanSolution, _agent_paths, _collides,
-                           _evaluate_candidate, _reward_ceiling, _Sim,
+                           _evaluate_candidate, _reward_ceiling,
                            brute_force_solve, check_consistency,
                            check_dynamics, check_flows, decompose_flows,
                            information_reachability, load_solution,
@@ -45,6 +52,28 @@ def gated_relay():
                                1: ("s1", "s2", "s2"),
                                2: ("s3", "s3", "s2")})
     return spec, plan
+
+
+# -- independence ---------------------------------------------------------------
+
+
+def _imports_from(nodes, module):
+    """Names that the nodes import from icplan's `module`, relative or absolute."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("icplan").lstrip(".")
+            names |= {alias.name for alias in node.names
+                      if source == module or (not source and alias.name == module)}
+    return names
+
+
+def test_verifier_shares_no_code_with_the_model_builder_or_solver():
+    # plans are trusted only through the verifier and the oracle, so neither
+    # may reuse what builds or solves the MILP
+    tree = ast.parse(Path(verify.__file__).read_text())
+    assert _imports_from(ast.walk(tree), "ilp") <= {"MASTER_FLOW", "ProblemSpec"}
+    assert not _imports_from(tree.body, "solver")
 
 
 # -- dynamics -----------------------------------------------------------------
@@ -147,7 +176,7 @@ def test_decomposition_covers_every_data_flow(line4_solution):
     spec, _, _, plan = line4_solution
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")           # zero-cost circulations are noise
-        chains = decompose_flows(plan, spec)
+        chains = decompose_flows(plan)
     for fid in spec.data_flow_ids():
         assert fid in chains
         total = sum(amount for _, amount in chains[fid])
@@ -209,6 +238,35 @@ def test_reachability_with_explicit_pair_subsets(line4_solution):
     spec, _, _, plan = line4_solution
     report = information_reachability(plan, spec, src=[0], snk=[2])
     assert set(report.pair_matrix) == {(0, 2)}
+
+
+_WITNESSES = """
+from icplan.ilp import AgentConfig, ProblemSpec
+from icplan.network import build_network
+from icplan.verify import PlanSolution, information_reachability
+net = build_network(["a", "b", "c", "d"], [("d", "b", 1.0)],
+                    [("a", "c", 0.0), ("a", "b", 0.0), ("c", "b", 0.0)])
+spec = ProblemSpec(net=net, agents=AgentConfig(count=3, initial={0: "a", 1: "c", 2: "d"}),
+                   T=1, src=(0,), snk=(2,))
+paths = {0: ("a", "a"), 1: ("c", "c"), 2: ("d", "b")}
+events = ((0, "a", "c", 0, 1.0), (1, "c", "b", 0, 1.0), (1, "a", "b", 0, 1.0))
+for mode, plan in (("potential", PlanSolution(paths=paths)),
+                   ("declared", PlanSolution(paths=paths, comm_events=events))):
+    print(information_reachability(plan, spec, events=mode).witnesses[(0, 2)])
+"""
+
+
+def test_witnesses_follow_the_first_discoverer_not_the_hash_seed():
+    # b is reachable at t=1 from a (carried by agent 0) and from c (agent 1);
+    # the carried states are taken in agent order, so a discovers b first
+    src = str(Path(icplan.__file__).resolve().parents[1])
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", _WITNESSES], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["[(0, 'a'), (1, 'a'), (1, 'b')]"] * 2
 
 
 # -- master token and consistency --------------------------------------------------
@@ -350,10 +408,6 @@ def _assert_oracle_is_exhaustive(spec):
     per_agent = [[(agents.initial[r],) * (T + 1)] if r in agents.static
                  else _agent_paths(net, agents.initial[r], T)
                  for r in range(agents.count)]
-    sim = _Sim(net)
-    starts_mask = 0
-    for s in agents.master_states():
-        starts_mask |= sim.bit[s]
     capable = sorted(agents.capable())
     pairs = (spec.collision_pairs if spec.collision_pairs is not None
              else tuple(itertools.combinations(range(agents.count), 2)))
@@ -367,8 +421,8 @@ def _assert_oracle_is_exhaustive(spec):
         paths = dict(enumerate(combo))
         if spec.collision_avoidance and _collides(paths, pairs, T):
             continue
-        value = _evaluate_candidate(spec, sim, paths, starts_mask, capable,
-                                    comm_costed, reward_items, lp_cache)
+        value = _evaluate_candidate(spec, paths, capable, comm_costed,
+                                    reward_items, lp_cache)
         if value is None:
             continue
         g1 = sum(sum(net.mobility_cost(t, p[t], p[t + 1]) for t in range(T))
