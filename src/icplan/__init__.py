@@ -20,7 +20,8 @@ from .solver import SolveResult, export_lp, solve, solve_problem
 from .verify import (OracleResult, PlanSolution, ReachabilityReport,
                      brute_force_solve, check_consistency, check_dynamics,
                      check_flows, decompose_flows, extract_solution,
-                     information_reachability, load_solution, save_solution)
+                     information_reachability, load_solution, plan_violations,
+                     save_solution)
 
 __version__ = "0.1.0"
 
@@ -34,6 +35,6 @@ __all__ = [
     "build_network", "check_consistency", "check_dynamics", "check_flows",
     "decompose_flows", "export_lp", "extract_solution",
     "information_reachability", "load_network", "load_solution",
-    "save_solution", "shortest_mobility_distance", "solve", "solve_problem",
+    "plan_violations", "save_solution", "shortest_mobility_distance", "solve", "solve_problem",
     "to_dot",
 ]

@@ -5,7 +5,7 @@ Subcommands::
     icplan solve    INSTANCE [--method flow|powerset|adaptive] [--out PLAN]
     icplan verify   INSTANCE PLAN
     icplan cluster  INSTANCE [--k K] [--out JSON] [--dot-out DOT]
-    icplan explore  [--instance WORLD | --seed N] [--out LOG]
+    icplan explore  [--instance WORLD | --seed N] [--out LOG] [--log-level L]
     icplan bench    [--methods ...] [--n-range 4:16:2] [--out CSV]
 
 Exit codes: 0 success, 1 infeasible, 2 verification failure, 3 solver or
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
+import logging
 import sys
 
 from . import baselines, verify
@@ -49,6 +49,10 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _num(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
+
+
 def _cmd_solve(args) -> int:
     net, spec = _load_spec(args.instance)
     if args.lp_out:
@@ -66,9 +70,9 @@ def _cmd_solve(args) -> int:
         run = solver(spec, time_limit=args.time_limit)
         result, plan = run.result, run.plan
         print(f"rounds={run.rounds} cuts={run.cuts_added}")
-    obj = "-" if result.objective is None else f"{result.objective:.6g}"
-    print(f"status={result.status} objective={obj} "
-          f"wall={result.wall_time:.2f}s")
+    print(f"status={result.status} objective={_num(result.objective)} "
+          f"wall={result.wall_time:.2f}s nodes={_num(result.nodes)} "
+          f"dual_bound={_num(result.dual_bound)} gap={_num(result.gap)}")
     if plan is not None and args.out:
         verify.save_solution(plan, args.out)
         print(f"wrote {args.out}")
@@ -80,15 +84,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     _, spec = _load_spec(args.instance)
     plan = verify.load_solution(args.solution)
-    violations = list(verify.check_dynamics(plan, spec))
-    violations += verify.check_flows(plan, spec)
-    if spec.information_consistent:
-        violations += verify.check_consistency(plan, spec)
-    if spec.src and spec.snk:
-        report = verify.information_reachability(plan, spec,
-                                                 events=args.events)
-        violations += [f"undelivered source {i} -> sink {j}"
-                       for (i, j) in report.unreachable()]
+    violations = verify.plan_violations(plan, spec, events=args.events)
     for line in violations:
         print(f"violation: {line}")
     print("verification: " + ("ok" if not violations
@@ -118,6 +114,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("icplan.explore").setLevel(args.log_level)
     if args.instance:
         net, agents, base, initially_known = load_exploration(args.instance)
     else:
@@ -241,6 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     p.add_argument("--trace-dir", help="write per-cycle DOT/JSON traces here")
     p.add_argument("--out", help="write the run log JSON here")
+    p.add_argument("--log-level", default="WARNING",
+                   choices=("WARNING", "INFO", "DEBUG"),
+                   help="level of the icplan.explore log on stderr")
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("bench", help="benchmark on line relay instances")

@@ -227,13 +227,7 @@ def _record(cycle, cid, phase, roster, spec, result, plan) -> SubproblemRecord:
     if plan is None:
         violations = [result.message or result.status]
     else:
-        violations = verify.check_dynamics(plan, spec) + verify.check_flows(plan, spec)
-        if phase == "pre":
-            violations += verify.check_consistency(plan, spec)
-        else:
-            report = verify.information_reachability(plan, spec)
-            violations += [f"undelivered source {i} -> sink {j}"
-                           for (i, j) in report.unreachable()]
+        violations = verify.plan_violations(plan, spec)
     return SubproblemRecord(cycle, cid, phase, tuple(roster), spec.T,
                             result.status, result.objective, result.wall_time,
                             not violations, tuple(violations))

@@ -63,8 +63,7 @@ class MobilityCommNetwork:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_succ", _adjacency(self.states, self.mobility, 0))
         object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
-        object.__setattr__(self, "_csucc", _adjacency(self.states, self.comm, 0))
-        object.__setattr__(self, "_cpred", _adjacency(self.states, self.comm, 1))
+        object.__setattr__(self, "_comm_tables", None)  # (succ, pred), on first use
         object.__setattr__(self, "_distances", {})  # (direction, t) -> matrix
         object.__setattr__(self, "_undirected", None)
 
@@ -86,7 +85,11 @@ class MobilityCommNetwork:
         if relation == MOBILITY:
             table = self._succ if direction == "succ" else self._pred
         elif relation == COMM:
-            table = self._csucc if direction == "succ" else self._cpred
+            if self._comm_tables is None:
+                object.__setattr__(self, "_comm_tables",
+                                   (_adjacency(self.states, self.comm, 0),
+                                    _adjacency(self.states, self.comm, 1)))
+            table = self._comm_tables[direction == "pred"]
         else:
             raise ValueError(f"relation must be mobility or comm, got {relation!r}")
         self.index(s)

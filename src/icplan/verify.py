@@ -155,9 +155,13 @@ def _early_departures(spec: ProblemSpec, paths, master):
 
 
 def check_dynamics(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
-    """Path shape, initial placement, edge validity, static and collision rules."""
+    """Path shape, initial placement, edge validity, static and collision
+    rules, and certificate events on the plan's layers."""
     net, T = spec.net, spec.T
-    bad = []
+    bad = [f"{kind} {a!r}->{b!r} at t={t} outside layers 0..{last}"
+           for kind, events, last in (("comm event", plan.comm_events, T),
+                                      ("flow move", plan.flow_moves, T - 1))
+           for t, a, b, _, _ in events if not 0 <= t <= last]
     if sorted(plan.paths) != list(range(spec.agents.count)):
         bad.append(f"paths cover agents {sorted(plan.paths)}, expected 0..{spec.agents.count - 1}")
         return bad
@@ -366,6 +370,24 @@ def check_consistency(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
         if amount > TOL and a not in master[t]:
             bad.append(f"comm event {a!r}->{b!r} (flow {fid!r}) at t={t} "
                        f"from state without master token")
+    return bad
+
+
+def plan_violations(plan: PlanSolution, spec: ProblemSpec,
+                    events: str = "declared") -> list[str]:
+    """Every check the spec asks for; an empty list means the plan verifies.
+
+    The flow, consistency and reachability checks index layers by the
+    plan's paths and events, so they run only on a plan whose dynamics pass.
+    """
+    bad = check_dynamics(plan, spec)
+    if bad:
+        return bad
+    bad = check_flows(plan, spec) + check_consistency(plan, spec)
+    if spec.src and spec.snk:
+        report = information_reachability(plan, spec, events=events)
+        bad += [f"undelivered source {i} -> sink {j}"
+                for (i, j) in report.unreachable()]
     return bad
 
 

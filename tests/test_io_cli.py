@@ -14,7 +14,8 @@ import icplan
 from icplan import cli, verify
 from icplan.errors import InstanceError
 from icplan.ilp import AgentConfig, ProblemSpec
-from icplan.instances import exploration_world, random_oracle_instance
+from icplan.instances import (exploration_world, line_instance,
+                               random_oracle_instance)
 from icplan.io import (instance_to_dict, load_exploration, load_instance,
                        save_instance)
 from icplan.network import build_network
@@ -218,6 +219,40 @@ def test_cli_verify_accepts_good_plans_and_flags_bad_ones(tmp_path, capsys):
                      "--events", "potential"]) == cli.EXIT_OK
 
 
+def _cut_path(data, T):
+    data["paths"]["0"] = data["paths"]["0"][:-1]
+    return "agent 0: path length"
+
+
+def _late_event(data, T):
+    data["comm_events"].append([T + 1] + data["comm_events"][0][1:])
+    return f"at t={T + 1} outside layers 0..{T}"
+
+
+def _early_event(data, T):
+    data["comm_events"].append([-1] + data["comm_events"][0][1:])
+    return f"at t=-1 outside layers 0..{T}"
+
+
+@pytest.mark.parametrize("corrupt", [_cut_path, _late_event, _early_event])
+def test_cli_verify_reports_malformed_plans(tmp_path, capsys, corrupt):
+    # the flow and reachability checks index layers by the plan's paths and
+    # events, so a plan that fails the dynamics check stops there
+    net, spec = line_instance(4)
+    instance, sol = tmp_path / "line4.json", tmp_path / "plan.json"
+    save_instance(instance, net, spec)
+    assert cli.main(["solve", str(instance), "--out", str(sol)]) == cli.EXIT_OK
+    data = json.loads(sol.read_text())
+    expected = corrupt(data, spec.T)
+    sol.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["verify", str(instance), str(sol)]) == \
+        cli.EXIT_VERIFICATION
+    violations = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("violation:")]
+    assert len(violations) == 1 and expected in violations[0]
+
+
 def test_cli_cluster_writes_json_and_dot(tmp_path, capsys):
     truth, agents, _ = exploration_world(seed=4, n_states=14, n_agents=4)
     instance = tmp_path / "world.json"
@@ -258,6 +293,23 @@ def test_cli_explore_signals_cut_short_runs(tmp_path):
     code = cli.main(["explore", "--seed", "0", "--n-states", "16",
                      "--n-agents", "3", "--max-cycles", "1"])
     assert code == cli.EXIT_STALL
+
+
+def test_cli_explore_log_level_debug_describes_each_pre_solve():
+    src = str(Path(icplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "icplan.cli", "explore", "--seed", "0",
+            "--n-states", "20", "--n-agents", "4", "--max-cycles", "1"]
+    runs = [subprocess.run(argv + extra, env=env, capture_output=True, text=True)
+            for extra in ([], ["--log-level", "DEBUG"])]
+    assert [run.returncode for run in runs] == [cli.EXIT_STALL] * 2
+    assert runs[0].stderr == ""
+    assert runs[1].stdout == runs[0].stdout
+    records = runs[1].stderr.splitlines()
+    assert records[0].startswith("DEBUG icplan.explore: cycle 1: k=")
+    assert any(r.startswith("DEBUG icplan.explore: pre c1 depth=0 ")
+               for r in records)
 
 
 def test_cli_time_limit_is_only_on_solve_and_bench(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from icplan.errors import InstanceError
 from icplan.io import load_instance, network_to_dict
 from icplan.explore import induced_network
-from icplan.network import (betweenness_centrality, build_network, hop_bfs,
+from icplan.network import (COMM, betweenness_centrality, build_network, hop_bfs,
                             load_network, mobility_distances,
                             shortest_mobility_distance, to_dot)
 
@@ -259,7 +259,18 @@ def test_cache_does_not_change_equality():
     betweenness_centrality(net)
     mobility_distances(net, net.states[0], "pred", t=3)
     net.undirected_mobility()
-    assert net == twin
+    for s in net.states:
+        net.neighbors(s, "succ", COMM)
+        net.neighbors(s, "pred", COMM)
+    assert net == twin and twin == net
+    assert _hash_or_error(net) == _hash_or_error(twin)
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:            # dict fields leave networks unhashable
+        return str(exc)
 
 
 @st.composite

@@ -1,9 +1,13 @@
 """HiGHS solves, LP export, and plan extraction."""
 
 import re
+import warnings
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from icplan import solver
 from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import line_instance
 from icplan.network import build_network
@@ -73,6 +77,44 @@ def test_solve_problem_accepts_integral_incumbents():
         assert len(plan.paths) == spec.agents.count
     else:
         assert not result.assignment
+
+
+def test_optimal_solve_reports_nodes_bound_and_gap(line4_solution):
+    _, _, result, _ = line4_solution
+    assert result.nodes >= 0
+    # HiGHS's default relative gap tolerance is 1e-4
+    assert 0.0 <= result.gap <= 1e-4
+    assert result.dual_bound >= result.objective - 1e-9
+    assert result.dual_bound == pytest.approx(result.objective, abs=1e-4)
+
+
+def test_time_limited_solve_keeps_the_statistics(line4, monkeypatch):
+    model = assemble(line4[1])
+    x = np.zeros(model.n_variables)
+    limit = OptimizeResult(status=1, x=x, fun=3.0, message="Time limit reached.",
+                           mip_node_count=17, mip_dual_bound=1.5, mip_gap=0.5)
+    monkeypatch.setattr(solver, "milp", lambda **kw: limit)
+    result = solve(model, time_limit=1.0)
+    assert result.status == "limit" and result.objective == -3.0
+    assert (result.nodes, result.dual_bound, result.gap) == (17, -1.5, 0.5)
+
+
+def test_feasibility_jump_heuristic_is_off(line4, monkeypatch):
+    # its fixed per-call cost outweighs the solve itself on small models
+    seen = []
+    real = solver.milp
+    monkeypatch.setattr(solver, "milp",
+                        lambda **kw: seen.append(kw["options"]) or real(**kw))
+    for kwargs in ({}, {"time_limit": 60.0, "gap": 0.1}):
+        assert solve(assemble(line4[1]), **kwargs).ok
+    assert [o["mip_heuristic_run_feasibility_jump"] for o in seen] == [False, False]
+
+
+def test_solve_raises_no_warning(line4):
+    # scipy warns that it passes the heuristic switch to HiGHS verbatim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve(assemble(line4[1])).ok
 
 
 # -- LP text -------------------------------------------------------------------
