@@ -11,15 +11,14 @@ exploration loop for unknown environments.
 """
 
 from .errors import (ConfigurationError, GuardExceeded, IcplanError,
-                     InstanceError, SolverError, UnbalancedFlowError)
+                     InstanceError, SolverError)
 from .ilp import MASTER_FLOW, AgentConfig, MilpModel, ProblemSpec, assemble
 from .network import (MobilityCommNetwork, betweenness_centrality,
-                      build_network, load_network, shortest_mobility_distance,
-                      to_dot)
+                      build_network, load_network, to_dot)
 from .solver import SolveResult, export_lp, solve, solve_problem
 from .verify import (OracleResult, PlanSolution, ReachabilityReport,
                      brute_force_solve, check_consistency, check_dynamics,
-                     check_flows, decompose_flows, extract_solution,
+                     check_flows, extract_solution,
                      information_reachability, load_solution, plan_violations,
                      save_solution)
 
@@ -30,11 +29,11 @@ __all__ = [
     "IcplanError", "InstanceError", "MASTER_FLOW", "MilpModel",
     "MobilityCommNetwork",
     "OracleResult", "PlanSolution", "ProblemSpec", "ReachabilityReport",
-    "SolveResult", "SolverError", "UnbalancedFlowError",
+    "SolveResult", "SolverError",
     "assemble", "betweenness_centrality", "brute_force_solve",
     "build_network", "check_consistency", "check_dynamics", "check_flows",
-    "decompose_flows", "export_lp", "extract_solution",
+    "export_lp", "extract_solution",
     "information_reachability", "load_network", "load_solution",
-    "plan_violations", "save_solution", "shortest_mobility_distance", "solve", "solve_problem",
+    "plan_violations", "save_solution", "solve", "solve_problem",
     "to_dot",
 ]

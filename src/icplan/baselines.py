@@ -67,8 +67,7 @@ def _build_base_model(spec: ProblemSpec) -> MilpModel:
 
     build_reward_and_motion_terms(model, spec)
     for t in range(1, T + 1):
-        for (a, b) in net.comm:
-            cost = net.comm_cost(t, a, b)
+        for (a, b), cost in net.comm.items():
             if cost:
                 model.add_objective(model.var("comm", a, b, t), -cost)
     return model
@@ -119,7 +118,6 @@ def build_powerset_model(spec: ProblemSpec) -> MilpModel:
     model = _build_base_model(spec)
     vertices = [(s, t) for t in range(T + 1) for s in net.states]
     starts = {(spec.agents.initial[i], 0) for i in spec.src}
-    n_cuts = 0
     for bits in range(1, 2 ** n_vertices):
         subset = frozenset(v for i, v in enumerate(vertices) if bits >> i & 1)
         if starts <= subset:
@@ -127,8 +125,6 @@ def build_powerset_model(spec: ProblemSpec) -> MilpModel:
         if not any(t == T for (_, t) in subset):
             continue
         _add_cut(model, spec, subset)
-        n_cuts += 1
-    model.info["powerset_cuts"] = n_cuts
     return model
 
 
@@ -138,7 +134,7 @@ def solve_powerset(spec: ProblemSpec,
     result = solve(model, time_limit=time_limit)
     plan = extract_baseline_solution(spec, result) if result.ok else None
     return BaselineRun(model, result, plan, rounds=1,
-                       cuts_added=model.info.get("powerset_cuts", 0),
+                       cuts_added=model.tag_counts().get("powerset_cut", 0),
                        wall_time=result.wall_time)
 
 

@@ -20,14 +20,3 @@ class GuardExceeded(IcplanError, RuntimeError):
 class SolverError(IcplanError, RuntimeError):
     """Backend failed, is unavailable, or returned an unusable status."""
 
-
-class UnbalancedFlowError(IcplanError, ValueError):
-    """Flow values do not satisfy conservation at some time-extended vertex."""
-
-    def __init__(self, state, t, imbalance):
-        self.state = state
-        self.t = t
-        self.imbalance = imbalance
-        super().__init__(
-            f"flow imbalance {imbalance:+.3g} at state {state!r}, layer {t}"
-        )

@@ -80,20 +80,13 @@ def detect_frontiers(truth: MobilityCommNetwork, known: set[str]) -> tuple[str, 
 
 
 def induced_network(net: MobilityCommNetwork, states) -> MobilityCommNetwork:
-    """Subnetwork on `states` keeping every edge and cost override inside it."""
+    """Subnetwork on `states` keeping every edge inside it."""
     keep = set(states)
     ordered = [s for s in net.states if s in keep]
     mobility = [(a, b, w) for (a, b), w in net.mobility.items()
                 if a in keep and b in keep]
     comm = [(a, b, w) for (a, b), w in net.comm.items() if a in keep and b in keep]
-
-    def kept(overrides):
-        return {(t, a, b): w for (t, a, b), w in overrides.items()
-                if a in keep and b in keep}
-
-    return build_network(ordered, mobility, comm, self_loops=False,
-                         mobility_overrides=kept(net.mobility_overrides),
-                         comm_overrides=kept(net.comm_overrides))
+    return build_network(ordered, mobility, comm, self_loops=False)
 
 
 def _hop_distances(net: MobilityCommNetwork, sources, within=None) -> dict[str, int]:

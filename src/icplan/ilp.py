@@ -151,7 +151,6 @@ class MilpModel:
         self.by_ref: dict[tuple, int] = {}
         self.constraints: list[tuple[dict[int, float], str, float, str]] = []
         self.objective: dict[int, float] = {}  # maximize
-        self.info: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -221,8 +220,6 @@ def allocate_variables(spec: ProblemSpec, include_flows: bool = True,
         for t in range(T + 1):
             for (a, b) in net.comm:
                 model.add_var(("comm", a, b, t), "B")
-    model.info["orientation"] = spec.orientation()
-    model.info["big_m"] = spec.big_m_value()
     return model
 
 
@@ -474,8 +471,7 @@ def build_reward_and_motion_terms(model: MilpModel, spec: ProblemSpec):
         model.add_objective(model.var("y", s, k), value)
     for r in range(spec.agents.count):
         for t in range(T):
-            for (a, b) in net.mobility:
-                cost = net.mobility_cost(t, a, b)
+            for (a, b), cost in net.mobility.items():
                 if cost:
                     model.add_objective(model.var("x", r, a, b, t), -cost)
 
@@ -486,8 +482,7 @@ def build_objective(model: MilpModel, spec: ProblemSpec):
     net, T = spec.net, spec.T
     for fid in spec.flow_ids():
         for t in range(1, T + 1):
-            for (a, b) in net.comm:
-                cost = net.comm_cost(t, a, b)
+            for (a, b), cost in net.comm.items():
                 if cost:
                     model.add_objective(model.var("fbar", fid, a, b, t), -cost)
 
@@ -507,5 +502,4 @@ def assemble(spec: ProblemSpec) -> MilpModel:
         build_bridge(model, spec, MASTER_FLOW)
     build_extensions(model, spec, master_cum)
     build_objective(model, spec)
-    model.info["tag_counts"] = model.tag_counts()
     return model

@@ -5,17 +5,14 @@ which agents traverse between consecutive time steps, and communication edges,
 over which co-located or adjacent agents exchange information within a time
 step.  Edge weights are costs; both edge sets may be asymmetric.  Mobility
 self-loops (waiting) are inserted automatically at zero cost unless the
-instance disables them.
-
-Time-dependent costs are supported through sparse overrides on top of the
-per-edge base weight; instance files carry only the base weight.
+instance disables them.  Each edge has one cost, the same at every layer.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +32,6 @@ class MobilityCommNetwork:
     states: tuple[str, ...]
     mobility: dict[tuple[str, str], float]
     comm: dict[tuple[str, str], float]
-    mobility_overrides: dict[tuple[int, str, str], float] = field(default_factory=dict)
-    comm_overrides: dict[tuple[int, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
         index = {s: i for i, s in enumerate(self.states)}
@@ -44,27 +39,17 @@ class MobilityCommNetwork:
             raise InstanceError("duplicate state identifiers")
         if not self.states:
             raise InstanceError("empty state set")
-        for name, edges, overrides in ((MOBILITY, self.mobility, self.mobility_overrides),
-                                       (COMM, self.comm, self.comm_overrides)):
+        for name, edges in ((MOBILITY, self.mobility), (COMM, self.comm)):
             for (a, b), w in edges.items():
                 if a not in index or b not in index:
                     raise InstanceError(f"dangling {name} edge ({a!r}, {b!r})")
                 if not 0 <= w < math.inf:    # also false for NaN
                     raise InstanceError(f"{_bad_weight(w)} on {name} edge ({a!r}, {b!r})")
-            for (t, a, b), w in overrides.items():
-                if not isinstance(t, int) or t < 0:
-                    raise InstanceError(f"{name} override ({t!r}, {a!r}, {b!r}): "
-                                        f"layer must be an int >= 0")
-                if (a, b) not in edges:
-                    raise InstanceError(f"{name} override on missing edge ({a!r}, {b!r})")
-                if not 0 <= w < math.inf:
-                    raise InstanceError(f"{_bad_weight(w)} on {name} override "
-                                        f"({t!r}, {a!r}, {b!r})")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_succ", _adjacency(self.states, self.mobility, 0))
         object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
         object.__setattr__(self, "_comm_tables", None)  # (succ, pred), on first use
-        object.__setattr__(self, "_distances", {})  # (direction, t) -> matrix
+        object.__setattr__(self, "_distances", {})  # direction -> matrix
         object.__setattr__(self, "_undirected", None)
 
     # -- basic queries -------------------------------------------------
@@ -95,24 +80,24 @@ class MobilityCommNetwork:
         self.index(s)
         return tuple(table.get(s, ()))
 
-    def mobility_distance_matrix(self, direction: str = "succ", t: int = 0):
-        """All-pairs layer-t mobility distances, inf where unreachable.
+    def mobility_distance_matrix(self, direction: str = "succ"):
+        """All-pairs mobility distances, inf where unreachable.
 
         Row i holds the distances from ("succ") or to ("pred") state i; one
-        compiled Dijkstra builds it on first use per (direction, t), "pred"
-        on the reversed graph so that each path's costs are summed from i
+        compiled Dijkstra builds it on first use per direction, "pred" on
+        the reversed graph so that each path's costs are summed from i
         outward.  The matrix is read-only.
         """
         if direction not in ("succ", "pred"):
             raise ValueError(f"direction must be succ or pred, got {direction!r}")
-        dist = self._distances.get((direction, t))
+        dist = self._distances.get(direction)
         if dist is None:
-            tails, heads, w = _mobility_arcs(self, t)
+            tails, heads, w = _mobility_arcs(self)
             if direction == "pred":
                 tails, heads = heads, tails
             n = len(self.states)
             graph = sparse.csr_matrix((w, (tails, heads)), shape=(n, n))
-            dist = self._distances[(direction, t)] = dijkstra(graph)
+            dist = self._distances[direction] = dijkstra(graph)
             dist.setflags(write=False)
         return dist
 
@@ -129,24 +114,6 @@ class MobilityCommNetwork:
                 rows.append(tuple(sorted(nbrs)))
             object.__setattr__(self, "_undirected", tuple(rows))
         return self._undirected
-
-    def mobility_cost(self, t: int, a: str, b: str) -> float:
-        w = self.mobility_overrides.get((t, a, b))
-        if w is not None:
-            return w
-        try:
-            return self.mobility[(a, b)]
-        except KeyError:
-            raise InstanceError(f"no mobility edge ({a!r}, {b!r})") from None
-
-    def comm_cost(self, t: int, a: str, b: str) -> float:
-        w = self.comm_overrides.get((t, a, b))
-        if w is not None:
-            return w
-        try:
-            return self.comm[(a, b)]
-        except KeyError:
-            raise InstanceError(f"no comm edge ({a!r}, {b!r})") from None
 
     def mobility_edges(self):
         return tuple(self.mobility)
@@ -171,8 +138,8 @@ def _adjacency(states, edges, end):
     return table
 
 
-def build_network(states, mobility_edges, comm_edges, self_loops=True,
-                  mobility_overrides=None, comm_overrides=None) -> MobilityCommNetwork:
+def build_network(states, mobility_edges, comm_edges,
+                  self_loops=True) -> MobilityCommNetwork:
     """Construct a network from edge triples (a, b, weight).
 
     Zero-cost mobility self-loops are added for every state unless self_loops
@@ -187,13 +154,7 @@ def build_network(states, mobility_edges, comm_edges, self_loops=True,
     if self_loops:
         for s in states:
             mobility.setdefault((s, s), 0.0)
-    return MobilityCommNetwork(
-        states=tuple(states),
-        mobility=mobility,
-        comm=comm,
-        mobility_overrides=dict(mobility_overrides or {}),
-        comm_overrides=dict(comm_overrides or {}),
-    )
+    return MobilityCommNetwork(states=tuple(states), mobility=mobility, comm=comm)
 
 
 def load_network(source) -> MobilityCommNetwork:
@@ -228,20 +189,20 @@ def read_json_object(source) -> dict:
     if isinstance(source, dict):
         return source
     if not isinstance(source, (str, Path)):
-        raise InstanceError(f"cannot load instance from {type(source).__name__}")
+        raise InstanceError(f"cannot load JSON from {type(source).__name__}")
     text = source
     if isinstance(source, Path) or not source.lstrip().startswith("{"):
         try:
             text = Path(source).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise InstanceError(
-                f"cannot read instance file {str(source)!r}: {exc}") from None
+                f"cannot read file {str(source)!r}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid instance JSON: {exc}") from None
+        raise InstanceError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise InstanceError("instance root must be an object")
+        raise InstanceError("JSON root must be an object")
     return data
 
 
@@ -281,49 +242,34 @@ def hop_bfs(net: MobilityCommNetwork, sources, within=None) -> dict[str, str]:
     return parent
 
 
-def _mobility_arcs(net: MobilityCommNetwork, t: int = 0):
-    """(tail, head, layer-t cost) arrays of the mobility edges, self-loops dropped."""
-    index, layer = net._index, net.mobility_overrides
-    arcs = [(index[a], index[b], layer.get((t, a, b), w))
-            for (a, b), w in net.mobility.items() if a != b]
+def _mobility_arcs(net: MobilityCommNetwork):
+    """(tail, head, cost) arrays of the mobility edges, self-loops dropped."""
+    index = net._index
+    arcs = [(index[a], index[b], w) for (a, b), w in net.mobility.items() if a != b]
     tails, heads, w = zip(*arcs) if arcs else ((), (), ())
     return (np.array(tails, dtype=np.intp), np.array(heads, dtype=np.intp),
             np.array(w, dtype=float))
-
-
-def mobility_distances(net: MobilityCommNetwork, source: str,
-                       direction: str = "succ", t: int = 0) -> list[float]:
-    """Distances per state index from ("succ") or to ("pred") `source`, inf
-    where unreachable: its row of `net.mobility_distance_matrix`."""
-    return net.mobility_distance_matrix(direction, t)[net.index(source)].tolist()
-
-
-def shortest_mobility_distance(net: MobilityCommNetwork, a: str, b: str,
-                               t: int = 0) -> float:
-    """Weighted shortest-path distance a -> b over mobility edges at layer t."""
-    return mobility_distances(net, a, "succ", t)[net.index(b)]
 
 
 def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     """Exact weighted betweenness over directed mobility edges (Brandes).
 
     Self-loops are ignored; scores are raw pair-dependency sums with
-    endpoints excluded, no normalization; costs are those of layer 0.  From
-    each source an edge u -> v is tight when |d(u) + w - d(v)| <= 1e-12, and
-    shortest paths are the chains of tight edges that follow the settle
-    order: by distance, then zero-cost depth (0 for the source and for states
-    with a tight edge from a nearer state, else 1 + the least depth of their
-    tight predecessors at equal distance), then state index.  So zero-cost
-    cycles add no paths, and a zero-cost edge between states of equal
-    distance and depth counts only toward the higher index.  A state's
-    distance is its first tight predecessor's plus the edge cost, the label a
-    label-setting search gives it (rounding can put it above the float
-    minimum: 0.1 + 0.2 against 0.3); the order is re-derived until the labels
-    agree with it.
+    endpoints excluded, no normalization.  From each source an edge u -> v
+    is tight when |d(u) + w - d(v)| <= 1e-12, and shortest paths are the
+    chains of tight edges that follow the settle order: by distance, then
+    zero-cost depth (0 for the source and for states with a tight edge from
+    a nearer state, else 1 + the least depth of their tight predecessors at
+    equal distance), then state index.  So zero-cost cycles add no paths,
+    and a zero-cost edge between states of equal distance and depth counts
+    only toward the higher index.  A state's distance is its first tight
+    predecessor's plus the edge cost, the label a label-setting search gives
+    it (rounding can put it above the float minimum: 0.1 + 0.2 against 0.3);
+    the order is re-derived until the labels agree with it.
     """
     n = len(net.states)
-    tails, heads, w = _mobility_arcs(net, 0)
-    dist = net.mobility_distance_matrix("succ", 0)
+    tails, heads, w = _mobility_arcs(net)
+    dist = net.mobility_distance_matrix("succ")
     ids = np.arange(n)
     for _ in range(n):                           # n rounds settle every label
         with np.errstate(invalid="ignore"):      # inf - inf off the reach

@@ -50,15 +50,6 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def solve(model: MilpModel, time_limit: float | None = None,
-          gap: float | None = None) -> SolveResult:
-    """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap."""
-    start = time.perf_counter()
-    result = _solve_highs(model, time_limit, gap)
-    result.wall_time = time.perf_counter() - start
-    return result
-
-
 def _round_assignment(model: MilpModel, x) -> dict[tuple, float]:
     assignment = {}
     for idx, ref in enumerate(model.refs):
@@ -110,7 +101,10 @@ def _quiet_fd1():
         os.close(saved)
 
 
-def _solve_highs(model: MilpModel, time_limit, gap) -> SolveResult:
+def solve(model: MilpModel, time_limit: float | None = None,
+          gap: float | None = None) -> SolveResult:
+    """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap."""
+    start = time.perf_counter()
     n = model.n_variables
     c = np.zeros(n)
     for idx, coeff in model.objective.items():
@@ -136,6 +130,7 @@ def _solve_highs(model: MilpModel, time_limit, gap) -> SolveResult:
     result.nodes = res.get("mip_node_count")
     result.dual_bound = None if bound is None else -float(bound)
     result.gap = res.get("mip_gap")
+    result.wall_time = time.perf_counter() - start
     return result
 
 

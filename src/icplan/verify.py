@@ -25,15 +25,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import GuardExceeded, InstanceError, UnbalancedFlowError
+from .errors import GuardExceeded, InstanceError
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import MOBILITY, count_walks
+from .network import MOBILITY, count_walks, read_json_object
 
 TOL = 1e-6
 
@@ -302,8 +302,7 @@ def check_flows(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
 
 
 def information_reachability(plan: PlanSolution, spec: ProblemSpec,
-                             events: str = "declared",
-                             src=None, snk=None) -> ReachabilityReport:
+                             events: str = "declared") -> ReachabilityReport:
     """Which source agents' information reaches which sink agents' terminals.
 
     events="declared" restricts within-layer spreading to the plan's own
@@ -315,8 +314,6 @@ def information_reachability(plan: PlanSolution, spec: ProblemSpec,
     if events not in ("declared", "potential"):
         raise ValueError("events must be 'declared' or 'potential'")
     net, T = spec.net, spec.T
-    src = list(spec.src if src is None else src)
-    snk = list(spec.snk if snk is None else snk)
     if events == "declared":
         arcs = [[] for _ in range(T + 1)]
         for t, a, b, fid, amount in plan.comm_events:
@@ -327,10 +324,10 @@ def information_reachability(plan: PlanSolution, spec: ProblemSpec,
     links = _links(arcs)
 
     pair_matrix, witnesses, token_layers = {}, {}, {}
-    for i in src:
+    for i in spec.src:
         layers = _spread(plan.paths, {plan.paths[i][0]}, links)
         token_layers[i] = [frozenset(layer) for layer in layers]
-        for j in snk:
+        for j in spec.snk:
             target = plan.paths[j][T]
             ok = target in layers[T]
             pair_matrix[(i, j)] = ok
@@ -389,92 +386,6 @@ def plan_violations(plan: PlanSolution, spec: ProblemSpec,
         bad += [f"undelivered source {i} -> sink {j}"
                 for (i, j) in report.unreachable()]
     return bad
-
-
-# -- flow decomposition ----------------------------------------------------
-
-
-def decompose_flows(plan: PlanSolution):
-    """Greedy path decomposition of each flow family.
-
-    Returns {flow_id: [(path, amount), ...]} with paths as [(t, state), ...].
-    Residual circulations (within-layer comm cycles) are stripped and
-    discarded with a warning.  Raises UnbalancedFlowError when a supply
-    cannot be routed to any demand vertex.
-    """
-    result: dict = {}
-    for fid, arcs in _arc_flows(plan).items():
-        residual = {k: v for k, v in arcs.items() if v > TOL}
-        net_in = _imbalances(arcs)
-        supply = {v: -amt for v, amt in net_in.items() if amt < -TOL}
-        demand = {v: amt for v, amt in net_in.items() if amt > TOL}
-        if abs(sum(supply.values()) - sum(demand.values())) > 1e-4:
-            worst = max(net_in.items(), key=lambda kv: abs(kv[1]))
-            raise UnbalancedFlowError(worst[0][0], worst[0][1], worst[1])
-        paths = []
-        for source in sorted(supply, key=lambda v: (v[1], v[0])):
-            while supply.get(source, 0.0) > TOL:
-                chain = _find_chain(residual, source, demand)
-                if not chain:
-                    raise UnbalancedFlowError(source[0], source[1], supply[source])
-                head = _arc_head(chain[-1])
-                amount = min(supply[source], demand[head],
-                             min(residual[arc] for arc in chain))
-                for arc in chain:
-                    residual[arc] -= amount
-                    if residual[arc] <= TOL:
-                        del residual[arc]
-                supply[source] -= amount
-                demand[head] -= amount
-                if demand[head] <= TOL:
-                    del demand[head]
-                paths.append(([(source[1], source[0])]
-                              + [(_arc_head(arc)[1], _arc_head(arc)[0]) for arc in chain],
-                              amount))
-        if residual:
-            total = sum(residual.values())
-            warnings.warn(f"flow {fid!r}: discarding circulation of {total:.4g} units")
-        result[fid] = paths
-    return result
-
-
-def _arc_head(arc):
-    kind, t, a, b = arc
-    return (b, t + 1) if kind == "move" else (b, t)
-
-
-def _find_chain(residual, source, demand):
-    """BFS over positive residual arcs from source to any demand vertex."""
-    if source in demand:
-        return []
-    frontier = [source]
-    seen = {source}
-    prev: dict = {}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for arc in sorted(residual):
-                kind, t, a, b = arc
-                tail = (a, t)
-                if tail != v:
-                    continue
-                head = _arc_head(arc)
-                if head in seen:
-                    continue
-                seen.add(head)
-                prev[head] = arc
-                if head in demand:
-                    chain = []
-                    node = head
-                    while node != source:
-                        arc = prev[node]
-                        chain.append(arc)
-                        node = (arc[2], arc[1])
-                    chain.reverse()
-                    return chain
-                nxt.append(head)
-        frontier = nxt
-    return None
 
 
 # -- solution extraction and JSON I/O --------------------------------------
@@ -551,8 +462,7 @@ def save_solution(plan: PlanSolution, path: str):
 
 
 def load_solution(path: str) -> PlanSolution:
-    with open(path) as fh:
-        return solution_from_dict(json.load(fh))
+    return solution_from_dict(read_json_object(Path(path)))
 
 
 # -- brute-force oracle -----------------------------------------------------
@@ -607,9 +517,9 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     drops claims, the pairwise communication cost g2 is >= 0, and the
     residual LP's objective is >= -(its positive claims) because
     communication costs are non-negative (the network rejects negative
-    weights and overrides).  The TOL margin covers LP round-off, so no
-    candidate that could replace the incumbent is skipped.  `candidates`
-    still counts every enumerated combination.
+    weights).  The TOL margin covers LP round-off, so no candidate that
+    could replace the incumbent is skipped.  `candidates` still counts every
+    enumerated combination.
     """
     spec.validate()
     net, T, agents = spec.net, spec.T, spec.agents
@@ -628,14 +538,13 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
             per_agent.append([(agents.initial[r],) * (T + 1)])
         else:
             per_agent.append(_agent_paths(net, agents.initial[r], T))
-    move_cost = {r: [sum(net.mobility_cost(t, p[t], p[t + 1]) for t in range(T))
+    move_cost = {r: [sum(net.mobility[(p[t], p[t + 1])] for t in range(T))
                      for p in per_agent[r]]
                  for r in range(agents.count)}
 
     capable = sorted(agents.capable())
     pairs = _collision_pairs(spec)
-    comm_costed = any(net.comm_cost(t, a, b) > 0
-                      for (a, b) in net.comm for t in range(1, T + 1))
+    comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
 
     best, best_paths = None, None
@@ -727,7 +636,7 @@ def _te_dijkstra(net, T, traversed, comm_ok, source):
                     heapq.heappush(heap, (d, (b, t + 1)))
         for (a, b) in comm_ok[t]:
             if a == s:
-                w = net.comm_cost(t, a, b) if t >= 1 else 0.0
+                w = net.comm[(a, b)] if t >= 1 else 0.0
                 if d + w < dist.get((b, t), float("inf")):
                     dist[(b, t)] = d + w
                     heapq.heappush(heap, (d + w, (b, t)))
@@ -853,7 +762,7 @@ def _residual_lp_value(spec, paths, traversed, comm_ok, master, claimable, lp_ca
     for fid in flow_ids:
         for t in range(1, T + 1):
             for (a, b) in comm_ok[t]:
-                c_vec[cols[("fbar", fid, a, b, t)]] += net.comm_cost(t, a, b)
+                c_vec[cols[("fbar", fid, a, b, t)]] += net.comm[(a, b)]
     for (s, k, v) in lp_claims:
         c_vec[cols[("y", s, k)]] -= v
 

@@ -57,16 +57,16 @@ def random_net(seed, n=8, extra=0.5, mobility_cost=(1, 3), comm_cost=(0, 0),
     return build_network(states, mobility, comm)
 
 
-def bellman_ford(net, source, t=0):
+def bellman_ford(net, source):
     """Reference single-source mobility distances (no heap, no early exit)."""
     dist = {s: float("inf") for s in net.states}
     dist[source] = 0.0
     for _ in range(len(net.states)):
         changed = False
-        for (a, b), _w in net.mobility.items():
+        for (a, b), w in net.mobility.items():
             if a == b:
                 continue
-            cand = dist[a] + net.mobility_cost(t, a, b)
+            cand = dist[a] + w
             if cand < dist[b] - 1e-12:
                 dist[b] = cand
                 changed = True
@@ -75,25 +75,24 @@ def bellman_ford(net, source, t=0):
     return dist
 
 
-def _weighted_rows(net, direction, t):
-    """Per state index, the (neighbour index, layer-t cost) pairs in state
-    order, self-loops dropped; "pred" costs are those of the edge into the
-    state."""
+def _weighted_rows(net, direction):
+    """Per state index, the (neighbour index, cost) pairs in state order,
+    self-loops dropped; "pred" costs are those of the edge into the state."""
     rows = []
     for s in net.states:
         row = []
         for v in net.neighbors(s, direction):
             if v != s:
                 a, b = (s, v) if direction == "succ" else (v, s)
-                row.append((net.index(v), net.mobility_cost(t, a, b)))
+                row.append((net.index(v), net.mobility[(a, b)]))
         rows.append(row)
     return rows
 
 
-def heap_dijkstra(net, source, direction="succ", t=0):
+def heap_dijkstra(net, source, direction="succ"):
     """Reference distances per state index: a binary-heap Dijkstra rooted at
     `source`, forward ("succ") or on the reversed graph ("pred")."""
-    adj = _weighted_rows(net, direction, t)
+    adj = _weighted_rows(net, direction)
     dist = [float("inf")] * len(net.states)
     start = net.index(source)
     dist[start] = 0.0
@@ -111,11 +110,10 @@ def heap_dijkstra(net, source, direction="succ", t=0):
 
 
 def heap_betweenness(net):
-    """Reference Brandes betweenness at layer 0: per source a heap Dijkstra
-    with path counts (heap ties by state index, the 1e-12 tie rule,
-    predecessors in relaxation order), then dependencies in reverse settle
-    order."""
-    adj = _weighted_rows(net, "succ", 0)
+    """Reference Brandes betweenness: per source a heap Dijkstra with path
+    counts (heap ties by state index, the 1e-12 tie rule, predecessors in
+    relaxation order), then dependencies in reverse settle order."""
+    adj = _weighted_rows(net, "succ")
     n = len(net.states)
     scores = [0.0] * n
     for source in range(n):

@@ -59,19 +59,6 @@ def test_induced_network_keeps_interior_edges_only():
     assert set(sub.comm) == set(sub.mobility) - loops
 
 
-def test_induced_network_keeps_the_overrides_inside_it():
-    net = build_network(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)],
-                        [("a", "b", 0.0), ("b", "c", 0.0)],
-                        mobility_overrides={(0, "a", "b"): 5.0, (0, "b", "c"): 7.0},
-                        comm_overrides={(1, "a", "b"): 2.0, (1, "b", "c"): 3.0})
-    sub = induced_network(net, ["a", "b"])
-    assert sub.mobility_cost(0, "a", "b") == 5.0
-    assert sub.comm_cost(1, "a", "b") == 2.0
-    # overrides on the dropped edge b -> c go with it
-    assert sub.mobility_overrides == {(0, "a", "b"): 5.0}
-    assert sub.comm_overrides == {(1, "a", "b"): 2.0}
-
-
 def test_hop_diameter_on_lines_and_fragments():
     net = line_network(5)
 

@@ -94,7 +94,7 @@ def test_exploration_files_reject_bad_bases_and_missing_agents(tmp_path):
 def test_load_instance_rejects_malformed_sources():
     with pytest.raises(InstanceError, match="cannot load"):
         load_instance(42)
-    with pytest.raises(InstanceError, match="invalid instance JSON"):
+    with pytest.raises(InstanceError, match="invalid JSON"):
         load_instance("{not json")
     with pytest.raises(InstanceError, match="network"):
         load_instance({})
@@ -217,6 +217,18 @@ def test_cli_verify_accepts_good_plans_and_flags_bad_ones(tmp_path, capsys):
 
     assert cli.main(["verify", str(instance), str(sol),
                      "--events", "potential"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1,2]"])
+def test_cli_verify_reports_unreadable_plan_files(tmp_path, capsys, content):
+    net, spec = relay_spec()
+    instance, sol = tmp_path / "relay.json", tmp_path / "plan.json"
+    save_instance(instance, net, spec)
+    if content is not None:
+        sol.write_text(content)
+    assert cli.main(["verify", str(instance), str(sol)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def _cut_path(data, T):

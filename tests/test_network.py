@@ -10,8 +10,7 @@ from icplan.errors import InstanceError
 from icplan.io import load_instance, network_to_dict
 from icplan.explore import induced_network
 from icplan.network import (COMM, betweenness_centrality, build_network, hop_bfs,
-                            load_network, mobility_distances,
-                            shortest_mobility_distance, to_dot)
+                            load_network, to_dot)
 
 from _helpers import (bellman_ford, heap_betweenness, heap_dijkstra, line_network,
                       random_net)
@@ -76,8 +75,7 @@ def test_non_finite_weights_rejected(tmp_path):
         with pytest.raises(InstanceError, match="non-finite weight"):
             build_network(["a", "b"], [("a", "b", w)], [])
         with pytest.raises(InstanceError, match="non-finite weight"):
-            build_network(["a", "b"], [("a", "b", 1.0)], [("a", "b", 1.0)],
-                          comm_overrides={(0, "a", "b"): w})
+            build_network(["a", "b"], [("a", "b", 1.0)], [("a", "b", w)])
     path = tmp_path / "nan.json"
     path.write_text('{"network": {"states": ["a", "b"], "comm_edges": [], '
                     '"mobility_edges": [{"from": "a", "to": "b", "weight": NaN}]}}')
@@ -89,16 +87,6 @@ def test_unknown_state_lookup_raises():
     net = line_network(2)
     with pytest.raises(InstanceError):
         net.index("nope")
-
-
-def test_cost_overrides_apply_at_their_layer_only():
-    net = build_network(["a", "b"], [("a", "b", 1.0)], [("a", "b", 2.0)],
-                        mobility_overrides={(1, "a", "b"): 5.0},
-                        comm_overrides={(2, "a", "b"): 0.5})
-    assert net.mobility_cost(0, "a", "b") == 1.0
-    assert net.mobility_cost(1, "a", "b") == 5.0
-    assert net.comm_cost(0, "a", "b") == 2.0
-    assert net.comm_cost(2, "a", "b") == 0.5
 
 
 # -- undirected neighbourhood and hop BFS -------------------------------------
@@ -189,21 +177,15 @@ def test_induced_network_builds_its_own_undirected_rows():
 def test_shortest_distance_matches_bellman_ford(seed):
     net = random_net(seed, n=9, extra=0.7)
     ref = bellman_ford(net, net.states[0])
+    row = net.mobility_distance_matrix("succ")[0]
     for b in net.states:
-        got = shortest_mobility_distance(net, net.states[0], b)
+        got = row[net.index(b)]
         assert got == pytest.approx(ref[b]) or (math.isinf(got) and math.isinf(ref[b]))
 
 
 def test_shortest_distance_unreachable_is_inf():
     net = build_network(["a", "b"], [], [])
-    assert math.isinf(shortest_mobility_distance(net, "a", "b"))
-
-
-def test_shortest_distance_uses_layer_costs():
-    net = build_network(["a", "b"], [("a", "b", 1.0)], [],
-                        mobility_overrides={(2, "a", "b"): 7.0})
-    assert shortest_mobility_distance(net, "a", "b", t=0) == 1.0
-    assert shortest_mobility_distance(net, "a", "b", t=2) == 7.0
+    assert math.isinf(net.mobility_distance_matrix("succ")[net.index("a")][net.index("b")])
 
 
 @settings(max_examples=15, deadline=None)
@@ -212,32 +194,12 @@ def test_dijkstra_matches_bellman_ford_in_both_directions(seed, extra):
     net = random_net(seed, n=7, extra=extra)
     from_src = {a: bellman_ford(net, a) for a in net.states}
     for b in net.states:
-        succ = mobility_distances(net, b, "succ")
-        pred = mobility_distances(net, b, "pred")
+        succ = net.mobility_distance_matrix("succ")[net.index(b)]
+        pred = net.mobility_distance_matrix("pred")[net.index(b)]
         for a in net.states:
             # integer weights: exact sums
             assert succ[net.index(a)] == from_src[b][a]
             assert pred[net.index(a)] == from_src[a][b]
-
-
-def _shortcut_net(overrides=None):
-    """Path a->b->c of cost 2 beside a direct a->c edge of base cost 1."""
-    return build_network(["a", "b", "c"],
-                         [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)], [],
-                         mobility_overrides=overrides)
-
-
-def test_cached_adjacency_reads_layer_costs():
-    base = _shortcut_net()
-    net = _shortcut_net({(0, "a", "c"): 5.0, (2, "a", "c"): 0.5})
-    # the base weight keeps b off every shortest path; the layer-0 cost puts it on
-    assert betweenness_centrality(base)["b"] == 0.0
-    assert betweenness_centrality(net)["b"] == 1.0
-    assert mobility_distances(base, "c", "pred")[0] == 1.0
-    assert mobility_distances(net, "c", "pred")[0] == 2.0
-    assert shortest_mobility_distance(net, "a", "c", t=0) == 2.0
-    assert shortest_mobility_distance(net, "a", "c", t=1) == 1.0
-    assert shortest_mobility_distance(net, "a", "c", t=2) == 0.5
 
 
 def test_induced_network_builds_its_own_adjacency():
@@ -257,7 +219,7 @@ def test_induced_network_builds_its_own_adjacency():
 def test_cache_does_not_change_equality():
     net, twin = random_net(4), random_net(4)
     betweenness_centrality(net)
-    mobility_distances(net, net.states[0], "pred", t=3)
+    net.mobility_distance_matrix("pred")
     net.undirected_mobility()
     for s in net.states:
         net.neighbors(s, "succ", COMM)
@@ -277,8 +239,8 @@ def _hash_or_error(obj):
 def _float_nets(draw):
     """Three-decimal weights that are small multiples of one unit, so that
     distances tie and rounding splits some ties (0.1 + 0.2 against 0.3); a
-    random tree with one-way and two-way edges plus chords, states no edge
-    touches, and cost overrides at layers 0 and 2."""
+    random tree with one-way and two-way edges plus chords, and states no
+    edge touches."""
     n = draw(st.integers(1, 40))
     states = [f"s{i}" for i in range(n)]
     unit = draw(st.integers(1, 2000))
@@ -293,24 +255,17 @@ def _float_nets(draw):
         way = draw(st.sampled_from(["both", "both", "down", "up"]))
         pairs |= {(j, i)} if way == "down" else {(i, j)} if way == "up" else {(i, j), (j, i)}
     mobility = [(states[a], states[b], draw(cost)) for a, b in sorted(pairs) if a != b]
-    overrides = {}
-    if mobility:
-        for t, e, w in draw(st.lists(st.tuples(st.sampled_from([0, 2]),
-                                               st.integers(0, len(mobility) - 1),
-                                               cost), max_size=n)):
-            overrides[(t, *mobility[e][:2])] = w
-    return build_network(states, mobility, [], mobility_overrides=overrides)
+    return build_network(states, mobility, [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_float_nets())
 def test_distances_and_betweenness_equal_the_heap_references(net):
     assert betweenness_centrality(net) == heap_betweenness(net)
-    for t in (0, 2):
-        for direction in ("succ", "pred"):
-            for s in net.states:
-                assert (mobility_distances(net, s, direction, t)
-                        == heap_dijkstra(net, s, direction, t))
+    for direction in ("succ", "pred"):
+        for s in net.states:
+            assert (net.mobility_distance_matrix(direction)[net.index(s)].tolist()
+                    == heap_dijkstra(net, s, direction))
 
 
 def test_rounding_split_ties_settle_by_first_label():
@@ -340,9 +295,10 @@ def test_zero_cost_ties_follow_the_settle_order():
 
 
 def test_distance_matrix_is_cached_and_read_only():
-    net = _shortcut_net({(2, "a", "c"): 0.5})
-    dist = net.mobility_distance_matrix("pred", 2)
-    assert net.mobility_distance_matrix("pred", 2) is dist
+    net = build_network(["a", "b", "c"],
+                        [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 0.5)], [])
+    dist = net.mobility_distance_matrix("pred")
+    assert net.mobility_distance_matrix("pred") is dist
     assert dist[net.index("c")].tolist() == [0.5, 1.0, 0.0]
     with pytest.raises(ValueError):
         dist[0, 0] = 1.0
@@ -374,7 +330,7 @@ def _enumerated_betweenness(net):
                     return
                 for w in net.neighbors(node, "succ", "mobility"):
                     if w != node:
-                        dfs(w, cost + net.mobility_cost(0, node, w), path + [w])
+                        dfs(w, cost + net.mobility[(node, w)], path + [w])
 
             dfs(u, 0.0, [u])
             for path in paths:

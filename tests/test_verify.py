@@ -5,14 +5,13 @@ import itertools
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 import icplan
 from icplan import verify
-from icplan.errors import GuardExceeded, InstanceError, UnbalancedFlowError
+from icplan.errors import GuardExceeded
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec
 from icplan.instances import ORACLE_CLASSES, random_oracle_instance
 from icplan.network import build_network
@@ -20,7 +19,7 @@ from icplan.solver import solve_problem
 from icplan.verify import (TOL, PlanSolution, _agent_paths, _collides,
                            _evaluate_candidate, _reward_ceiling,
                            brute_force_solve, check_consistency,
-                           check_dynamics, check_flows, decompose_flows,
+                           check_dynamics, check_flows,
                            information_reachability, load_solution,
                            master_token_layers, save_solution,
                            solution_from_dict, solution_to_dict)
@@ -172,36 +171,6 @@ def test_flow_move_must_ride_an_agent(line4_solution):
     assert any("not ridden" in msg for msg in check_flows(broken, spec))
 
 
-def test_decomposition_covers_every_data_flow(line4_solution):
-    spec, _, _, plan = line4_solution
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")           # zero-cost circulations are noise
-        chains = decompose_flows(plan)
-    for fid in spec.data_flow_ids():
-        assert fid in chains
-        total = sum(amount for _, amount in chains[fid])
-        assert total == pytest.approx(len(spec.snk), abs=1e-6)
-        for path, amount in chains[fid]:
-            assert amount > 0
-            assert path[0] == (0, plan.paths[fid][0])
-            terminal_states = {plan.paths[r][spec.T] for r in spec.snk}
-            assert path[-1][0] == spec.T and path[-1][1] in terminal_states
-            times = [t for t, _ in path]
-            assert times == sorted(times)
-
-
-def test_accumulated_leakage_raises_unbalanced_flow():
-    # 120 sub-tolerance events leak 1.2e-4 units out of s0: each is too small
-    # to count as demand, but together they exceed the balance tolerance
-    states = [f"s{i}" for i in range(121)]
-    events = tuple((0, "s0", s, 7, 1.0e-6) for s in states[1:])
-    plan = PlanSolution(paths={0: ("s0",)}, comm_events=events)
-    with pytest.raises(UnbalancedFlowError) as err:
-        decompose_flows(plan)
-    assert err.value.state == "s0"
-    assert err.value.imbalance == pytest.approx(-1.2e-4, rel=1e-3)
-
-
 # -- reachability ----------------------------------------------------------------
 
 
@@ -232,12 +201,6 @@ def test_reachability_rejects_unknown_event_mode(line4_solution):
     spec, _, _, plan = line4_solution
     with pytest.raises(ValueError):
         information_reachability(plan, spec, events="psychic")
-
-
-def test_reachability_with_explicit_pair_subsets(line4_solution):
-    spec, _, _, plan = line4_solution
-    report = information_reachability(plan, spec, src=[0], snk=[2])
-    assert set(report.pair_matrix) == {(0, 2)}
 
 
 _WITNESSES = """
@@ -411,8 +374,7 @@ def _assert_oracle_is_exhaustive(spec):
     capable = sorted(agents.capable())
     pairs = (spec.collision_pairs if spec.collision_pairs is not None
              else tuple(itertools.combinations(range(agents.count), 2)))
-    comm_costed = any(net.comm_cost(t, a, b) > 0
-                      for (a, b) in net.comm for t in range(1, T + 1))
+    comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
     best, best_paths, n = None, None, 0
     lp_cache: dict = {}
@@ -425,7 +387,7 @@ def _assert_oracle_is_exhaustive(spec):
                                     reward_items, lp_cache)
         if value is None:
             continue
-        g1 = sum(sum(net.mobility_cost(t, p[t], p[t + 1]) for t in range(T))
+        g1 = sum(sum(net.mobility[(p[t], p[t + 1])] for t in range(T))
                  for p in combo)
         ceiling = _reward_ceiling(reward_items, [paths[r][T] for r in capable])
         assert value - g1 <= ceiling - g1 + TOL, (paths, value, ceiling)
@@ -480,14 +442,3 @@ def test_oracle_prices_negative_rewards_and_costed_comm(consistent, T, optimum):
     assert oracle.objective == pytest.approx(optimum)
     assert {p[T] for p in oracle.paths.values()} == {"s1"}
     assert solve_problem(spec)[1].objective == pytest.approx(optimum, abs=1e-6)
-
-
-@pytest.mark.parametrize("overrides, match", [
-    ({"mobility_overrides": {(0, "a", "b"): -5.0}}, "negative weight"),
-    ({"comm_overrides": {(1, "b", "a"): 1.0}}, "missing edge"),
-    ({"mobility_overrides": {(-3, "a", "b"): 1.0}}, "layer must be"),
-])
-def test_invalid_cost_overrides_are_rejected(overrides, match):
-    # the oracle's bound and both Dijkstras rely on non-negative layer costs
-    with pytest.raises(InstanceError, match=match):
-        build_network(["a", "b"], [("a", "b", 1.0)], [("a", "b", 1.0)], **overrides)
