@@ -48,14 +48,19 @@ def _check_supported(spec: ProblemSpec):
         raise ConfigurationError(
             "powerset baselines model plain reachability; "
             "information consistency is not supported")
+    if not spec.src or not spec.snk:
+        raise ConfigurationError("powerset baselines need nonempty src and snk")
 
 
 def _build_base_model(spec: ProblemSpec) -> MilpModel:
     """Dynamics, comm gating, rewards and objective - no cuts yet."""
-    model = allocate_variables(spec, include_flows=False, include_comm_active=True)
+    model = allocate_variables(spec)
+    net, T = spec.net, spec.T
+    for t in range(T + 1):
+        for (a, b) in net.comm:
+            model.add_var(("comm", a, b, t), "B")
     build_dynamics(model, spec)
     build_reward_link(model, spec)
-    net, T = spec.net, spec.T
     for t in range(T + 1):
         for (a, b) in net.comm:
             for endpoint in (a, b):
@@ -112,8 +117,6 @@ def build_powerset_model(spec: ProblemSpec) -> MilpModel:
         raise GuardExceeded(
             f"powerset enumeration over {n_vertices} time-extended vertices "
             f"({2 ** n_vertices} subsets) exceeds guard of {POWERSET_GUARD}")
-    if not spec.src or not spec.snk:
-        raise ConfigurationError("powerset model needs nonempty src and snk")
 
     model = _build_base_model(spec)
     vertices = [(s, t) for t in range(T + 1) for s in net.states]
@@ -139,19 +142,16 @@ def solve_powerset(spec: ProblemSpec,
 
 
 def solve_adaptive_powerset(spec: ProblemSpec,
-                            time_limit: float | None = None,
-                            max_rounds: int = ADAPTIVE_MAX_ROUNDS) -> BaselineRun:
+                            time_limit: float | None = None) -> BaselineRun:
     """Cut-and-resolve: add the complement of each deficient reachable set."""
     _check_supported(spec)
-    if not spec.src or not spec.snk:
-        raise ConfigurationError("adaptive powerset needs nonempty src and snk")
     net, T = spec.net, spec.T
     model = _build_base_model(spec)
     vertices = frozenset((s, t) for t in range(T + 1) for s in net.states)
     total_time = 0.0
     n_cuts = 0
     seen_cuts: set[frozenset] = set()
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, ADAPTIVE_MAX_ROUNDS + 1):
         result = solve(model, time_limit=time_limit)
         total_time += result.wall_time
         if not result.ok:
@@ -170,7 +170,8 @@ def solve_adaptive_powerset(spec: ProblemSpec,
             seen_cuts.add(cut)
             _add_cut(model, spec, cut)
             n_cuts += 1
-    raise GuardExceeded(f"adaptive cut separation exceeded {max_rounds} rounds")
+    raise GuardExceeded(
+        f"adaptive cut separation exceeded {ADAPTIVE_MAX_ROUNDS} rounds")
 
 
 def extract_baseline_solution(spec: ProblemSpec, result: SolveResult) -> PlanSolution:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
+from io import StringIO
 
 from . import baselines, verify
 from .cluster import cluster_instance, clusters_to_dot
@@ -27,7 +27,7 @@ from .explore import MAX_CYCLES, T_MAX, run_exploration
 from .ilp import assemble
 from .instances import exploration_world, line_instance
 from .io import load_agents, load_exploration, load_instance
-from .network import read_json_object, to_dot
+from .network import read_json_object, to_dot, write_json, write_text
 from .solver import export_lp, solve_problem
 
 EXIT_OK = 0
@@ -44,11 +44,6 @@ def _load_spec(path: str):
     return net, spec
 
 
-def _write(path: str, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _num(value) -> str:
     return "-" if value is None else f"{value:.6g}"
 
@@ -56,10 +51,10 @@ def _num(value) -> str:
 def _cmd_solve(args) -> int:
     net, spec = _load_spec(args.instance)
     if args.lp_out:
-        _write(args.lp_out, export_lp(assemble(spec)))
+        write_text(args.lp_out, export_lp(assemble(spec)))
         print(f"wrote {args.lp_out}")
     if args.dot_out:
-        _write(args.dot_out, to_dot(net))
+        write_text(args.dot_out, to_dot(net))
         print(f"wrote {args.dot_out}")
     if args.method == "flow":
         model, result, plan = solve_problem(spec, time_limit=args.time_limit,
@@ -104,10 +99,10 @@ def _cmd_cluster(args) -> int:
           f"submasters={dict(sorted(clustering.submasters.items()))} "
           f"split_rounds={clustering.split_rounds}")
     if args.out:
-        _write(args.out, clustering.to_json())
+        write_json(args.out, clustering.to_dict())
         print(f"wrote {args.out}")
     if args.dot_out:
-        _write(args.dot_out, clusters_to_dot(
+        write_text(args.dot_out, clusters_to_dot(
             net, clustering, initial=dict(agents.initial)))
         print(f"wrote {args.dot_out}")
     return EXIT_OK
@@ -135,8 +130,7 @@ def _cmd_explore(args) -> int:
           f"subproblems={len(log.subproblems)} verified={log.all_verified} "
           f"wall={log.wall_time:.1f}s")
     if args.out:
-        _write(args.out, json.dumps(log.to_dict(), indent=2, sort_keys=True)
-               + "\n")
+        write_json(args.out, log.to_dict())
         print(f"wrote {args.out}")
     if log.status == "complete":
         return EXIT_OK
@@ -187,14 +181,16 @@ def _cmd_bench(args) -> int:
             raise IcplanError(f"unknown bench method {m!r}")
     rows = bench_rows(methods, _parse_n_range(args.n_range),
                       time_limit=args.time_limit)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = StringIO()
     writer = csv.DictWriter(out, fieldnames=["method", "N", "T", "status",
                                              "wall_time", "objective"])
     writer.writeheader()
     writer.writerows(rows)
     if args.out:
-        out.close()
+        write_text(args.out, out.getvalue())
         print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ its parent, which acts as the cluster's local plan source and report sink.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,9 +62,6 @@ class Clustering:
             } for cid in self.cluster_ids()],
             "unassigned": list(self.unassigned),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 # -- agent clustering -----------------------------------------------------
@@ -404,8 +400,7 @@ def prune_dead_states(net: MobilityCommNetwork, states=None,
 
 
 def clusters_to_dot(net: MobilityCommNetwork, clustering: Clustering,
-                    initial: dict[int, str] | None = None,
-                    name: str = "clusters") -> str:
+                    initial: dict[int, str]) -> str:
     """Graphviz view: states colored by cluster, agents listed in labels."""
     palette = ["#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f", "#cab2d6",
                "#ffff99", "#1f78b4", "#33a02c", "#e31a1c", "#ff7f00"]
@@ -415,11 +410,10 @@ def clusters_to_dot(net: MobilityCommNetwork, clustering: Clustering,
         color = palette[(cid - 1) % len(palette)]
         for s in clustering.state_sets[cid]:
             color_of[s] = color
-        if initial:
-            for r in clustering.groups[cid]:
-                mark = "*" if clustering.submasters.get(cid) == r else ""
-                tags.setdefault(initial[r], []).append(f"a{r}{mark}")
-    lines = [f"digraph {name} {{", "  node [style=filled];"]
+        for r in clustering.groups[cid]:
+            mark = "*" if clustering.submasters.get(cid) == r else ""
+            tags.setdefault(initial[r], []).append(f"a{r}{mark}")
+    lines = ["digraph clusters {", "  node [style=filled];"]
     for s in net.states:
         fill = color_of.get(s, "#dddddd")
         label = s if s not in tags else f"{s}\\n{','.join(tags[s])}"

@@ -6,7 +6,7 @@ class IcplanError(Exception):
 
 
 class InstanceError(IcplanError, ValueError):
-    """Malformed instance/solution file or inconsistent network data."""
+    """Malformed, unreadable or unwritable file, or inconsistent network data."""
 
 
 class ConfigurationError(IcplanError, ValueError):

@@ -30,7 +30,6 @@ stall.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -41,7 +40,7 @@ from . import verify
 from .cluster import Clustering, cluster_instance, clusters_to_dot, prune_dead_states
 from .ilp import AgentConfig, ProblemSpec
 from .network import (MobilityCommNetwork, betweenness_centrality, build_network,
-                      hop_bfs)
+                      hop_bfs, write_json, write_text)
 from .solver import solve_problem
 
 FRONTIER_REWARD = 100.0     # base value of reaching a frontier state
@@ -540,10 +539,9 @@ def _write_trace(trace_dir, cycle, plan_net, clustering, positions, known):
     path = Path(trace_dir)
     path.mkdir(parents=True, exist_ok=True)
     dot = clusters_to_dot(plan_net, clustering, initial=dict(positions))
-    (path / f"cycle{cycle:03d}_clusters.dot").write_text(dot)
+    write_text(path / f"cycle{cycle:03d}_clusters.dot", dot)
     state = {"cycle": cycle,
              "positions": {str(r): s for r, s in sorted(positions.items())},
              "known": sorted(known),
              "clusters": clustering.to_dict()}
-    (path / f"cycle{cycle:03d}_state.json").write_text(
-        json.dumps(state, indent=2, sort_keys=True) + "\n")
+    write_json(path / f"cycle{cycle:03d}_state.json", state)

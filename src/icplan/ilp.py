@@ -34,7 +34,6 @@ class AgentConfig:
     count: int
     initial: dict[int, str]
     static: frozenset[int] = frozenset()
-    frontier_capable: frozenset[int] | None = None
     masters: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -42,17 +41,10 @@ class AgentConfig:
             raise ConfigurationError("agent count must be >= 1")
         if sorted(self.initial) != list(range(self.count)):
             raise ConfigurationError("initial must map agent ids 0..count-1")
-        for name, subset in (("static", self.static),
-                             ("frontier_capable", self.frontier_capable or ()),
-                             ("masters", self.masters)):
+        for name, subset in (("static", self.static), ("masters", self.masters)):
             bad = [r for r in subset if r not in self.initial]
             if bad:
                 raise ConfigurationError(f"{name} references unknown agents {bad}")
-
-    def capable(self) -> frozenset[int]:
-        if self.frontier_capable is None:
-            return frozenset(range(self.count))
-        return self.frontier_capable
 
     def master_states(self) -> frozenset[str]:
         return frozenset(self.initial[m] for m in self.masters)
@@ -68,13 +60,10 @@ class ProblemSpec:
     src: tuple[int, ...] = ()
     snk: tuple[int, ...] = ()
     rewards: dict[tuple[str, int], float] = field(default_factory=dict)
-    flow_orientation: str = "auto"
     information_consistent: bool = False
     collision_avoidance: bool = False
     awareness_reward: bool = False
     return_to_base: bool = False
-    collision_pairs: tuple[tuple[int, int], ...] | None = None
-    big_m: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "src", tuple(sorted(set(self.src))))
@@ -96,8 +85,6 @@ class ProblemSpec:
                 raise ConfigurationError(f"reward at unknown state {s!r}")
             if not isinstance(k, int) or k < 1:
                 raise ConfigurationError(f"reward threshold k must be int >= 1, got {k!r}")
-        if self.flow_orientation not in ("auto", "one_to_many", "many_to_one"):
-            raise ConfigurationError(f"unknown flow orientation {self.flow_orientation!r}")
         if self.information_consistent and not agents.masters:
             raise ConfigurationError("information_consistent requires at least one master")
         if self.awareness_reward and not self.information_consistent:
@@ -109,23 +96,13 @@ class ProblemSpec:
             if (s, s) not in net.mobility:
                 raise ConfigurationError(
                     f"static agent {r} at {s!r} needs a mobility self-loop")
-        if self.big_m is not None and self.big_m < 1:
-            raise ConfigurationError("big_m must be a positive integer")
-        if self.collision_pairs is not None:
-            for i, j in self.collision_pairs:
-                if i not in agents.initial or j not in agents.initial or i == j:
-                    raise ConfigurationError(f"bad collision pair ({i}, {j})")
 
     # -- derived quantities -------------------------------------------
 
     def big_m_value(self) -> int:
-        if self.big_m is not None:
-            return self.big_m
         return max(self.agents.count, len(self.net.states))
 
     def orientation(self) -> str:
-        if self.flow_orientation != "auto":
-            return self.flow_orientation
         return "one_to_many" if len(self.src) <= len(self.snk) else "many_to_one"
 
     def data_flow_ids(self) -> tuple[int, ...]:
@@ -194,8 +171,8 @@ class MilpModel:
 # -- variable allocation ------------------------------------------------
 
 
-def allocate_variables(spec: ProblemSpec, include_flows: bool = True,
-                       include_comm_active: bool = False) -> MilpModel:
+def allocate_variables(spec: ProblemSpec) -> MilpModel:
+    """Occupancy z, transition x and reward y variables, in that order."""
     net, T, R = spec.net, spec.T, spec.agents.count
     model = MilpModel()
     for r in range(R):
@@ -208,18 +185,6 @@ def allocate_variables(spec: ProblemSpec, include_flows: bool = True,
                 model.add_var(("x", r, a, b, t), "B")
     for (s, k), _ in spec.sorted_rewards():
         model.add_var(("y", s, k), "B")
-    if include_flows:
-        for fid in spec.flow_ids():
-            for t in range(T):
-                for (a, b) in net.mobility:
-                    model.add_var(("f", fid, a, b, t), "C")
-            for t in range(T + 1):
-                for (a, b) in net.comm:
-                    model.add_var(("fbar", fid, a, b, t), "C")
-    if include_comm_active:
-        for t in range(T + 1):
-            for (a, b) in net.comm:
-                model.add_var(("comm", a, b, t), "B")
     return model
 
 
@@ -324,11 +289,10 @@ def build_bridge(model: MilpModel, spec: ProblemSpec, fid):
 
 
 def build_reward_link(model: MilpModel, spec: ProblemSpec):
-    """Terminal reward y(s,k) needs at least k capable agents at s at T."""
-    capable = sorted(spec.agents.capable())
+    """Terminal reward y(s,k) needs at least k agents at s at T."""
     for (s, k), _ in spec.sorted_rewards():
         coeffs = {model.var("y", s, k): float(k)}
-        for r in capable:
+        for r in range(spec.agents.count):
             _accumulate(coeffs, model.var("z", r, s, spec.T), -1.0)
         model.add_constr(coeffs, "<=", 0.0, "reward_link")
 
@@ -419,9 +383,7 @@ def build_extensions(model: MilpModel, spec: ProblemSpec,
             model.add_constr({model.var("z", r, s0, t): 1.0}, "==", 1.0, "static_agent")
 
     if spec.collision_avoidance:
-        pairs = (spec.collision_pairs if spec.collision_pairs is not None
-                 else tuple(itertools.combinations(range(agents.count), 2)))
-        for i, j in pairs:
+        for i, j in itertools.combinations(range(agents.count), 2):
             for t in range(T + 1):
                 for s in net.states:
                     model.add_constr({model.var("z", i, s, t): 1.0,
@@ -450,9 +412,7 @@ def build_extensions(model: MilpModel, spec: ProblemSpec,
             model.add_constr(coeffs, "<=", 0.0, "awareness")
 
     if spec.return_to_base:
-        base = base_reachable_states(spec)
-        if not base:
-            raise ConfigurationError("return_to_base: no base-reachable states")
+        base = base_reachable_states(spec)     # holds the static master's state
         coeffs: dict[int, float] = {}
         for r in range(agents.count):
             if r in agents.static:
@@ -490,7 +450,15 @@ def build_objective(model: MilpModel, spec: ProblemSpec):
 def assemble(spec: ProblemSpec) -> MilpModel:
     """Validate the spec and build the full model."""
     spec.validate()
+    net, T = spec.net, spec.T
     model = allocate_variables(spec)
+    for fid in spec.flow_ids():                 # flows f (mobility), fbar (comm)
+        for t in range(T):
+            for (a, b) in net.mobility:
+                model.add_var(("f", fid, a, b, t), "C")
+        for t in range(T + 1):
+            for (a, b) in net.comm:
+                model.add_var(("fbar", fid, a, b, t), "C")
     build_dynamics(model, spec)
     build_flow(model, spec)
     for fid in spec.data_flow_ids():

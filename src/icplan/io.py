@@ -13,8 +13,7 @@ Layout::
         "count": 3,
         "initial": {"0": "s0", "1": "s2", "2": "s3"},
         "static": [0],
-        "masters": [0],
-        "frontier_capable": null
+        "masters": [0]
       },
       "problem": {
         "T": 2, "src": [0], "snk": [1, 2],
@@ -22,26 +21,26 @@ Layout::
         "information_consistent": true,
         "collision_avoidance": false,
         "awareness_reward": false,
-        "return_to_base": false,
-        "flow_orientation": "auto",
-        "big_m": null,
-        "collision_pairs": null
+        "return_to_base": false
       },
       "exploration": {"base": "s0", "initially_known": ["s0", "s1"]}
     }
 
 "problem" requires "agents"; "agents" may stand alone (exploration worlds
 carry agents and an "exploration" section but no problem). "exploration" is
-optional everywhere.
+optional everywhere.  Any other key in "agents" or "problem" is refused.
 """
 
 from __future__ import annotations
 
-import json
-
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
-from .network import MobilityCommNetwork, load_network, read_json_object
+from .network import MobilityCommNetwork, load_network, read_json_object, write_json
+
+AGENT_KEYS = frozenset({"count", "initial", "static", "masters"})
+PROBLEM_KEYS = frozenset({"T", "src", "snk", "rewards", "information_consistent",
+                          "collision_avoidance", "awareness_reward",
+                          "return_to_base"})
 
 
 def load_instance(source):
@@ -61,15 +60,13 @@ def load_instance(source):
 
 def load_agents(agents_data: dict) -> AgentConfig:
     """Parse the "agents" section into an AgentConfig."""
+    _refuse_unknown_keys("agents", agents_data, AGENT_KEYS)
     try:
         return AgentConfig(
             count=int(agents_data["count"]),
             initial={int(r): s for r, s in agents_data["initial"].items()},
             static=frozenset(int(r) for r in agents_data.get("static", [])),
-            masters=frozenset(int(r) for r in agents_data.get("masters", [])),
-            frontier_capable=(None if agents_data.get("frontier_capable") is None
-                              else frozenset(int(r) for r
-                                             in agents_data["frontier_capable"])))
+            masters=frozenset(int(r) for r in agents_data.get("masters", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed agents section: {exc}") from None
 
@@ -94,25 +91,31 @@ def load_exploration(source):
     return net, agents, base, extras.get("initially_known")
 
 
+def _refuse_unknown_keys(section: str, data, accepted: frozenset):
+    """A key this format does not define would otherwise be ignored, and the
+    file solved as another problem than its author meant."""
+    if not isinstance(data, dict):
+        raise InstanceError(f"the {section!r} section must be an object")
+    unknown = sorted(set(data) - accepted)
+    if unknown:
+        raise InstanceError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
+
+
 def _parse_spec(net: MobilityCommNetwork, agents_data: dict, problem: dict) -> ProblemSpec:
     agents = load_agents(agents_data)
+    _refuse_unknown_keys("problem", problem, PROBLEM_KEYS)
     try:
         rewards = {(rec["state"], int(rec["k"])): float(rec["value"])
                    for rec in problem.get("rewards", [])}
-        pairs = problem.get("collision_pairs")
         spec = ProblemSpec(
             net=net, agents=agents, T=int(problem["T"]),
             src=tuple(int(r) for r in problem.get("src", [])),
             snk=tuple(int(r) for r in problem.get("snk", [])),
             rewards=rewards,
-            flow_orientation=problem.get("flow_orientation", "auto"),
             information_consistent=bool(problem.get("information_consistent", False)),
             collision_avoidance=bool(problem.get("collision_avoidance", False)),
             awareness_reward=bool(problem.get("awareness_reward", False)),
-            return_to_base=bool(problem.get("return_to_base", False)),
-            collision_pairs=(None if pairs is None
-                             else tuple((int(i), int(j)) for i, j in pairs)),
-            big_m=problem.get("big_m"))
+            return_to_base=bool(problem.get("return_to_base", False)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from None
     spec.validate()
@@ -137,8 +140,6 @@ def agents_to_dict(agents: AgentConfig) -> dict:
         "initial": {str(r): s for r, s in sorted(agents.initial.items())},
         "static": sorted(agents.static),
         "masters": sorted(agents.masters),
-        "frontier_capable": (None if agents.frontier_capable is None
-                             else sorted(agents.frontier_capable)),
     }
 
 
@@ -161,10 +162,6 @@ def instance_to_dict(net: MobilityCommNetwork, spec: ProblemSpec | None = None,
             "collision_avoidance": spec.collision_avoidance,
             "awareness_reward": spec.awareness_reward,
             "return_to_base": spec.return_to_base,
-            "flow_orientation": spec.flow_orientation,
-            "big_m": spec.big_m,
-            "collision_pairs": (None if spec.collision_pairs is None
-                                else [list(p) for p in spec.collision_pairs]),
         }
     if extras:
         data["exploration"] = extras
@@ -173,7 +170,4 @@ def instance_to_dict(net: MobilityCommNetwork, spec: ProblemSpec | None = None,
 
 def save_instance(path, net: MobilityCommNetwork, spec: ProblemSpec | None = None,
                   extras: dict | None = None, agents: AgentConfig | None = None):
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(net, spec, extras, agents), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, instance_to_dict(net, spec, extras, agents))

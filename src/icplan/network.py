@@ -206,6 +206,21 @@ def read_json_object(source) -> dict:
     return data
 
 
+def write_text(path, text: str):
+    """Write `text` to the file at `path` as given, line ends included; a
+    failed write is an InstanceError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InstanceError(f"cannot write {str(path)!r}: {exc}") from None
+
+
+def write_json(path, data):
+    """Write `data` as indented, key-sorted JSON and a final newline."""
+    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 # -- walk counting, hop BFS, shortest paths and centrality -------------
 
 
@@ -321,9 +336,9 @@ def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
 # -- export ------------------------------------------------------------
 
 
-def to_dot(net: MobilityCommNetwork, name: str = "network") -> str:
+def to_dot(net: MobilityCommNetwork) -> str:
     """GraphViz digraph: solid mobility edges, dashed comm edges."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph network {"]
     for s in net.states:
         lines.append(f'  "{s}";')
     for (a, b), w in sorted(net.mobility.items()):

@@ -182,10 +182,10 @@ def _expr(coeffs: dict[int, float], names: list[str]) -> str:
     return " ".join(parts)
 
 
-def export_lp(model: MilpModel, name: str = "icplan") -> str:
+def export_lp(model: MilpModel) -> str:
     """CPLEX-LP text with one tagged comment line per constraint family."""
     names = _var_names(model)
-    lines = [f"\\ {name} model", "\\ sense: maximize"]
+    lines = ["\\ icplan model", "\\ sense: maximize"]
     for tag, count in sorted(model.tag_counts().items()):
         lines.append(f"\\ family {tag}: {count}")
     lines.append("Maximize")

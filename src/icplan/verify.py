@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from scipy.optimize import linprog
 
 from .errors import GuardExceeded, InstanceError
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import MOBILITY, count_walks, read_json_object
+from .network import COMM, MOBILITY, count_walks, read_json_object, write_json
 
 TOL = 1e-6
 
@@ -47,10 +46,6 @@ class PlanSolution:
     flow_moves: tuple[tuple, ...] = ()     # (t, from, to, flow_id, amount)
     objective: float = 0.0
     reward_flags: dict[tuple[str, int], int] = field(default_factory=dict)
-
-    @property
-    def horizon(self) -> int:
-        return len(next(iter(self.paths.values()))) - 1
 
 
 @dataclass
@@ -137,6 +132,23 @@ def master_token_layers(spec: ProblemSpec, paths) -> list[frozenset[str]]:
             for layer in _spread(paths, spec.agents.master_states(), links)]
 
 
+def _base_range(spec: ProblemSpec) -> frozenset[str]:
+    """States one comm hop from a static master or from a static agent that
+    static masters reach over comm links between static agents."""
+    agents = spec.agents
+    static = {r: (agents.initial[r],) for r in agents.static}
+    seeds = {agents.initial[m] for m in agents.masters & agents.static}
+    closure = _spread(static, seeds, _links(_plan_arcs(spec.net, static, 0)[2]))[0]
+    return frozenset(closure).union(
+        *(spec.net.neighbors(s, "succ", COMM) for s in closure))
+
+
+def _returns_to_base(spec: ProblemSpec, paths, base) -> bool:
+    """Whether some dynamic agent ends on a state of `base`."""
+    return any(paths[r][spec.T] in base for r in range(spec.agents.count)
+               if r not in spec.agents.static)
+
+
 def _early_departures(spec: ProblemSpec, paths, master):
     """(agent, t, start) for each agent off the master states that leaves its
     start in step [t, t+1] before the master token covers it, lazily."""
@@ -155,8 +167,8 @@ def _early_departures(spec: ProblemSpec, paths, master):
 
 
 def check_dynamics(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
-    """Path shape, initial placement, edge validity, static and collision
-    rules, and certificate events on the plan's layers."""
+    """Path shape, initial placement, edge validity, static, collision and
+    return-to-base rules, and certificate events on the plan's layers."""
     net, T = spec.net, spec.T
     bad = [f"{kind} {a!r}->{b!r} at t={t} outside layers 0..{last}"
            for kind, events, last in (("comm event", plan.comm_events, T),
@@ -179,20 +191,19 @@ def check_dynamics(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
                 bad.append(f"agent {r}: no mobility edge {path[t]!r}->{path[t + 1]!r} at step {t}")
         if r in spec.agents.static and any(s != path[0] for s in path):
             bad.append(f"agent {r} is static but moves")
-    if spec.collision_avoidance and not bad:
-        bad += _collisions(plan.paths, _collision_pairs(spec), T)
+    if bad:
+        return bad
+    if spec.collision_avoidance:
+        bad += _collisions(plan.paths, spec.agents.count, T)
+    if spec.return_to_base and not _returns_to_base(spec, plan.paths,
+                                                    _base_range(spec)):
+        bad.append("no dynamic agent ends within communication range of the base")
     return bad
 
 
-def _collision_pairs(spec: ProblemSpec):
-    """The declared collision pairs, else every pair of agents."""
-    return (spec.collision_pairs if spec.collision_pairs is not None
-            else tuple(itertools.combinations(range(spec.agents.count), 2)))
-
-
-def _collisions(paths, pairs, T):
-    """Shared states, then swaps, per pair: one message each, lazily."""
-    for i, j in pairs:
+def _collisions(paths, n_agents, T):
+    """Shared states, then swaps, per pair of agents: one message each, lazily."""
+    for i, j in itertools.combinations(range(n_agents), 2):
         pi, pj = paths[i], paths[j]
         for t in range(T + 1):
             if pi[t] == pj[t]:
@@ -200,10 +211,6 @@ def _collisions(paths, pairs, T):
         for t in range(T):
             if pi[t] == pj[t + 1] and pj[t] == pi[t + 1] and pi[t] != pj[t]:
                 yield f"collision: agents {i},{j} swap {pi[t]!r}/{pj[t]!r} at step {t}"
-
-
-def _collides(paths, pairs, T) -> bool:
-    return any(_collisions(paths, pairs, T))
 
 
 def _arc_flows(plan: PlanSolution):
@@ -456,9 +463,7 @@ def _fid(fid):
 
 
 def save_solution(plan: PlanSolution, path: str):
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, solution_to_dict(plan))
 
 
 def load_solution(path: str) -> PlanSolution:
@@ -498,7 +503,7 @@ def _claimable(reward_items, finals):
 
 
 def _reward_ceiling(reward_items, finals) -> float:
-    """Positive rewards that capable agents ending on `finals` could claim."""
+    """Positive rewards that agents ending on `finals` could claim."""
     return sum(max(v, 0.0) for (_, _, v) in _claimable(reward_items, finals))
 
 
@@ -508,10 +513,11 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     Refuses when the joint path count exceeds the guard.  Candidates are
     enumerated in `itertools.product` order over each agent's paths, and a
     later candidate replaces the incumbent only when it is better by more
-    than 1e-12, so the first maximiser wins.
+    than 1e-12, so the first maximiser wins.  A candidate that breaks the
+    collision or return-to-base rule of `check_dynamics` is infeasible.
 
     A candidate is skipped unevaluated when its reward ceiling (the positive
-    rewards its capable agents' final states could claim, `_reward_ceiling`)
+    rewards its agents' final states could claim, `_reward_ceiling`)
     minus its movement cost g1 falls below the incumbent by more than TOL.
     The ceiling bounds every evaluated value: the awareness filter only
     drops claims, the pairwise communication cost g2 is >= 0, and the
@@ -542,8 +548,7 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
                      for p in per_agent[r]]
                  for r in range(agents.count)}
 
-    capable = sorted(agents.capable())
-    pairs = _collision_pairs(spec)
+    base = _base_range(spec) if spec.return_to_base else None
     comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
 
@@ -554,14 +559,16 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
         n_cand += 1
         g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
         if best is not None:
-            finals = [per_agent[r][combo[r]][T] for r in capable]
+            finals = [per_agent[r][combo[r]][T] for r in range(agents.count)]
             if _reward_ceiling(reward_items, finals) - g1 < best - TOL:
                 continue
         paths = {r: per_agent[r][combo[r]] for r in range(agents.count)}
-        if spec.collision_avoidance and _collides(paths, pairs, T):
+        if spec.collision_avoidance and any(_collisions(paths, agents.count, T)):
             continue
-        value = _evaluate_candidate(spec, paths, capable, comm_costed,
-                                    reward_items, lp_cache)
+        if base is not None and not _returns_to_base(spec, paths, base):
+            continue
+        value = _evaluate_candidate(spec, paths, comm_costed, reward_items,
+                                    lp_cache)
         if value is None:
             continue
         total_value = value - g1
@@ -572,7 +579,7 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     return OracleResult("optimal", best, best_paths, n_cand)
 
 
-def _evaluate_candidate(spec, paths, capable, comm_costed, reward_items, lp_cache):
+def _evaluate_candidate(spec, paths, comm_costed, reward_items, lp_cache):
     """Rewards minus communication cost for one joint path set, or None."""
     T = spec.T
     _, traversed, comm_ok = _plan_arcs(spec.net, paths, T)
@@ -590,7 +597,7 @@ def _evaluate_candidate(spec, paths, capable, comm_costed, reward_items, lp_cach
         if any(paths[j][T] not in layers[T] for j in spec.snk):
             return None
 
-    claimable = _claimable(reward_items, [paths[r][T] for r in capable])
+    claimable = _claimable(reward_items, [path[T] for path in paths.values()])
     if spec.information_consistent and spec.awareness_reward:
         starts = spec.agents.master_states()
         covered = set().union(*master)

@@ -200,7 +200,7 @@ def test_clustering_lookup_helpers():
     assert owner == {0: 1, 1: 1}
     assert home == {f"s{i}": 1 for i in range(8)}
     assert clustering.parents == {1: None}
-    data = json.loads(clustering.to_json())
+    data = json.loads(json.dumps(clustering.to_dict()))
     assert set(data) == {"clusters", "unassigned"}
     by_id = {entry["id"]: entry for entry in data["clusters"]}
     for cid in clustering.cluster_ids():

@@ -38,8 +38,8 @@ def test_instance_round_trip_preserves_the_spec(tmp_path):
                            information_consistent=True,
                            collision_avoidance=True,
                            awareness_reward=True,
-                           rewards={("s3", 1): 4.0, ("s1", 2): 1.5},
-                           big_m=7)
+                           return_to_base=True,
+                           rewards={("s3", 1): 4.0, ("s1", 2): 1.5})
     path = tmp_path / "relay.json"
     save_instance(path, net, spec, extras={"base": "s0"})
     net2, spec2, extras = load_instance(path)
@@ -48,8 +48,7 @@ def test_instance_round_trip_preserves_the_spec(tmp_path):
     assert net2.mobility == net.mobility
     assert net2.comm == net.comm
     for field in ("T", "src", "snk", "rewards", "information_consistent",
-                  "collision_avoidance", "awareness_reward", "return_to_base",
-                  "flow_orientation", "big_m", "collision_pairs"):
+                  "collision_avoidance", "awareness_reward", "return_to_base"):
         assert getattr(spec2, field) == getattr(spec, field), field
     assert spec2.agents == spec.agents
     assert extras == {"base": "s0"}
@@ -111,6 +110,9 @@ def test_load_instance_rejects_malformed_sources():
     del data["problem"]["T"]
     with pytest.raises(InstanceError, match="malformed instance"):
         load_instance(data)
+    data["problem"] = [2]
+    with pytest.raises(InstanceError, match="'problem' section must be an object"):
+        load_instance(data)
 
 
 @pytest.mark.parametrize("content, message", [
@@ -125,6 +127,27 @@ def test_files_that_hold_no_json_object_are_rejected(tmp_path, content, message)
         for source in (path, str(path)):
             with pytest.raises(InstanceError, match=message):
                 load(source)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("agents", "frontier_capable", None),
+    ("problem", "flow_orientation", "auto"),
+    ("problem", "big_m", None),
+    ("problem", "collision_pairs", None),
+])
+def test_files_naming_removed_settings_are_refused(tmp_path, capsys,
+                                                   section, key, value):
+    # an ignored key would solve another problem than the file describes
+    net, spec = relay_spec()
+    data = instance_to_dict(net, spec)
+    data[section][key] = value
+    with pytest.raises(InstanceError, match=key):
+        load_instance(data)
+    instance = tmp_path / "old.json"
+    instance.write_text(json.dumps(data))
+    assert cli.main(["solve", str(instance)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key") and key in err
 
 
 def test_load_instance_accepts_dicts_and_json_strings():
@@ -359,6 +382,27 @@ def test_cli_bench_rejects_unknown_methods(capsys):
 def test_cli_reports_missing_files_as_errors(capsys):
     assert cli.main(["solve", "/no/such/instance.json"]) == cli.EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{relay}", "--out", "{bad}"],
+    ["solve", "{relay}", "--lp-out", "{bad}"],
+    ["solve", "{relay}", "--dot-out", "{bad}"],
+    ["cluster", "{world}", "--out", "{bad}"],
+    ["bench", "--methods", "flow", "--n-range", "4", "--out", "{bad}"],
+    ["explore", "--seed", "0", "--n-states", "12", "--n-agents", "3",
+     "--max-cycles", "1", "--out", "{bad}"],
+])
+def test_cli_reports_failed_writes_as_errors(tmp_path, capsys, argv):
+    net, spec = relay_spec()
+    save_instance(tmp_path / "relay.json", net, spec)
+    truth, agents, _ = exploration_world(seed=4, n_states=14, n_agents=4)
+    save_instance(tmp_path / "world.json", truth, agents=agents)
+    paths = {"relay": tmp_path / "relay.json", "world": tmp_path / "world.json",
+             "bad": tmp_path / "nodir" / "out"}
+    assert cli.main([arg.format(**paths) for arg in argv]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 def test_n_range_grammar():

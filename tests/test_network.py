@@ -354,7 +354,7 @@ def test_betweenness_matches_path_enumeration(seed):
 
 def test_to_dot_mentions_states_and_styles():
     net = line_network(3)
-    dot = to_dot(net, name="tiny")
+    dot = to_dot(net)
     assert dot.startswith("digraph")
     for s in net.states:
         assert s in dot

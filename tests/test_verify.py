@@ -1,6 +1,7 @@
 """Plan verification: dynamics, flow certificates, reachability, consistency."""
 
 import ast
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -12,13 +13,12 @@ import pytest
 import icplan
 from icplan import verify
 from icplan.errors import GuardExceeded
-from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec
+from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec, base_reachable_states
 from icplan.instances import ORACLE_CLASSES, random_oracle_instance
 from icplan.network import build_network
 from icplan.solver import solve_problem
-from icplan.verify import (TOL, PlanSolution, _agent_paths, _collides,
-                           _evaluate_candidate, _reward_ceiling,
-                           brute_force_solve, check_consistency,
+from icplan.verify import (TOL, PlanSolution, _agent_paths, _evaluate_candidate,
+                           _reward_ceiling, brute_force_solve, check_consistency,
                            check_dynamics, check_flows,
                            information_reachability, load_solution,
                            master_token_layers, save_solution,
@@ -135,6 +135,36 @@ def test_dynamics_catches_swap_collision():
     plan = PlanSolution(paths={0: ("s0", "s1"), 1: ("s1", "s0")})
     bad = check_dynamics(plan, spec)
     assert any("swap" in msg for msg in bad)
+
+
+def _return_spec(n, static, T):
+    """Line s0..s{n-1}: a static master at s0, static agents at `static`,
+    the last agent dynamic at the far end, where a reward of 5 waits."""
+    initial = {0: "s0", **{r: s for r, s in enumerate(static, 1)},
+               len(static) + 1: f"s{n - 1}"}
+    agents = AgentConfig(count=len(initial), initial=initial, masters=frozenset({0}),
+                         static=frozenset(range(len(static) + 1)))
+    return ProblemSpec(net=line_network(n), agents=agents, T=T,
+                       rewards={(f"s{n - 1}", 1): 5.0}, return_to_base=True)
+
+
+def test_dynamics_catches_an_agent_that_does_not_return():
+    spec = _return_spec(3, (), T=2)
+    away = PlanSolution(paths={0: ("s0",) * 3, 1: ("s2",) * 3})
+    assert check_dynamics(away, spec) == [
+        "no dynamic agent ends within communication range of the base"]
+    near = PlanSolution(paths={0: ("s0",) * 3, 1: ("s2", "s1", "s1")})
+    assert check_dynamics(near, spec) == []
+
+
+def test_base_range_reaches_through_static_relays():
+    # the static agent at s1 relays for the master at s0, so s2 is in range
+    spec = _return_spec(4, ("s1",), T=1)
+    assert verify._base_range(spec) == {"s0", "s1", "s2"}
+    ok = PlanSolution(paths={0: ("s0", "s0"), 1: ("s1", "s1"), 2: ("s3", "s2")})
+    assert check_dynamics(ok, spec) == []
+    stay = PlanSolution(paths={0: ("s0", "s0"), 1: ("s1", "s1"), 2: ("s3", "s3")})
+    assert check_dynamics(stay, spec) != []
 
 
 # -- flow certificate ----------------------------------------------------------
@@ -346,6 +376,36 @@ def test_oracle_and_solver_agree_on_collision_pruning():
     assert solve_problem(guarded)[1].objective == pytest.approx(0.0, abs=1e-6)
 
 
+def test_oracle_honours_return_to_base():
+    # the reward at s2 is worth 5, but the agent must end one hop from s0
+    spec = _return_spec(3, (), T=2)
+    oracle = brute_force_solve(spec)
+    assert oracle.objective == pytest.approx(-1.0)
+    assert oracle.paths[1][-1] == "s1"
+    assert solve_problem(spec)[1].objective == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_oracle_and_solver_agree_on_return_to_base_sweep():
+    # C1 classes with a static master and return_to_base: 150 instances
+    for klass in ("p2", "p2_collision", "p2_awareness"):
+        for seed in range(50):
+            spec = random_oracle_instance(seed, klass)[1]
+            spec = dataclasses.replace(
+                spec, return_to_base=True,
+                agents=dataclasses.replace(spec.agents, static=frozenset({0})))
+            case = f"seed={seed} class={klass}"
+            _, result, plan = solve_problem(spec)
+            oracle = brute_force_solve(spec)
+            if oracle.status == "optimal":
+                assert result.ok, case
+                assert result.objective == pytest.approx(oracle.objective,
+                                                         abs=TOL), case
+                assert verify.plan_violations(plan, spec) == [], case
+            else:
+                assert result.status == "infeasible", case
+            assert verify._base_range(spec) == base_reachable_states(spec), case
+
+
 def test_oracle_reports_infeasible():
     net = build_network(["a", "b"], [], [])
     agents = AgentConfig(count=2, initial={0: "a", 1: "b"})
@@ -371,9 +431,6 @@ def _assert_oracle_is_exhaustive(spec):
     per_agent = [[(agents.initial[r],) * (T + 1)] if r in agents.static
                  else _agent_paths(net, agents.initial[r], T)
                  for r in range(agents.count)]
-    capable = sorted(agents.capable())
-    pairs = (spec.collision_pairs if spec.collision_pairs is not None
-             else tuple(itertools.combinations(range(agents.count), 2)))
     comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
     best, best_paths, n = None, None, 0
@@ -381,15 +438,15 @@ def _assert_oracle_is_exhaustive(spec):
     for combo in itertools.product(*per_agent):
         n += 1
         paths = dict(enumerate(combo))
-        if spec.collision_avoidance and _collides(paths, pairs, T):
+        if check_dynamics(PlanSolution(paths), spec):   # collision, base rules
             continue
-        value = _evaluate_candidate(spec, paths, capable, comm_costed,
-                                    reward_items, lp_cache)
+        value = _evaluate_candidate(spec, paths, comm_costed, reward_items,
+                                    lp_cache)
         if value is None:
             continue
         g1 = sum(sum(net.mobility[(p[t], p[t + 1])] for t in range(T))
                  for p in combo)
-        ceiling = _reward_ceiling(reward_items, [paths[r][T] for r in capable])
+        ceiling = _reward_ceiling(reward_items, [p[T] for p in combo])
         assert value - g1 <= ceiling - g1 + TOL, (paths, value, ceiling)
         if best is None or value - g1 > best + 1e-12:
             best, best_paths = value - g1, paths
