@@ -27,7 +27,8 @@ from .explore import MAX_CYCLES, T_MAX, run_exploration
 from .ilp import assemble
 from .instances import exploration_world, line_instance
 from .io import load_agents, load_exploration, load_instance
-from .network import read_json_object, to_dot, write_json, write_text
+from .network import (check_writable, read_json_object, to_dot, write_json,
+                      write_text)
 from .solver import export_lp, solve_problem
 
 EXIT_OK = 0
@@ -111,6 +112,8 @@ def _cmd_cluster(args) -> int:
 def _cmd_explore(args) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("icplan.explore").setLevel(args.log_level)
+    if args.out:
+        check_writable(args.out)
     if args.instance:
         net, agents, base, initially_known = load_exploration(args.instance)
     else:
@@ -140,12 +143,19 @@ def _cmd_explore(args) -> int:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",") if p]
+    """Sizes from start:stop[:step], stop included, or from a comma list."""
+    try:
+        if ":" in text:
+            start, stop, *step = [int(p) for p in text.split(":")]
+            sizes = list(range(start, stop + 1, *step))  # a zero step or a 4th field raises
+        else:
+            sizes = [int(p) for p in text.split(",") if p]
+    except (TypeError, ValueError):
+        raise IcplanError(f"malformed --n-range {text!r}: expected "
+                          f"start:stop[:step] with a nonzero step, or N,N,...") from None
+    if not sizes or min(sizes) < 2:
+        raise IcplanError(f"--n-range {text!r} gives no sizes, or one below 2")
+    return sizes
 
 
 def bench_rows(methods, sizes, time_limit=None):
@@ -179,8 +189,10 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in ("flow", "powerset", "adaptive"):
             raise IcplanError(f"unknown bench method {m!r}")
-    rows = bench_rows(methods, _parse_n_range(args.n_range),
-                      time_limit=args.time_limit)
+    sizes = _parse_n_range(args.n_range)
+    if args.out:
+        check_writable(args.out)
+    rows = bench_rows(methods, sizes, time_limit=args.time_limit)
     out = StringIO()
     writer = csv.DictWriter(out, fieldnames=["method", "N", "T", "status",
                                              "wall_time", "objective"])

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from . import verify
 from .cluster import Clustering, cluster_instance, clusters_to_dot, prune_dead_states
+from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
 from .network import (MobilityCommNetwork, betweenness_centrality, build_network,
                       hop_bfs, write_json, write_text)
@@ -408,6 +409,12 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
         known |= reveal_neighborhood(truth, positions[r])
     knowledge = {r: set(known) for r in range(R)}
 
+    if trace_dir is not None:
+        try:
+            Path(trace_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InstanceError(f"cannot write trace directory "
+                                f"{str(trace_dir)!r}: {exc}") from None
     log = ExplorationLog(status="running", cycles=0, n_states=len(truth.states))
     for cycle in range(1, max_cycles + 1):
         frontiers = detect_frontiers(truth, known)
@@ -537,7 +544,6 @@ def _solve_post(sub_net, config, t_max, sm_index, src, at_base,
 
 def _write_trace(trace_dir, cycle, plan_net, clustering, positions, known):
     path = Path(trace_dir)
-    path.mkdir(parents=True, exist_ok=True)
     dot = clusters_to_dot(plan_net, clustering, initial=dict(positions))
     write_text(path / f"cycle{cycle:03d}_clusters.dot", dot)
     state = {"cycle": cycle,

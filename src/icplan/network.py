@@ -216,6 +216,16 @@ def write_text(path, text: str):
         raise InstanceError(f"cannot write {str(path)!r}: {exc}") from None
 
 
+def check_writable(path):
+    """Fail now, as `write_text` would after the work, when `path` cannot be
+    opened for writing; an existing file keeps its contents."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise InstanceError(f"cannot write {str(path)!r}: {exc}") from None
+
+
 def write_json(path, data):
     """Write `data` as indented, key-sorted JSON and a final newline."""
     write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -18,6 +18,16 @@ with the token checkers, and prices communication exactly: per-pair shortest
 paths over admissible time-extended arcs when no master flow is involved,
 and a small residual LP over admissible arcs (with gating and awareness
 coupling) when consistency and nonzero communication costs interact.
+
+The residual LP is built from one dense vertex-by-arc incidence matrix of
+the plan's time-extended graph.  Vertex t*|S| + i is state i at layer t.
+The arcs are the ridden mobility arcs from layer t to t+1 in sorted vertex
+order, then the occupied comm arcs layer by layer; a comm arc costs its
+weight from layer 1 on.  Each flow id gets the same arc columns, so a flow's
+net inflow is `incidence @ x`, and the master flow's cumulative inflow up to
+each layer is a cumulative sum of the matrix's layer blocks.  Its rows are
+the data-flow balances, the master floors, each gated agent's first
+departure and per-layer send bounds, then the awareness claims.
 """
 
 from __future__ import annotations
@@ -213,34 +223,15 @@ def _collisions(paths, n_agents, T):
                 yield f"collision: agents {i},{j} swap {pi[t]!r}/{pj[t]!r} at step {t}"
 
 
-def _arc_flows(plan: PlanSolution):
-    """Per-flow-id arc flow maps from the declared certificate."""
-    flows: dict = {}
-    for t, a, b, fid, amount in plan.flow_moves:
-        arcs = flows.setdefault(fid, {})
-        key = ("move", t, a, b)
-        arcs[key] = arcs.get(key, 0.0) + amount
-    for t, a, b, fid, amount in plan.comm_events:
-        arcs = flows.setdefault(fid, {})
-        key = ("comm", t, a, b)
-        arcs[key] = arcs.get(key, 0.0) + amount
-    return flows
-
-
-def _imbalances(arcs):
-    """Net inflow per (state, t) vertex for one flow id."""
-    net_in: dict[tuple[str, int], float] = {}
-
-    def bump(s, t, delta):
-        net_in[(s, t)] = net_in.get((s, t), 0.0) + delta
-
-    for (kind, t, a, b), amount in arcs.items():
-        if kind == "move":
-            bump(a, t, -amount)
-            bump(b, t + 1, amount)
-        else:
-            bump(a, t, -amount)
-            bump(b, t, amount)
+def _imbalances(plan: PlanSolution):
+    """Net inflow per flow id and (state, t) vertex of the declared
+    certificate: a flow move's head is at t+1, a comm event's at t."""
+    net_in: dict = {}
+    for step, events in ((1, plan.flow_moves), (0, plan.comm_events)):
+        for t, a, b, fid, amount in events:
+            flow = net_in.setdefault(fid, {})
+            flow[(a, t)] = flow.get((a, t), 0.0) - amount
+            flow[(b, t + step)] = flow.get((b, t + step), 0.0) + amount
     return net_in
 
 
@@ -285,19 +276,19 @@ def check_flows(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
             bad.append(f"flow move {a!r}->{b!r} at t={t} not ridden by any agent")
 
     required = _required_inflow(spec, plan.paths)
-    flows = _arc_flows(plan)
+    net_in = _imbalances(plan)
     for fid in spec.data_flow_ids():
-        net_in = _imbalances(flows.get(fid, {}))
+        flow = net_in.get(fid, {})
         for t in range(T + 1):
             for s in net.states:
                 expected = required[fid].get((s, t), 0.0)
-                got = net_in.get((s, t), 0.0)
+                got = flow.get((s, t), 0.0)
                 if abs(got - expected) > TOL:
                     bad.append(f"flow {fid}: imbalance {got:+.4g} at ({s!r}, t={t}), "
                                f"expected {expected:+.4g}")
-    if spec.information_consistent and MASTER_FLOW in flows:
-        net_in = _imbalances(flows[MASTER_FLOW])
-        for (s, t), got in sorted(net_in.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    if spec.information_consistent and MASTER_FLOW in net_in:
+        for (s, t), got in sorted(net_in[MASTER_FLOW].items(),
+                                  key=lambda kv: (kv[0][1], kv[0][0])):
             floor = required[MASTER_FLOW].get((s, t), 0.0)
             if got < floor - TOL:
                 bad.append(f"master flow: net inflow {got:+.4g} below {floor:+.4g} "
@@ -554,7 +545,6 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
 
     best, best_paths = None, None
     n_cand = 0
-    lp_cache: dict = {}
     for combo in itertools.product(*(range(len(p)) for p in per_agent)):
         n_cand += 1
         g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
@@ -567,8 +557,7 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
             continue
         if base is not None and not _returns_to_base(spec, paths, base):
             continue
-        value = _evaluate_candidate(spec, paths, comm_costed, reward_items,
-                                    lp_cache)
+        value = _evaluate_candidate(spec, paths, comm_costed, reward_items)
         if value is None:
             continue
         total_value = value - g1
@@ -579,7 +568,7 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
     return OracleResult("optimal", best, best_paths, n_cand)
 
 
-def _evaluate_candidate(spec, paths, comm_costed, reward_items, lp_cache):
+def _evaluate_candidate(spec, paths, comm_costed, reward_items):
     """Rewards minus communication cost for one joint path set, or None."""
     T = spec.T
     _, traversed, comm_ok = _plan_arcs(spec.net, paths, T)
@@ -610,8 +599,7 @@ def _evaluate_candidate(spec, paths, comm_costed, reward_items, lp_cache):
     if not spec.information_consistent:
         g2 = _pairwise_comm_cost(spec, paths, traversed, comm_ok)
         return None if g2 is None else claims - g2
-    return _residual_lp_value(spec, paths, traversed, comm_ok, master,
-                              claimable, lp_cache)
+    return _residual_lp_value(spec, paths, traversed, comm_ok, claimable)
 
 
 def _pairwise_comm_cost(spec, paths, traversed, comm_ok):
@@ -650,146 +638,89 @@ def _te_dijkstra(net, T, traversed, comm_ok, source):
     return dist
 
 
-def _residual_lp_value(spec, paths, traversed, comm_ok, master, claimable, lp_cache):
+def _residual_lp_value(spec, paths, traversed, comm_ok, claimable):
     """Exact rewards-minus-g2 for fixed paths via an LP over admissible arcs.
 
     Couples data flows, master deliveries, gating, and awareness claims the
-    same way the integer model does once occupancy is fixed.
+    same way the integer model does once occupancy is fixed.  Every flow id
+    gets one column per arc of `incidence`, the plan's vertex-by-arc matrix
+    (see the module docstring), so its net inflow is `incidence @ x`.
     """
-    net, T = spec.net, spec.T
-    key = (tuple(tuple(sorted(t_arcs)) for t_arcs in traversed),
-           tuple(tuple(layer) for layer in comm_ok),
-           tuple(sorted((r, paths[r][0], paths[r][T]) for r in paths)),
-           tuple(tuple(sorted(m)) for m in master),
-           tuple(claimable))
-    if key in lp_cache:
-        return lp_cache[key]
+    net, T, agents = spec.net, spec.T, spec.agents
+    n_s, at = len(net.states), net.index
+    arcs = sorted((t * n_s + at(a), (t + 1) * n_s + at(b))
+                  for t in range(T) for a, b in traversed[t])
+    n_moves = len(arcs)
+    cost = [0.0] * n_moves
+    for t in range(T + 1):
+        for a, b in comm_ok[t]:
+            arcs.append((t * n_s + at(a), t * n_s + at(b)))
+            cost.append(net.comm[(a, b)] if t >= 1 else 0.0)
+    m = len(arcs)
+    tail, head = np.array(arcs, dtype=int).reshape(m, 2).T
+    incidence = np.zeros(((T + 1) * n_s, m))
+    np.add.at(incidence, (head, np.arange(m)), 1.0)
+    np.add.at(incidence, (tail, np.arange(m)), -1.0)
+    cum = incidence.reshape(T + 1, n_s, m).cumsum(axis=0)
+    is_comm = np.arange(m) >= n_moves
 
-    starts = spec.agents.master_states()
+    starts = agents.master_states()
     flow_ids = list(spec.flow_ids())
-
-    cols: dict[tuple, int] = {}
-
-    def col(*ref):
-        if ref not in cols:
-            cols[ref] = len(cols)
-        return cols[ref]
-
-    for fid in flow_ids:
-        for t in range(T):
-            for (a, b) in traversed[t]:
-                col("f", fid, a, b, t)
-        for t in range(T + 1):
-            for (a, b) in comm_ok[t]:
-                col("fbar", fid, a, b, t)
-    lp_claims = []
-    const_claims = 0.0
+    lp_claims, const_claims = [], 0.0
     for (s, k, v) in claimable:
         if spec.awareness_reward and s not in starts:
             lp_claims.append((s, k, v))
-            col("y", s, k)
         else:
             const_claims += max(v, 0.0)
+    n = len(flow_ids) * m + len(lp_claims)
 
-    def inflow_terms(fid, s, t):
-        terms = []
-        if t >= 1:
-            for (a, b) in traversed[t - 1]:
-                if b == s:
-                    terms.append((col("f", fid, a, b, t - 1), 1.0))
-        for (a, b) in comm_ok[t]:
-            if b == s:
-                terms.append((col("fbar", fid, a, b, t), 1.0))
-        if t < T:
-            for (a, b) in traversed[t]:
-                if a == s:
-                    terms.append((col("f", fid, a, b, t), -1.0))
-        for (a, b) in comm_ok[t]:
-            if a == s:
-                terms.append((col("fbar", fid, a, b, t), -1.0))
-        return terms
-
-    A_eq, b_eq, A_ub, b_ub = [], [], [], []
-
-    def add(rows, rhs_list, terms, rhs):
-        row = {}
-        for idx, c in terms:
-            row[idx] = row.get(idx, 0.0) + c
-        rows.append(row)
-        rhs_list.append(rhs)
+    def place(fid, coeffs):
+        """Rows holding `coeffs` in the arc columns of flow `fid`."""
+        coeffs = np.atleast_2d(coeffs)
+        rows = np.zeros((len(coeffs), n))
+        j = flow_ids.index(fid) * m
+        rows[:, j:j + m] = coeffs
+        return rows
 
     required = _required_inflow(spec, paths)
-    for fid in spec.data_flow_ids():
-        for t in range(T + 1):
-            for s in net.states:
-                add(A_eq, b_eq, inflow_terms(fid, s, t), required[fid].get((s, t), 0.0))
 
+    def need(fid):
+        vec = np.zeros((T + 1) * n_s)
+        for (s, t), amount in required[fid].items():
+            vec[t * n_s + at(s)] = amount
+        return vec
+
+    data = spec.data_flow_ids()
+    A_eq = [place(fid, incidence) for fid in data]
+    b_eq = [need(fid) for fid in data]
     # master flow: net inflow >= floor everywhere
-    cum: dict[str, list[list[tuple[int, float]]]] = {}
-
-    def cum_terms(s):
-        if s not in cum:
-            acc: list[tuple[int, float]] = []
-            out = []
-            for t in range(T + 1):
-                acc = acc + inflow_terms(MASTER_FLOW, s, t)
-                out.append(list(acc))
-            cum[s] = out
-        return cum[s]
-
-    for t in range(T + 1):
-        for s in net.states:
-            add(A_ub, b_ub, [(i, -c) for i, c in inflow_terms(MASTER_FLOW, s, t)],
-                -required[MASTER_FLOW].get((s, t), 0.0))
-
+    A_ub, b_ub = [place(MASTER_FLOW, -incidence)], [-need(MASTER_FLOW)]
     N = float(spec.big_m_value())
-    for r in range(spec.agents.count):
-        s0 = spec.agents.initial[r]
+    layers = np.arange(T + 1) * n_s
+    for r in range(agents.count):
+        s0 = agents.initial[r]
         if s0 in starts:
             continue
+        i0 = at(s0)
         away = [t for t in range(T + 1) if paths[r][t] != s0]
         if away:
-            t0 = min(away)
-            add(A_ub, b_ub, [(i, -c) for i, c in cum_terms(s0)[t0 - 1]], -1.0)
+            A_ub.append(place(MASTER_FLOW, -cum[away[0] - 1, i0]))
+            b_ub.append([-1.0])
+        gate = place(MASTER_FLOW, -N * cum[:, i0])
+        sends = (tail == (layers + i0)[:, None]) & is_comm
         for fid in flow_ids:
-            for t in range(T + 1):
-                terms = [(i, -N * c) for i, c in cum_terms(s0)[t]]
-                for (a, b) in comm_ok[t]:
-                    if a == s0:
-                        terms.append((col("fbar", fid, a, b, t), 1.0))
-                add(A_ub, b_ub, terms, 0.0)
+            A_ub.append(gate + place(fid, sends))
+            b_ub.append(np.zeros(T + 1))
+    aware = place(MASTER_FLOW, -cum[T, [at(s) for s, _, _ in lp_claims]])
+    aware[:, len(flow_ids) * m:] = np.eye(len(lp_claims))
+    A_ub.append(aware)
+    b_ub.append(np.zeros(len(lp_claims)))
 
-    for (s, k, v) in lp_claims:
-        terms = [(col("y", s, k), 1.0)]
-        terms += [(i, -c) for i, c in cum_terms(s)[T]]
-        add(A_ub, b_ub, terms, 0.0)
-
-    n = len(cols)
-    c_vec = np.zeros(n)
-    for fid in flow_ids:
-        for t in range(1, T + 1):
-            for (a, b) in comm_ok[t]:
-                c_vec[cols[("fbar", fid, a, b, t)]] += net.comm[(a, b)]
-    for (s, k, v) in lp_claims:
-        c_vec[cols[("y", s, k)]] -= v
-
-    bounds = [(0, None)] * n
-    for (s, k, v) in lp_claims:
-        bounds[cols[("y", s, k)]] = (0, 1)
-
-    def densify(rows):
-        mat = np.zeros((len(rows), n))
-        for i, row in enumerate(rows):
-            for j, coeff in row.items():
-                mat[i, j] = coeff
-        return mat
-
-    res = linprog(c_vec,
-                  A_ub=densify(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=densify(A_eq) if A_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
+    c_vec = np.concatenate([np.tile(cost, len(flow_ids)),
+                            [-v for _, _, v in lp_claims]])
+    bounds = [(0, None)] * (n - len(lp_claims)) + [(0, 1)] * len(lp_claims)
+    res = linprog(c_vec, A_ub=np.vstack(A_ub), b_ub=np.concatenate(b_ub),
+                  A_eq=np.vstack(A_eq) if A_eq else None,
+                  b_eq=np.concatenate(b_eq) if b_eq else None,
                   bounds=bounds, method="highs")
-    value = None if res.status != 0 else const_claims - float(res.fun)
-    lp_cache[key] = value
-    return value
+    return None if res.status != 0 else const_claims - float(res.fun)

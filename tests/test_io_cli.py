@@ -392,6 +392,8 @@ def test_cli_reports_missing_files_as_errors(capsys):
     ["bench", "--methods", "flow", "--n-range", "4", "--out", "{bad}"],
     ["explore", "--seed", "0", "--n-states", "12", "--n-agents", "3",
      "--max-cycles", "1", "--out", "{bad}"],
+    ["explore", "--seed", "0", "--n-states", "12", "--n-agents", "3",
+     "--max-cycles", "1", "--trace-dir", "{relay}"],      # a file, not a dir
 ])
 def test_cli_reports_failed_writes_as_errors(tmp_path, capsys, argv):
     net, spec = relay_spec()
@@ -401,11 +403,21 @@ def test_cli_reports_failed_writes_as_errors(tmp_path, capsys, argv):
     paths = {"relay": tmp_path / "relay.json", "world": tmp_path / "world.json",
              "bad": tmp_path / "nodir" / "out"}
     assert cli.main([arg.format(**paths) for arg in argv]) == cli.EXIT_ERROR
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: cannot write") and "Traceback" not in err
+    # explore and bench check their outputs before the first cycle or solve
+    assert not any(line.startswith("cycle") for line in out.splitlines())
 
 
 def test_n_range_grammar():
     assert cli._parse_n_range("4:12:2") == [4, 6, 8, 10, 12]
     assert cli._parse_n_range("4:6") == [4, 5, 6]
     assert cli._parse_n_range("3,7,9") == [3, 7, 9]
+
+
+@pytest.mark.parametrize("text", ["4:x", "4:12:0", "1"])
+def test_cli_bench_rejects_a_bad_n_range(capsys, text):
+    # malformed text, a zero step and N < 2 are input errors
+    assert cli.main(["bench", "--n-range", text]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--n-range" in err

@@ -434,14 +434,12 @@ def _assert_oracle_is_exhaustive(spec):
     comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
     best, best_paths, n = None, None, 0
-    lp_cache: dict = {}
     for combo in itertools.product(*per_agent):
         n += 1
         paths = dict(enumerate(combo))
         if check_dynamics(PlanSolution(paths), spec):   # collision, base rules
             continue
-        value = _evaluate_candidate(spec, paths, comm_costed, reward_items,
-                                    lp_cache)
+        value = _evaluate_candidate(spec, paths, comm_costed, reward_items)
         if value is None:
             continue
         g1 = sum(sum(net.mobility[(p[t], p[t + 1])] for t in range(T))
