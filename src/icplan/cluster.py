@@ -12,7 +12,6 @@ its parent, which acts as the cluster's local plan source and report sink.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .ilp import AgentConfig
 from .network import COMM, MobilityCommNetwork, hop_bfs
 
 CO_LOCATED_FACTOR = 10.0    # similarity assigned to co-located agents
-MAX_SPLIT_ROUNDS = 32
+KMEANS_ITERS = 100          # Lloyd refinement rounds at most
 
 
 @dataclass
@@ -73,27 +72,18 @@ def similarity_matrix(net: MobilityCommNetwork, initial_states) -> np.ndarray:
     Unreachable pairs score 0; co-located pairs score ten times the largest
     finite entry so they are pulled into the same cluster.
     """
-    n = len(initial_states)
     at = [net.index(s) for s in initial_states]
-    dist = net.mobility_distance_matrix("pred")[np.ix_(at, at)].T   # i -> j
-    np.fill_diagonal(dist, np.inf)
-    sim = np.zeros((n, n))
-    finite = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = min(dist[i, j], dist[j, i])
-            if 0.0 < m < float("inf"):
-                sim[i, j] = sim[j, i] = 1.0 / m
-                finite.append(sim[i, j])
-    cap = CO_LOCATED_FACTOR * (max(finite) if finite else 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if min(dist[i, j], dist[j, i]) == 0.0:
-                sim[i, j] = sim[j, i] = cap
+    dist = net.mobility_distance_matrix("pred")[np.ix_(at, at)]
+    m = np.minimum(dist, dist.T)
+    np.fill_diagonal(m, np.inf)
+    finite = (0.0 < m) & (m < np.inf)
+    sim = np.zeros_like(m)
+    sim[finite] = 1.0 / m[finite]
+    sim[m == 0.0] = CO_LOCATED_FACTOR * (sim.max() if finite.any() else 1.0)
     return sim
 
 
-def _farthest_first_kmeans(rows: np.ndarray, k: int, max_iter: int = 100):
+def _farthest_first_kmeans(rows: np.ndarray, k: int):
     """Deterministic K-means: farthest-first init, Lloyd refinement."""
     n = len(rows)
     centers = [0]
@@ -104,7 +94,7 @@ def _farthest_first_kmeans(rows: np.ndarray, k: int, max_iter: int = 100):
         centers.append(int(np.argmax(d)))
     means = rows[centers].copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_ITERS):
         d = np.linalg.norm(rows[:, None, :] - means[None, :, :], axis=2)
         new_labels = np.argmin(d, axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:
@@ -126,25 +116,19 @@ def spectral_cluster_agents(net: MobilityCommNetwork, agents: AgentConfig,
     always cluster 1.
     """
     R = agents.count
-    initial = [agents.initial[r] for r in range(R)]
     k = max(1, min(k, R))
-    if k == 1 or R == 1:
-        labels = np.zeros(R, dtype=int)
-    else:
-        A = similarity_matrix(net, initial)
-        deg = A.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        L = np.eye(R) - (dinv[:, None] * A * dinv[None, :])
-        _, vecs = np.linalg.eigh(L)
-        U = vecs[:, :k]
-        norms = np.linalg.norm(U, axis=1)
-        U = U / np.where(norms > 1e-12, norms, 1.0)[:, None]
-        labels = _farthest_first_kmeans(U, k)
-    raw: dict[int, list[int]] = {}
-    for r in range(R):
-        raw.setdefault(int(labels[r]), []).append(r)
-    return _relabel(list(raw.values()), agents)
+    A = similarity_matrix(net, [agents.initial[r] for r in range(R)])
+    deg = A.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    L = np.eye(R) - (dinv[:, None] * A * dinv[None, :])
+    _, vecs = np.linalg.eigh(L)
+    U = vecs[:, :k]
+    norms = np.linalg.norm(U, axis=1)
+    U = U / np.where(norms > 1e-12, norms, 1.0)[:, None]
+    labels = _farthest_first_kmeans(U, k)
+    return _relabel([np.flatnonzero(labels == c).tolist() for c in range(k)],
+                    agents)
 
 
 def _relabel(group_list, agents: AgentConfig) -> dict[int, tuple[int, ...]]:
@@ -157,23 +141,16 @@ def _relabel(group_list, agents: AgentConfig) -> dict[int, tuple[int, ...]]:
 
 def _merge_shared_starts(groups: dict[int, tuple[int, ...]],
                          agents: AgentConfig) -> dict[int, tuple[int, ...]]:
-    """Merge groups whose agents share an initial state (seed conflicts)."""
-    merged = [set(g) for g in groups.values()]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                si = {agents.initial[r] for r in merged[i]}
-                sj = {agents.initial[r] for r in merged[j]}
-                if si & sj:
-                    merged[i] |= merged[j]
-                    del merged[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return _relabel([sorted(g) for g in merged], agents)
+    """Merge groups whose agents share an initial state (seed conflicts).
+
+    Merged groups share no start, so one absorbing pass suffices.
+    """
+    merged: list[set[int]] = []
+    for g in groups.values():
+        starts = {agents.initial[r] for r in g}
+        shared = [m for m in merged if any(agents.initial[r] in starts for r in m)]
+        merged = [m for m in merged if m not in shared] + [set(g).union(*shared)]
+    return _relabel(merged, agents)
 
 
 # -- state territory growth -------------------------------------------------
@@ -219,8 +196,6 @@ def grow_state_clusters(net: MobilityCommNetwork,
                 free.discard(i)
                 fringe[cid].update(rows[i])
                 progress = True
-            if not free:
-                break
         if not progress:
             break
     state_sets = {cid: tuple(s for i, s in enumerate(net.states) if owner.get(i) == cid)
@@ -245,7 +220,10 @@ def cluster_with_retry(net: MobilityCommNetwork, agents: AgentConfig,
                        k: int | None = None):
     """Full grouping pipeline with split-and-restart on disconnected clusters.
 
-    Returns (groups, state_sets, unassigned, split_rounds).
+    Every territory component holds a start of its group (growth is
+    anchored), so each split adds a group and at most R - 1 rounds run; the
+    parts share no start, so they need no merge.  Returns (groups,
+    state_sets, unassigned, split_rounds).
     """
     if k is None:
         k = math.ceil(agents.count / 4)
@@ -253,27 +231,17 @@ def cluster_with_retry(net: MobilityCommNetwork, agents: AgentConfig,
     rounds = 0
     while True:
         state_sets, unassigned = grow_state_clusters(net, groups, agents.initial)
-        split_of = None
         for cid in sorted(groups):
             comps = weak_components(net, state_sets[cid])
             if len(comps) > 1:
-                split_of = (cid, comps)
                 break
-        if split_of is None:
+        else:
             return groups, state_sets, unassigned, rounds
         rounds += 1
-        if rounds > MAX_SPLIT_ROUNDS:
-            warnings.warn("cluster splitting did not converge; keeping last result")
-            return groups, state_sets, unassigned, rounds
-        cid, comps = split_of
-        replacement = []
-        for comp in comps:
-            members = [r for r in groups[cid] if agents.initial[r] in comp]
-            if members:
-                replacement.append(members)
-        new_groups = [list(groups[c]) for c in sorted(groups) if c != cid]
-        new_groups.extend(replacement)
-        groups = _merge_shared_starts(_relabel(new_groups, agents), agents)
+        parts = [[r for r in groups[cid] if agents.initial[r] in comp]
+                 for comp in comps]
+        groups = _relabel([g for c, g in groups.items() if c != cid] + parts,
+                          agents)
 
 
 # -- hierarchy -----------------------------------------------------------

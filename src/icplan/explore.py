@@ -24,8 +24,8 @@ every activated cluster solves up to two small problems on its territory.
 
 Movement reveals the one-hop mobility neighbourhood of every visited state.
 The loop ends when no frontiers remain and the base knows every revealed
-state; a cycle that neither reveals nor delivers anything new aborts as a
-stall.
+state; a cycle that reveals nothing, delivers nothing and moves no agent
+aborts as a stall.
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ def _plan_cycle(truth, known, positions, frontiers, base, master,
     """Prune, induce, cluster and rank the known world for one cycle."""
     R = len(positions)
     plan_states = prune_dead_states(
-        induced_network(truth, known), None,
-        protected=set(positions.values()) | set(frontiers) | {base})
+        truth, known, protected=set(positions.values()) | set(frontiers) | {base})
     net = induced_network(truth, plan_states)
     cycle_agents = AgentConfig(count=R, initial=dict(positions),
                                masters=frozenset({master}),
@@ -421,7 +420,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
         if not frontiers and knowledge[master] >= known:
             log.status = "complete"
             break
-        base_before = len(knowledge[master])
+        base_before, positions_before = len(knowledge[master]), dict(positions)
         plan = _plan_cycle(truth, known, positions, frontiers, base, master, t_max)
         if trace_dir is not None:
             _write_trace(trace_dir, cycle, plan.net, plan.clustering, positions,
@@ -457,7 +456,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
         if failed:
             log.status = "verification_failed"
             break
-        if not new_states and base_gain == 0:
+        if not new_states and base_gain == 0 and positions == positions_before:
             log.status = "stalled"
             break
     else:

@@ -91,6 +91,8 @@ class ProblemSpec:
             raise ConfigurationError("awareness_reward requires information_consistent")
         if self.return_to_base and not (agents.masters & agents.static):
             raise ConfigurationError("return_to_base requires a static master")
+        if self.return_to_base and agents.static.issuperset(range(agents.count)):
+            raise ConfigurationError("return_to_base requires a dynamic agent")
         for r in agents.static:
             s = agents.initial[r]
             if (s, s) not in net.mobility:
@@ -419,8 +421,6 @@ def build_extensions(model: MilpModel, spec: ProblemSpec,
                 continue
             for s in sorted(base, key=net.index):
                 _accumulate(coeffs, model.var("z", r, s, T), 1.0)
-        if not coeffs:
-            raise ConfigurationError("return_to_base: no dynamic agents")
         model.add_constr(coeffs, ">=", 1.0, "return_to_base")
 
 

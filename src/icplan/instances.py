@@ -11,13 +11,13 @@ from .network import MobilityCommNetwork, build_network, count_walks
 ORACLE_CLASSES = ("p1", "p2", "p2_collision", "p2_awareness")
 
 
-def line_instance(n_states: int, T: int | None = None):
+def line_instance(n_states: int):
     """Relay benchmark on a line: three agents must all hear from each other.
 
     States s0..s{n-1} with bidirectional unit-cost mobility between
     neighbours, free self-loops, and free communication between neighbours.
     Agents sit at the two ends and the middle; every agent is both source
-    and sink.  The default horizon ceil(n/2) is enough to form a relay chain.
+    and sink.  The horizon ceil(n/2) is enough to form a relay chain.
     """
     if n_states < 2:
         raise ValueError("line needs at least 2 states")
@@ -32,9 +32,8 @@ def line_instance(n_states: int, T: int | None = None):
     agents = AgentConfig(count=3, initial={0: states[0],
                                            1: states[min(mid, n_states - 1)],
                                            2: states[-1]})
-    spec = ProblemSpec(net=net, agents=agents,
-                       T=math.ceil(n_states / 2) if T is None else T,
-                       src=(0, 1, 2), snk=(0, 1, 2), rewards={})
+    spec = ProblemSpec(net=net, agents=agents, T=mid, src=(0, 1, 2),
+                       snk=(0, 1, 2), rewards={})
     return net, spec
 
 

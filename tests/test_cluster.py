@@ -1,11 +1,13 @@
 """Agent clustering, territory growth, and the activation hierarchy."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
-from icplan.cluster import (Clustering, _farthest_first_kmeans, _touching_cluster,
+from icplan.cluster import (Clustering, _farthest_first_kmeans,
+                            _merge_shared_starts, _touching_cluster,
                             build_hierarchy, cluster_instance, cluster_with_retry,
                             clusters_to_dot, grow_state_clusters, prune_dead_states,
                             similarity_matrix, spectral_cluster_agents,
@@ -51,6 +53,33 @@ def test_directed_similarity_uses_the_cheaper_direction():
     assert sim[0, 1] == pytest.approx(1.0)
 
 
+def _loop_similarity(net, initial_states):
+    """Reference: the pairwise loop over min(d(i->j), d(j->i))."""
+    n = len(initial_states)
+    dist = net.mobility_distance_matrix("pred")
+    at = [net.index(s) for s in initial_states]
+    sim = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = min(dist[at[i], at[j]], dist[at[j], at[i]])
+            if 0.0 < m < np.inf:
+                sim[i, j] = sim[j, i] = 1.0 / m
+    cap = 10.0 * (sim.max() if sim.any() else 1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if min(dist[at[i], at[j]], dist[at[j], at[i]]) == 0.0:
+                sim[i, j] = sim[j, i] = cap
+    return sim
+
+
+def test_similarity_equals_the_pairwise_loop():
+    for seed in range(100):
+        net, agents = random_cluster_graph(seed)
+        initial = [agents.initial[r] for r in range(agents.count)]
+        assert np.array_equal(similarity_matrix(net, initial),
+                              _loop_similarity(net, initial)), seed
+
+
 def test_kmeans_is_deterministic():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(10, 3))
@@ -64,6 +93,22 @@ def test_spectral_grouping_pairs_nearby_agents():
     net, agents = _line_agents(12, [0, 1, 10, 11])
     groups = spectral_cluster_agents(net, agents, k=2)
     assert groups == {1: (0, 1), 2: (2, 3)}
+
+
+def test_one_cluster_holds_every_agent():
+    for seed in range(100):
+        net, agents = random_cluster_graph(seed)
+        groups = spectral_cluster_agents(net, agents, k=1)
+        assert groups == {1: tuple(range(agents.count))}, seed
+
+
+def test_groups_sharing_a_start_merge_in_one_pass():
+    # group 3 shares a start with group 1 and one with group 2
+    net = line_network(3)
+    agents = AgentConfig(count=5, initial={0: "s0", 1: "s0", 2: "s1",
+                                           3: "s1", 4: "s2"})
+    groups = {1: (0,), 2: (2,), 3: (1, 3), 4: (4,)}
+    assert _merge_shared_starts(groups, agents) == {1: (0, 1, 2, 3), 2: (4,)}
 
 
 def test_master_group_is_always_cluster_one():
@@ -107,6 +152,20 @@ def test_cluster_with_retry_keeps_territories_connected():
         if states:
             assert len(weak_components(net, states)) == 1
     assert rounds >= 0
+
+
+def test_split_rounds_stay_below_the_agent_count():
+    # each split adds a group, so at most R - 1 rounds run; seed 44 needs two
+    most = 0
+    for seed in range(100):
+        net, agents = random_cluster_graph(seed)
+        k = random.Random(f"acc6:{seed}").randint(1, agents.count)
+        groups, state_sets, _, rounds = cluster_with_retry(net, agents, k)
+        assert rounds <= agents.count - 1, seed
+        assert all(len(weak_components(net, state_sets[cid])) == 1
+                   for cid in groups), seed
+        most = max(most, rounds)
+    assert most >= 2
 
 
 # -- hierarchy ----------------------------------------------------------------------

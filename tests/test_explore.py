@@ -321,6 +321,26 @@ def test_unreachable_islands_do_not_block_completion():
     assert log.all_verified
 
 
+def test_a_team_that_cannot_move_stalls():
+    agents = AgentConfig(count=1, initial={0: "s0"}, masters=frozenset({0}),
+                         static=frozenset({0}))
+    log = run_exploration(line_network(5), agents, "s0")
+    assert log.status == "stalled" and log.cycles == 1
+    assert log.known == frozenset({"s0", "s1"})
+
+
+def test_thirty_state_sweep_completes():
+    # a cycle that only regroups agents is progress, not a stall: world 3
+    # stalled while the rule ignored moves
+    unfinished = []
+    for w in range(20):
+        truth, agents, base = exploration_world(seed=w, n_states=30, n_agents=5)
+        log = run_exploration(truth, agents, base)
+        if log.status != "complete" or not log.all_verified:
+            unfinished.append((w, log.status, log.all_verified))
+    assert unfinished == []
+
+
 def test_log_serialisation_matches_the_run():
     truth, agents, base = exploration_world(seed=1, n_states=15, n_agents=3)
     log = run_exploration(truth, agents, base)

@@ -169,6 +169,9 @@ def _valid_kwargs():
     {"information_consistent": True},                 # no master declared
     {"awareness_reward": True},                       # requires consistency
     {"return_to_base": True},                         # requires a static master
+    {"return_to_base": True,                          # requires a dynamic agent
+     "agents": AgentConfig(count=2, initial={0: "s0", 1: "s2"},
+                           masters=frozenset({0}), static=frozenset({0, 1}))},
 ])
 def test_validate_rejects_bad_specs(patch):
     kwargs = _valid_kwargs()

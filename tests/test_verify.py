@@ -12,7 +12,7 @@ import pytest
 
 import icplan
 from icplan import verify
-from icplan.errors import GuardExceeded
+from icplan.errors import ConfigurationError, GuardExceeded
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec, base_reachable_states
 from icplan.instances import ORACLE_CLASSES, random_oracle_instance
 from icplan.network import build_network
@@ -383,6 +383,17 @@ def test_oracle_honours_return_to_base():
     assert oracle.objective == pytest.approx(-1.0)
     assert oracle.paths[1][-1] == "s1"
     assert solve_problem(spec)[1].objective == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_oracle_and_solver_refuse_return_to_base_without_a_dynamic_agent():
+    agents = AgentConfig(count=2, initial={0: "s0", 1: "s1"},
+                         masters=frozenset({0}), static=frozenset({0, 1}))
+    spec = ProblemSpec(net=line_network(2), agents=agents, T=1,
+                       return_to_base=True)
+    with pytest.raises(ConfigurationError, match="dynamic agent"):
+        brute_force_solve(spec)
+    with pytest.raises(ConfigurationError, match="dynamic agent"):
+        solve_problem(spec)
 
 
 def test_oracle_and_solver_agree_on_return_to_base_sweep():
