@@ -196,9 +196,10 @@ def _world_id(entry) -> int:
     return entry[1] if isinstance(entry, tuple) else entry
 
 
-def _sub_agents(positions, clustering: Clustering, cid, children):
+def _sub_agents(positions, clustering: Clustering, cid, children, static):
     """AgentConfig over cluster members plus static pseudo agents at stations.
 
+    Members in the world's `static` set stay static, as does the submaster.
     Returns (config, roster, sm_index, stations): roster[i] is the world agent
     id for local index i, or ("station", world_id) for a child submaster's
     station, and stations is the set of station states.
@@ -207,9 +208,10 @@ def _sub_agents(positions, clustering: Clustering, cid, children):
     roster = members + [("station", clustering.submasters[c]) for c in children]
     initial = {i: positions[_world_id(entry)] for i, entry in enumerate(roster)}
     sm_index = roster.index(clustering.submasters[cid])
-    static = set(range(len(members), len(roster))) | {sm_index}
+    sub_static = set(range(len(members), len(roster))) | {sm_index}
+    sub_static |= {i for i, r in enumerate(members) if r in static}
     config = AgentConfig(count=len(roster), initial=initial,
-                         static=frozenset(static),
+                         static=frozenset(sub_static),
                          masters=frozenset({sm_index}))
     stations = {initial[i] for i in range(len(members), len(roster))}
     return config, roster, sm_index, stations
@@ -247,13 +249,14 @@ class _CyclePlan:
     frontiers: frozenset[str]
     frontier_dist: dict[str, int]
     centrality: dict[str, float]
+    static: frozenset[int]               # world agents that never move
     by_depth: list[int]                  # active clusters, root first
     children: dict[int, list[int]]
     subtree_value: dict[int, float]      # frontier value, decayed per tier
     subtree_members: dict[int, set[int]]
 
 
-def _plan_cycle(truth, known, positions, frontiers, base, master,
+def _plan_cycle(truth, known, positions, frontiers, base, master, static,
                 t_max) -> _CyclePlan:
     """Prune, induce, cluster and rank the known world for one cycle."""
     R = len(positions)
@@ -262,7 +265,7 @@ def _plan_cycle(truth, known, positions, frontiers, base, master,
     net = induced_network(truth, plan_states)
     cycle_agents = AgentConfig(count=R, initial=dict(positions),
                                masters=frozenset({master}),
-                               static=frozenset({master}))
+                               static=static)
     k = max(math.ceil(R / 4),
             min(R // 2, math.ceil(len(net.states) / (TERRITORY_SPAN * t_max))))
     clustering = cluster_instance(net, cycle_agents, k=k)
@@ -284,7 +287,7 @@ def _plan_cycle(truth, known, positions, frontiers, base, master,
         subtree_members[cid] = set(clustering.groups[cid]).union(
             *(subtree_members[c] for c in children[cid]))
     return _CyclePlan(net, k, clustering, frontier_set, frontier_dist, centrality,
-                      by_depth, children, subtree_value, subtree_members)
+                      static, by_depth, children, subtree_value, subtree_members)
 
 
 def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
@@ -314,7 +317,8 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
                                    plan.subtree_value, positions, news_children)
         if not rewards and not children:
             continue    # nothing to chase, nobody to endow
-        config, roster, _, stations = _sub_agents(positions, cl, cid, children)
+        config, roster, _, stations = _sub_agents(positions, cl, cid, children,
+                                                  plan.static)
         territory = cl.state_sets[cid]
         member_pos = [positions[r] for r in cl.groups[cid]]
         reach = _hop_distances(plan.net, member_pos, within=territory)
@@ -364,7 +368,7 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
     for cid in sorted(endowed, key=lambda c: (-cl.depth(c), c)):
         sm_world = cl.submasters[cid]
         config, roster, sm_index, stations = _sub_agents(
-            positions, cl, cid, plan.children[cid])
+            positions, cl, cid, plan.children[cid], plan.static)
         src = [i for i, entry in enumerate(roster)
                if knowledge[_world_id(entry)] - knowledge[sm_world]
                or _world_id(entry) in frozen.get(cid, ())]
@@ -402,6 +406,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
     start = time.perf_counter()
     R = agents.count
     master = min(agents.masters) if agents.masters else 0
+    static = agents.static | {master}
     positions = {r: agents.initial[r] for r in range(R)}
     known: set[str] = set(initially_known or ())
     for r in range(R):
@@ -421,7 +426,8 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
             log.status = "complete"
             break
         base_before, positions_before = len(knowledge[master]), dict(positions)
-        plan = _plan_cycle(truth, known, positions, frontiers, base, master, t_max)
+        plan = _plan_cycle(truth, known, positions, frontiers, base, master,
+                           static, t_max)
         if trace_dir is not None:
             _write_trace(trace_dir, cycle, plan.net, plan.clustering, positions,
                          known)

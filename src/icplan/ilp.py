@@ -7,6 +7,13 @@ along mobility arcs (riding an agent) and communication arcs (within a
 layer), linked to occupancy by big-M bridge constraints.  Terminal rewards
 are collected through count-thresholded binaries y.
 
+Each data flow's bridge M is its own supply: |snk| units one_to_many, |src|
+units many_to_one.  The only cycles of the time-extended graph are
+communication cycles within a layer; cancelling them keeps every balance row
+and costs nothing (communication costs are >= 0), so some optimal plan sends
+no more than the supply over any arc.  The master flow keeps
+`big_m_value()`, as does its `master_comm` gate.
+
 The information-consistent variant adds a master flow: agents outside the
 master's initial states may neither move nor transmit before the master flow
 has reached their own initial state.  Gating uses cumulative net inflow
@@ -271,9 +278,20 @@ def build_flow(model: MilpModel, spec: ProblemSpec):
 
 
 def build_bridge(model: MilpModel, spec: ProblemSpec, fid):
-    """Big-M coupling of one flow family to occupancy and transitions."""
+    """Big-M coupling of one flow family to occupancy and transitions.
+
+    A data flow's M is the supply its balance rows fix, |snk| (one_to_many)
+    or |src| (many_to_one): once its within-layer comm cycles are cancelled,
+    which keeps every row and costs nothing, no arc carries more.  The
+    master flow keeps `big_m_value()`.
+    """
     net, T = spec.net, spec.T
-    N = float(spec.big_m_value())
+    if fid == MASTER_FLOW:
+        N = float(spec.big_m_value())
+    elif spec.orientation() == "one_to_many":
+        N = float(len(spec.snk))
+    else:
+        N = float(len(spec.src))
     R = spec.agents.count
     for t in range(T + 1):
         for (a, b) in net.comm:

@@ -177,7 +177,8 @@ def test_spent_clusters_fall_back_to_border_rewards():
 def test_plan_cycle_ranks_clusters_root_first_with_subtree_values():
     net = line_network(10)
     positions = {0: "s0", 1: "s1", 2: "s2", 3: "s7", 4: "s8", 5: "s9"}
-    plan = _plan_cycle(net, set(net.states), positions, ("s9",), "s0", 0, 2)
+    plan = _plan_cycle(net, set(net.states), positions, ("s9",), "s0", 0,
+                       frozenset({0}), 2)
     # max(ceil(6 / 4), min(6 // 2, ceil(10 states / (2.0 * t_max))))
     assert plan.k == 3
     assert plan.by_depth == [1, 2, 3]
@@ -201,8 +202,9 @@ def test_pre_phase_endows_covered_stations_and_freezes_unreached_members():
                             submasters={1: 0, 2: 2, 3: 3},
                             parents={1: None, 2: 1, 3: 1},
                             activation_edges={2: ("b", "c"), 3: ("y", "far")})
-    plan = _CyclePlan(net, 3, clustering, frozenset(), {}, {}, [1, 2, 3],
-                      {1: [2, 3], 2: [], 3: []}, {1: 0.0, 2: 100.0, 3: 100.0},
+    plan = _CyclePlan(net, 3, clustering, frozenset(), {}, {}, frozenset({0}),
+                      [1, 2, 3], {1: [2, 3], 2: [], 3: []},
+                      {1: 0.0, 2: 100.0, 3: 100.0},
                       {1: {0, 1, 2, 3}, 2: {2}, 3: {3}})
     positions = {0: "b", 1: "y", 2: "c", 3: "far"}
     reveals = {r: set() for r in range(4)}
@@ -322,11 +324,15 @@ def test_unreachable_islands_do_not_block_completion():
 
 
 def test_a_team_that_cannot_move_stalls():
-    agents = AgentConfig(count=1, initial={0: "s0"}, masters=frozenset({0}),
-                         static=frozenset({0}))
-    log = run_exploration(line_network(5), agents, "s0")
-    assert log.status == "stalled" and log.cycles == 1
-    assert log.known == frozenset({"s0", "s1"})
+    # a lone static master, and a master with a member the world declares
+    # static: had the member moved, it would have revealed s2
+    for agents in (AgentConfig(count=1, initial={0: "s0"},
+                               masters=frozenset({0}), static=frozenset({0})),
+                   AgentConfig(count=2, initial={0: "s0", 1: "s0"},
+                               masters=frozenset({0}), static=frozenset({0, 1}))):
+        log = run_exploration(line_network(5), agents, "s0")
+        assert log.status == "stalled" and log.cycles == 1
+        assert log.known == frozenset({"s0", "s1"})
 
 
 def test_thirty_state_sweep_completes():
@@ -386,7 +392,9 @@ def test_exploration_records_do_not_follow_the_hash_seed():
 # stages.  The 5-agent world runs two clusters from cycle 2 on, so its rows
 # also cover child stations, endowment and a multi-cluster post phase.  A
 # change to them must be explained in CHANGES.md; three gap-stopped rows moved
-# when HiGHS's feasibility-jump heuristic was switched off.
+# when HiGHS's feasibility-jump heuristic was switched off, and world 0's
+# cycle-4 pre row moved with the per-flow bridge M (an equal-objective
+# cycle-3 collection plan left the agents elsewhere).
 _PINNED_ROWS = {
     (0, 15, 3): [
         (1, 1, "pre", 3, "optimal", 256.0),
@@ -395,7 +403,7 @@ _PINNED_ROWS = {
         (2, 1, "post", 4, "optimal", -1.0),
         (3, 1, "pre", 4, "optimal", 221.6),
         (3, 1, "post", 5, "optimal", -3.0),
-        (4, 1, "pre", 4, "optimal", 207.96),
+        (4, 1, "pre", 5, "optimal", 205.96),
         (4, 1, "post", 6, "optimal", -3.0),
     ],
     (2, 15, 3): [

@@ -150,6 +150,25 @@ def test_big_m_defaults_to_team_or_state_count():
     assert wide.big_m_value() == 5
 
 
+def test_bridge_m_is_each_flow_supply():
+    # a data flow carries at most |snk| (one_to_many) or |src| (many_to_one)
+    # units; the master flow keeps max(R, |S|) = 5
+    agents = AgentConfig(count=4, initial={0: "s0", 1: "s1", 2: "s3", 3: "s4"},
+                         masters=frozenset({0}))
+    for src, snk, data_m in (((0,), (1, 2), 2.0), ((0, 1, 2), (3,), 3.0)):
+        spec = ProblemSpec(net=line_network(5), agents=agents, T=2, src=src,
+                           snk=snk, information_consistent=True)
+        model = assemble(spec)
+        ms: dict = {}
+        for coeffs, _, _, tag in model.constraints:
+            if tag in ("bridge_comm", "bridge_mobility"):
+                (fid,) = {model.refs[i][1] for i, c in coeffs.items() if c == 1.0}
+                ms.setdefault(fid, set()).update(
+                    -c for i, c in coeffs.items() if c != 1.0)
+        expect = {fid: {data_m} for fid in spec.data_flow_ids()}
+        assert ms == expect | {MASTER_FLOW: {float(spec.big_m_value())}}
+
+
 # -- validation ----------------------------------------------------------------
 
 
