@@ -17,7 +17,11 @@ The brute-force oracle enumerates joint mobility paths, decides feasibility
 with the token checkers, and prices communication exactly: per-pair shortest
 paths over admissible time-extended arcs when no master flow is involved,
 and a small residual LP over admissible arcs (with gating and awareness
-coupling) when consistency and nonzero communication costs interact.
+coupling) when consistency and nonzero communication costs interact.  It
+bounds every joint plan at once (reward ceiling minus movement cost, one
+numpy array in `itertools.product` order), scores plans best bound first,
+stops at the first bound more than 2*TOL below the best value, and replays
+its first-maximiser tie rule over the scored plans in product order.
 
 The residual LP is built from one dense vertex-by-arc incidence matrix of
 the plan's time-extended graph.  Vertex t*|S| + i is state i at layer t.
@@ -493,30 +497,28 @@ def _claimable(reward_items, finals):
     return [(s, k, v) for (s, k), v in reward_items if counts.get(s, 0) >= k]
 
 
-def _reward_ceiling(reward_items, finals) -> float:
-    """Positive rewards that agents ending on `finals` could claim."""
-    return sum(max(v, 0.0) for (_, _, v) in _claimable(reward_items, finals))
-
-
 def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult:
     """Exhaustive optimum over joint mobility paths.
 
-    Refuses when the joint path count exceeds the guard.  Candidates are
-    enumerated in `itertools.product` order over each agent's paths, and a
-    later candidate replaces the incumbent only when it is better by more
-    than 1e-12, so the first maximiser wins.  A candidate that breaks the
-    collision or return-to-base rule of `check_dynamics` is infeasible.
+    Refuses when the joint path count exceeds the guard.  Under the
+    strict rule (a later plan replaces the incumbent only when it is better
+    by more than 1e-12, in `itertools.product` order over each agent's
+    paths) the first maximiser wins.  A plan that breaks the collision or
+    return-to-base rule of `check_dynamics` is infeasible.
 
-    A candidate is skipped unevaluated when its reward ceiling (the positive
-    rewards its agents' final states could claim, `_reward_ceiling`)
-    minus its movement cost g1 falls below the incumbent by more than TOL.
-    The ceiling bounds every evaluated value: the awareness filter only
-    drops claims, the pairwise communication cost g2 is >= 0, and the
-    residual LP's objective is >= -(its positive claims) because
-    communication costs are non-negative (the network rejects negative
-    weights).  The TOL margin covers LP round-off, so no candidate that
-    could replace the incumbent is skipped.  `candidates` still counts every
-    enumerated combination.
+    Every joint plan gets a bound, its reward ceiling (`_plan_bounds`) minus
+    its movement cost g1, in one array.  The ceiling bounds every evaluated
+    value: the awareness filter only drops claims, the pairwise
+    communication cost g2 is >= 0, and the residual LP's objective is >=
+    -(its positive claims) because communication costs are non-negative
+    (the network rejects negative weights).  Plans are scored best bound
+    first, product order breaking ties, and scoring stops at the first
+    bound below the best value by more than 2*TOL.  Every unscored plan is
+    then worth less than the optimum by more than TOL (TOL covers LP
+    round-off), so none can displace a plan within TOL of it.  The strict
+    rule is replayed over the scored plans in product order, which picks
+    the same first maximiser as scoring every plan.  `candidates` still
+    counts every joint plan.
     """
     spec.validate()
     net, T, agents = spec.net, spec.T, spec.agents
@@ -535,23 +537,18 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
             per_agent.append([(agents.initial[r],) * (T + 1)])
         else:
             per_agent.append(_agent_paths(net, agents.initial[r], T))
-    move_cost = {r: [sum(net.mobility[(p[t], p[t + 1])] for t in range(T))
-                     for p in per_agent[r]]
-                 for r in range(agents.count)}
+    move_cost = [[_move_cost(net, p) for p in paths] for paths in per_agent]
+    bounds = _plan_bounds(spec, per_agent, move_cost)
 
     base = _base_range(spec) if spec.return_to_base else None
     comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
 
-    best, best_paths = None, None
-    n_cand = 0
-    for combo in itertools.product(*(range(len(p)) for p in per_agent)):
-        n_cand += 1
-        g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
-        if best is not None:
-            finals = [per_agent[r][combo[r]][T] for r in range(agents.count)]
-            if _reward_ceiling(reward_items, finals) - g1 < best - TOL:
-                continue
+    scored, top = [], None
+    for flat in np.argsort(-bounds, axis=None, kind="stable"):
+        if top is not None and bounds.flat[flat] < top - 2 * TOL:
+            break
+        combo = np.unravel_index(flat, bounds.shape)
         paths = {r: per_agent[r][combo[r]] for r in range(agents.count)}
         if spec.collision_avoidance and any(_collisions(paths, agents.count, T)):
             continue
@@ -560,12 +557,48 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
         value = _evaluate_candidate(spec, paths, comm_costed, reward_items)
         if value is None:
             continue
+        g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
         total_value = value - g1
+        scored.append((flat, total_value, paths))
+        top = total_value if top is None else max(top, total_value)
+
+    best, best_paths = None, None
+    for _, total_value, paths in sorted(scored, key=lambda plan: plan[0]):
         if best is None or total_value > best + 1e-12:
             best, best_paths = total_value, paths
     if best is None:
-        return OracleResult("infeasible", None, None, n_cand)
-    return OracleResult("optimal", best, best_paths, n_cand)
+        return OracleResult("infeasible", None, None, total)
+    return OracleResult("optimal", best, best_paths, total)
+
+
+def _plan_bounds(spec: ProblemSpec, per_agent, move_cost):
+    """Reward ceiling minus movement cost g1 of every joint plan.
+
+    `move_cost[r]` lists the costs of agent r's paths `per_agent[r]`.  Axis
+    r of the result indexes agent r's paths in that order, so the flat
+    C-order array lists joint plans in `itertools.product` order.  The
+    ceiling is the sum of the positive rewards that the agents ending on
+    each state could claim: `v` of (s, k) counts once k agents end on s.
+    """
+    net, T = spec.net, spec.T
+    shape = tuple(len(paths) for paths in per_agent)
+
+    def along(r, values):
+        return np.reshape(values, [-1 if q == r else 1 for q in range(len(shape))])
+
+    finals = [np.array([net.index(p[T]) for p in paths]) for paths in per_agent]
+    bound = np.zeros(shape)
+    for (s, k), v in spec.sorted_rewards():
+        if v > 0:
+            count = sum(along(r, f == net.index(s)) for r, f in enumerate(finals))
+            bound += v * (count >= k)
+    for r, costs in enumerate(move_cost):
+        bound -= along(r, costs)
+    return bound
+
+
+def _move_cost(net, path) -> float:
+    return sum(net.mobility[(a, b)] for a, b in zip(path, path[1:]))
 
 
 def _evaluate_candidate(spec, paths, comm_costed, reward_items):

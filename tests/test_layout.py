@@ -12,10 +12,9 @@ BENCHMARK = PACKAGE.parents[1] / "perfbench"
 UNCALLED = {"save_instance"}
 
 
-def _public_definitions(tree):
+def _definitions(tree):
     return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def _references(tree):
@@ -28,12 +27,25 @@ def _references(tree):
     return names
 
 
-def test_every_public_definition_has_a_caller_outside_the_tests():
-    # re-exports in __init__ are not callers; the benchmark is
+def _uncalled(private):
+    """The package's private or public top-level definitions that neither the
+    package nor the benchmark references, and all of them; re-exports in
+    __init__ are not callers."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers = modules + sorted(BENCHMARK.glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in callers}
     referenced = set().union(*map(_references, trees.values()))
-    defined = set().union(*(_public_definitions(trees[p]) for p in modules))
-    assert defined - referenced - UNCALLED == set()
+    defined = {name for p in modules for name in _definitions(trees[p])
+               if name.startswith("_") == private}
+    return defined - referenced, defined
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    uncalled, defined = _uncalled(private=False)
+    assert uncalled - UNCALLED == set()
     assert UNCALLED <= defined
+
+
+def test_every_private_definition_has_a_caller_outside_the_tests():
+    # a helper that only the tests still call is dead library code
+    assert _uncalled(private=True)[0] == set()

@@ -17,9 +17,9 @@ from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec, base_reachable_sta
 from icplan.instances import ORACLE_CLASSES, line_instance, random_oracle_instance
 from icplan.network import build_network
 from icplan.solver import solve_problem
-from icplan.verify import (TOL, PlanSolution, _agent_paths, _evaluate_candidate,
-                           _reward_ceiling, brute_force_solve, check_consistency,
-                           check_dynamics, check_flows,
+from icplan.verify import (TOL, PlanSolution, _agent_paths, _claimable,
+                           _evaluate_candidate, _plan_bounds, brute_force_solve,
+                           check_consistency, check_dynamics, check_flows,
                            information_reachability, load_solution,
                            master_token_layers, save_solution,
                            solution_from_dict, solution_to_dict)
@@ -441,6 +441,32 @@ def test_oracle_and_solver_agree_where_the_bridge_m_is_the_flow_supply():
             assert result.status == "infeasible", case
 
 
+def test_oracle_and_solver_agree_at_horizon_four():
+    # the C1 corpus (seeds 0-39) re-posed with T = 4: 149 of its 160 specs
+    # stay under the oracle's 10^6 joint-plan guard
+    checked = 0
+    for klass in ORACLE_CLASSES:
+        for seed in range(40):
+            spec = dataclasses.replace(random_oracle_instance(seed, klass)[1], T=4)
+            case = f"seed={seed} class={klass} T=4"
+            try:
+                oracle = brute_force_solve(spec)
+            except GuardExceeded:
+                continue
+            checked += 1
+            _, result, _ = solve_problem(spec)
+            if oracle.status == "optimal":
+                assert result.ok, case
+                # HiGHS may leave a unit of flow short within its feasibility
+                # tolerance; on seed 20 of p1 a 3.6-cost comm arc then reads
+                # 1.0e-6 (plus rounding) above the optimum
+                assert result.objective == pytest.approx(oracle.objective,
+                                                         abs=2 * TOL), case
+            else:
+                assert result.status == "infeasible", case
+    assert checked == 149
+
+
 def test_oracle_reports_infeasible():
     net = build_network(["a", "b"], [], [])
     agents = AgentConfig(count=2, initial={0: "a", 1: "b"})
@@ -479,7 +505,8 @@ def _assert_oracle_is_exhaustive(spec):
             continue
         g1 = sum(sum(net.mobility[(p[t], p[t + 1])] for t in range(T))
                  for p in combo)
-        ceiling = _reward_ceiling(reward_items, [p[T] for p in combo])
+        ceiling = sum(max(v, 0.0) for _, _, v in _claimable(reward_items,
+                                                             [p[T] for p in combo]))
         assert value - g1 <= ceiling - g1 + TOL, (paths, value, ceiling)
         if best is None or value - g1 > best + 1e-12:
             best, best_paths = value - g1, paths
@@ -516,6 +543,27 @@ def test_oracle_keeps_the_first_of_tied_plans():
     oracle = _assert_oracle_is_exhaustive(near)
     assert oracle.paths[0] == ("s1", "s2")
     assert oracle.objective == pytest.approx(4.0 + 1e-7, abs=1e-12)
+
+
+def test_oracle_keeps_the_first_of_tied_plans_scored_out_of_order():
+    # meeting at s1 earns 5 for two moves; the later plan leaves agent 1 on
+    # the 5 at s2 for one move but pays a costed comm hop to reach it, so
+    # both are worth 3 and the later one has the higher bound (5 - 1 = 4)
+    net = line_network(4, comm_cost=1.0)
+    agents = AgentConfig(count=2, initial={0: "s0", 1: "s2"})
+    spec = ProblemSpec(net=net, agents=agents, T=1, src=(0,), snk=(1,),
+                       rewards={("s1", 2): 5.0, ("s2", 1): 5.0})
+    per_agent = [_agent_paths(net, "s0", 1), _agent_paths(net, "s2", 1)]
+    meet = (per_agent[0].index(("s0", "s1")), per_agent[1].index(("s2", "s1")))
+    hop = (meet[0], per_agent[1].index(("s2", "s2")))
+    assert meet < hop                               # product order
+    costs = [[verify._move_cost(net, p) for p in paths] for paths in per_agent]
+    bounds = _plan_bounds(spec, per_agent, costs)
+    assert bounds[hop] > bounds[meet]               # bound order
+    oracle = _assert_oracle_is_exhaustive(spec)
+    assert oracle.paths == {0: ("s0", "s1"), 1: ("s2", "s1")}
+    assert oracle.objective == 3.0
+    assert solve_problem(spec)[1].objective == pytest.approx(3.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("consistent, T, optimum", [(False, 1, 8.0), (True, 2, 7.0)])
