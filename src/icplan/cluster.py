@@ -133,7 +133,7 @@ def spectral_cluster_agents(net: MobilityCommNetwork, agents: AgentConfig,
 
 def _relabel(group_list, agents: AgentConfig) -> dict[int, tuple[int, ...]]:
     """Cluster holding the master first, then by smallest member id."""
-    anchor = min(agents.masters) if agents.masters else 0
+    anchor = agents.anchor()
     group_list = [tuple(sorted(g)) for g in group_list if g]
     group_list.sort(key=lambda g: (anchor not in g, g[0]))
     return {cid: g for cid, g in enumerate(group_list, start=1)}
@@ -258,7 +258,7 @@ def build_hierarchy(net: MobilityCommNetwork, agents: AgentConfig,
     agent id).  Returns (parents, submasters, activation_edges).
     """
     root = 1
-    anchor = min(agents.masters) if agents.masters else min(groups[root])
+    anchor = agents.anchor()
     parents: dict[int, int | None] = {root: None}
     submasters = {root: anchor if anchor in groups[root] else min(groups[root])}
     activation_edges: dict[int, tuple[str, str]] = {}
@@ -386,7 +386,7 @@ def clusters_to_dot(net: MobilityCommNetwork, clustering: Clustering,
         fill = color_of.get(s, "#dddddd")
         label = s if s not in tags else f"{s}\\n{','.join(tags[s])}"
         lines.append(f'  "{s}" [fillcolor="{fill}", label="{label}"];')
-    for (a, b) in net.mobility_edges():
+    for (a, b) in net.mobility:
         if a != b:
             lines.append(f'  "{a}" -> "{b}";')
     for cid, (u, v) in sorted(clustering.activation_edges.items()):

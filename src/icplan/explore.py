@@ -405,7 +405,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
     """
     start = time.perf_counter()
     R = agents.count
-    master = min(agents.masters) if agents.masters else 0
+    master = agents.anchor()
     static = agents.static | {master}
     positions = {r: agents.initial[r] for r in range(R)}
     known: set[str] = set(initially_known or ())
@@ -499,12 +499,7 @@ def _cluster_rewards(plan_net, clustering: Clustering, cid, frontier_set,
             station = positions[clustering.submasters[c]]
             rewards[(station, 1)] = rewards.get((station, 1), 0.0) + value
     if not rewards:
-        inside = set(territory)
-        rows = plan_net.undirected_mobility()
-        border = [s for s in territory
-                  if any(plan_net.states[v] not in inside
-                         for v in rows[plan_net.index(s)])]
-        for s in border:
+        for s in detect_frontiers(plan_net, set(territory)):
             for k in range(1, K_MAX + 1):
                 rewards[(s, k)] = EVAC_REWARD * REWARD_DECAY ** (k - 1)
     return rewards

@@ -56,6 +56,10 @@ class AgentConfig:
     def master_states(self) -> frozenset[str]:
         return frozenset(self.initial[m] for m in self.masters)
 
+    def anchor(self) -> int:
+        """The team's anchor agent: the smallest master id, else agent 0."""
+        return min(self.masters, default=0)
+
 
 @dataclass(frozen=True)
 class ProblemSpec:

@@ -67,7 +67,7 @@ def load_agents(agents_data: dict) -> AgentConfig:
             initial={int(r): s for r, s in agents_data["initial"].items()},
             static=frozenset(int(r) for r in agents_data.get("static", [])),
             masters=frozenset(int(r) for r in agents_data.get("masters", [])))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed agents section: {exc}") from None
 
 
@@ -84,8 +84,7 @@ def load_exploration(source):
     agents = load_agents(data["agents"])
     base = extras.get("base")
     if base is None:
-        anchor = min(agents.masters) if agents.masters else 0
-        base = agents.initial[anchor]
+        base = agents.initial[agents.anchor()]
     if not net.has_state(base):
         raise InstanceError(f"exploration base {base!r} is not a state")
     return net, agents, base, extras.get("initially_known")
@@ -123,13 +122,13 @@ def _parse_spec(net: MobilityCommNetwork, agents_data: dict, problem: dict) -> P
 
 
 def network_to_dict(net: MobilityCommNetwork) -> dict:
-    def dump(edges, costs):
-        return [{"from": a, "to": b, "weight": costs((a, b))} for (a, b) in edges]
+    def dump(edges):
+        return [{"from": a, "to": b, "weight": w} for (a, b), w in edges.items()]
 
     return {
         "states": list(net.states),
-        "mobility_edges": dump(net.mobility_edges(), lambda e: net.mobility[e]),
-        "comm_edges": dump(net.comm_edges(), lambda e: net.comm[e]),
+        "mobility_edges": dump(net.mobility),
+        "comm_edges": dump(net.comm),
         "self_loops": False,   # loops are already explicit in the edge list
     }
 

@@ -115,12 +115,6 @@ class MobilityCommNetwork:
             object.__setattr__(self, "_undirected", tuple(rows))
         return self._undirected
 
-    def mobility_edges(self):
-        return tuple(self.mobility)
-
-    def comm_edges(self):
-        return tuple(self.comm)
-
 
 def _bad_weight(w) -> str:
     return "negative weight" if w < 0 else f"non-finite weight {w!r}"
@@ -160,16 +154,18 @@ def build_network(states, mobility_edges, comm_edges,
 def load_network(source) -> MobilityCommNetwork:
     """Load a network from an instance dict, JSON string, or file path."""
     data = read_json_object(source)
-    try:
-        states = list(data["states"])
-    except KeyError:
-        raise InstanceError("instance missing 'states'") from None
-    if not all(isinstance(s, str) for s in states):
-        raise InstanceError("states must be strings")
+    if "states" not in data:
+        raise InstanceError("instance missing 'states'")
+    states = data["states"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise InstanceError("states must be a JSON array of strings")
 
     def read_edges(key):
+        records = data.get(key, [])
+        if not isinstance(records, list):
+            raise InstanceError(f"{key} must be a JSON array of edge records")
         out = []
-        for rec in data.get(key, []):
+        for rec in records:
             try:
                 out.append((rec["from"], rec["to"], float(rec.get("weight", 0.0))))
             except (KeyError, TypeError, ValueError):

@@ -15,34 +15,26 @@ event's sender state must be covered at the event's layer.
 
 The brute-force oracle enumerates joint mobility paths, decides feasibility
 with the token checkers, and prices communication exactly: per-pair shortest
-paths over admissible time-extended arcs when no master flow is involved,
-and a small residual LP over admissible arcs (with gating and awareness
-coupling) when consistency and nonzero communication costs interact.  It
+paths when no master flow is involved, and a small residual LP (with gating
+and awareness coupling) when consistency and nonzero communication costs
+interact.  One list of the plan's admissible time-extended arcs
+(`_te_arcs`) feeds both the compiled Dijkstra and the residual LP.  It
 bounds every joint plan at once (reward ceiling minus movement cost, one
 numpy array in `itertools.product` order), scores plans best bound first,
 stops at the first bound more than 2*TOL below the best value, and replays
 its first-maximiser tie rule over the scored plans in product order.
-
-The residual LP is built from one dense vertex-by-arc incidence matrix of
-the plan's time-extended graph.  Vertex t*|S| + i is state i at layer t.
-The arcs are the ridden mobility arcs from layer t to t+1 in sorted vertex
-order, then the occupied comm arcs layer by layer; a comm arc costs its
-weight from layer 1 on.  Each flow id gets the same arc columns, so a flow's
-net inflow is `incidence @ x`, and the master flow's cumulative inflow up to
-each layer is a cumulative sum of the matrix's layer blocks.  Its rows are
-the data-flow balances, the master floors, each gated agent's first
-departure and per-layer send bounds, then the awareness claims.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import GuardExceeded, InstanceError
 from .ilp import MASTER_FLOW, ProblemSpec
@@ -449,7 +441,7 @@ def solution_from_dict(data: dict) -> PlanSolution:
         return PlanSolution(paths=paths, comm_events=comm, flow_moves=moves,
                             objective=float(data.get("objective", 0.0)),
                             reward_flags=rewards)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed solution: {exc}") from None
 
 
@@ -635,40 +627,44 @@ def _evaluate_candidate(spec, paths, comm_costed, reward_items):
     return _residual_lp_value(spec, paths, traversed, comm_ok, claimable)
 
 
+def _te_arcs(spec, traversed, comm_ok):
+    """The plan's admissible time-extended arcs as (tail, head, cost, n_moves).
+
+    Vertex t*|S| + i is state i at layer t.  The first n_moves arcs are the
+    ridden mobility arcs from layer t to t+1, free, in sorted vertex order;
+    the occupied comm arcs follow layer by layer, each costing its weight
+    from layer 1 on and nothing at layer 0.
+    """
+    net, at = spec.net, spec.net.index
+    n_s = len(net.states)
+    arcs = sorted((t * n_s + at(a), (t + 1) * n_s + at(b))
+                  for t in range(spec.T) for a, b in traversed[t])
+    n_moves = len(arcs)
+    cost = [0.0] * n_moves
+    for t, layer in enumerate(comm_ok):
+        for a, b in layer:
+            arcs.append((t * n_s + at(a), t * n_s + at(b)))
+            cost.append(net.comm[(a, b)] if t >= 1 else 0.0)
+    tail, head = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+    return tail, head, np.array(cost, dtype=float), n_moves
+
+
 def _pairwise_comm_cost(spec, paths, traversed, comm_ok):
-    """Sum over src x snk of cheapest admissible time-extended info routes."""
-    net, T = spec.net, spec.T
-    total = 0.0
-    for i in spec.src:
-        dist = _te_dijkstra(net, T, traversed, comm_ok, (paths[i][0], 0))
-        for j in spec.snk:
-            d = dist.get((paths[j][T], T))
-            if d is None:
-                return None
-            total += d
-    return total
+    """Sum over src x snk of cheapest admissible time-extended info routes,
+    or None when a sink is out of reach.
 
-
-def _te_dijkstra(net, T, traversed, comm_ok, source):
-    """Shortest info-route costs; mobility arcs free, comm costed for t>=1."""
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, (s, t) = heapq.heappop(heap)
-        if d > dist.get((s, t), float("inf")):
-            continue
-        if t < T:
-            for (a, b) in traversed[t]:
-                if a == s and d < dist.get((b, t + 1), float("inf")):
-                    dist[(b, t + 1)] = d
-                    heapq.heappush(heap, (d, (b, t + 1)))
-        for (a, b) in comm_ok[t]:
-            if a == s:
-                w = net.comm[(a, b)] if t >= 1 else 0.0
-                if d + w < dist.get((b, t), float("inf")):
-                    dist[(b, t)] = d + w
-                    heapq.heappush(heap, (d + w, (b, t)))
-    return dist
+    One compiled Dijkstra from the sources' layer-0 vertices runs over the
+    `_te_arcs` graph.  Its free arcs are explicit zeros of the CSR matrix,
+    which csgraph counts as edges, so the matrix is never pruned or dense.
+    """
+    n_s, at, T = len(spec.net.states), spec.net.index, spec.T
+    tail, head, cost, _ = _te_arcs(spec, traversed, comm_ok)
+    n = (T + 1) * n_s
+    graph = sparse.csr_matrix((cost, (tail, head)), shape=(n, n))
+    dist = dijkstra(graph, indices=[at(paths[i][0]) for i in spec.src])
+    sinks = [T * n_s + at(paths[j][T]) for j in spec.snk]
+    total = sum(dist[:, sinks].ravel().tolist(), 0.0)   # pair by pair, src-major
+    return None if np.isinf(total) else total
 
 
 def _residual_lp_value(spec, paths, traversed, comm_ok, claimable):
@@ -676,21 +672,17 @@ def _residual_lp_value(spec, paths, traversed, comm_ok, claimable):
 
     Couples data flows, master deliveries, gating, and awareness claims the
     same way the integer model does once occupancy is fixed.  Every flow id
-    gets one column per arc of `incidence`, the plan's vertex-by-arc matrix
-    (see the module docstring), so its net inflow is `incidence @ x`.
+    gets one column per arc of `_te_arcs`, and `incidence` is the plan's
+    dense vertex-by-arc matrix, so a flow's net inflow is `incidence @ x`
+    and the master flow's cumulative inflow up to each layer is a cumulative
+    sum of the matrix's layer blocks.  The rows are the data-flow balances,
+    the master floors, each gated agent's first departure and per-layer send
+    bounds, then the awareness claims.
     """
     net, T, agents = spec.net, spec.T, spec.agents
     n_s, at = len(net.states), net.index
-    arcs = sorted((t * n_s + at(a), (t + 1) * n_s + at(b))
-                  for t in range(T) for a, b in traversed[t])
-    n_moves = len(arcs)
-    cost = [0.0] * n_moves
-    for t in range(T + 1):
-        for a, b in comm_ok[t]:
-            arcs.append((t * n_s + at(a), t * n_s + at(b)))
-            cost.append(net.comm[(a, b)] if t >= 1 else 0.0)
-    m = len(arcs)
-    tail, head = np.array(arcs, dtype=int).reshape(m, 2).T
+    tail, head, cost, n_moves = _te_arcs(spec, traversed, comm_ok)
+    m = len(tail)
     incidence = np.zeros(((T + 1) * n_s, m))
     np.add.at(incidence, (head, np.arange(m)), 1.0)
     np.add.at(incidence, (tail, np.arange(m)), -1.0)

@@ -113,6 +113,20 @@ def test_load_instance_rejects_malformed_sources():
     data["problem"] = [2]
     with pytest.raises(InstanceError, match="'problem' section must be an object"):
         load_instance(data)
+    data = instance_to_dict(net, spec)
+    data["agents"]["initial"] = []
+    with pytest.raises(InstanceError, match="malformed agents"):
+        load_instance(data)
+    for states in (5, "abc", [1, 2]):
+        data = instance_to_dict(net, spec)
+        data["network"]["states"] = states
+        with pytest.raises(InstanceError, match="array of strings"):
+            load_instance(data)
+    for key in ("mobility_edges", "comm_edges"):
+        data = instance_to_dict(net, spec)
+        data["network"][key] = 5
+        with pytest.raises(InstanceError, match=f"{key} must be a JSON array"):
+            load_instance(data)
 
 
 @pytest.mark.parametrize("content, message", [
@@ -242,7 +256,7 @@ def test_cli_verify_accepts_good_plans_and_flags_bad_ones(tmp_path, capsys):
                      "--events", "potential"]) == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1,2]"])
+@pytest.mark.parametrize("content", [None, "{not json", "[1,2]", '{"paths": []}'])
 def test_cli_verify_reports_unreadable_plan_files(tmp_path, capsys, content):
     net, spec = relay_spec()
     instance, sol = tmp_path / "relay.json", tmp_path / "plan.json"

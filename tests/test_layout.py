@@ -1,4 +1,5 @@
-"""Package layout: library code that nothing but the tests can reach."""
+"""Package layout: library code that nothing but the tests can reach, and
+imports the package must not make."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,17 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_every_private_definition_has_a_caller_outside_the_tests():
     # a helper that only the tests still call is dead library code
     assert _uncalled(private=True)[0] == set()
+
+
+def test_no_module_imports_heapq():
+    # shortest paths have one engine, scipy's compiled Dijkstra; the heap
+    # references in the tests' _helpers stay as the check against it
+    def modules(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "heapq" in modules(ast.parse(p.read_text()))]
+    assert importers == []

@@ -427,6 +427,17 @@ def test_oracle_and_solver_agree_where_the_bridge_m_is_the_flow_supply():
             spec = random_oracle_instance(seed, klass)[1]
             specs.append((f"seed={seed} class={klass}", dataclasses.replace(
                 spec, src=tuple(range(spec.agents.count)), snk=(0,))))
+    # C1's p1 specs with costed comm, every other comm edge made free: the
+    # pairwise pricing meets free comm arcs at t >= 1 beside costed ones
+    for seed in range(50):
+        net, spec = random_oracle_instance(seed, "p1")
+        if any(net.comm.values()):
+            comm = [(a, b, 0.0 if i % 2 else w)
+                    for i, ((a, b), w) in enumerate(net.comm.items())]
+            mobility = [(a, b, w) for (a, b), w in net.mobility.items()]
+            free = build_network(net.states, mobility, comm, self_loops=False)
+            specs.append((f"seed={seed} class=p1 half-free comm",
+                          dataclasses.replace(spec, net=free)))
     for case, spec in specs:
         _, result, _ = solve_problem(spec)
         oracle = brute_force_solve(spec)
