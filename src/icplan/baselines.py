@@ -175,17 +175,29 @@ def solve_adaptive_powerset(spec: ProblemSpec,
 
 
 def extract_baseline_solution(spec: ProblemSpec, result: SolveResult) -> PlanSolution:
-    """PlanSolution whose comm events are the active edges (flow id 'comm')."""
+    """PlanSolution whose comm events are the active edges (flow id 'comm'),
+    certified by one unit of data flow along each reachability witness.
+
+    A witness's comm steps become comm events and its carry steps flow
+    moves, under the flow id the flow model would use for that pair.
+    """
     base = extract_solution(spec, result.assignment, result.objective or 0.0)
-    net = spec.net
-    events = []
-    for t in range(spec.T + 1):
-        for (a, b) in net.comm:
-            if result.assignment.get(("comm", a, b, t), 0.0) > 0.5:
-                events.append((t, a, b, ACTIVE_ID, 1.0))
-    key = lambda ev: (ev[0], net.index(ev[1]), net.index(ev[2]))
+    net, T = spec.net, spec.T
+    active = [(t, a, b, ACTIVE_ID, 1.0) for t in range(T + 1) for (a, b) in net.comm
+              if result.assignment.get(("comm", a, b, t), 0.0) > 0.5]
+    plan = PlanSolution(paths=base.paths, comm_events=tuple(active))
+    units: dict[tuple, float] = {}
+    for (i, j), witness in information_reachability(plan, spec).witnesses.items():
+        fid = i if spec.orientation() == "one_to_many" else j
+        for (t, a), (t_next, b) in zip(witness, witness[1:]):
+            step = (t, a, b, fid, t_next > t)       # True: a carry step
+            units[step] = units.get(step, 0.0) + 1.0
+    comm, moves = active, []
+    for (t, a, b, fid, carry), n in units.items():
+        (moves if carry else comm).append((t, a, b, fid, n))
+    key = lambda ev: (ev[0], net.index(ev[1]), net.index(ev[2]), str(ev[3]))
     return PlanSolution(paths=base.paths,
-                        comm_events=tuple(sorted(events, key=key)),
-                        flow_moves=(),
+                        comm_events=tuple(sorted(comm, key=key)),
+                        flow_moves=tuple(sorted(moves, key=key)),
                         objective=base.objective,
                         reward_flags=base.reward_flags)

@@ -23,7 +23,7 @@ from io import StringIO
 from . import baselines, verify
 from .cluster import cluster_instance, clusters_to_dot
 from .errors import GuardExceeded, IcplanError
-from .explore import MAX_CYCLES, T_MAX, run_exploration
+from .explore import MAX_CYCLES, run_exploration
 from .ilp import assemble
 from .instances import exploration_world, line_instance
 from .io import load_agents, load_exploration, load_instance
@@ -80,7 +80,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     _, spec = _load_spec(args.instance)
     plan = verify.load_solution(args.solution)
-    violations = verify.plan_violations(plan, spec, events=args.events)
+    violations = verify.plan_violations(plan, spec)
     for line in violations:
         print(f"violation: {line}")
     print("verification: " + ("ok" if not violations
@@ -96,7 +96,7 @@ def _cmd_cluster(args) -> int:
     agents = load_agents(data["agents"])
     clustering = cluster_instance(net, agents, k=args.k)
     print(f"clusters={len(clustering.groups)} "
-          f"active={list(clustering.active_ids())} "
+          f"active={clustering.cluster_ids()} "
           f"submasters={dict(sorted(clustering.submasters.items()))} "
           f"split_rounds={clustering.split_rounds}")
     if args.out:
@@ -122,8 +122,7 @@ def _cmd_explore(args) -> int:
                                               n_agents=args.n_agents)
         initially_known = None
     log = run_exploration(net, agents, base, initially_known=initially_known,
-                          t_max=args.t_max, max_cycles=args.max_cycles,
-                          trace_dir=args.trace_dir)
+                          max_cycles=args.max_cycles, trace_dir=args.trace_dir)
     for o in log.outcomes:
         print(f"cycle {o.cycle}: clusters={o.n_clusters} "
               f"frontiers={o.frontiers_before} new={len(o.new_states)} "
@@ -227,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a saved solution")
     p.add_argument("instance")
     p.add_argument("solution")
-    p.add_argument("--events", default="declared",
-                   choices=("declared", "potential"))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cluster", help="cluster agents and territories")
@@ -243,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-states", type=int, default=100)
     p.add_argument("--n-agents", type=int, default=10)
-    p.add_argument("--t-max", type=int, default=T_MAX)
     p.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     p.add_argument("--trace-dir", help="write per-cycle DOT/JSON traces here")
     p.add_argument("--out", help="write the run log JSON here")

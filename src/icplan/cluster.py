@@ -29,16 +29,13 @@ class Clustering:
     groups: dict[int, tuple[int, ...]]
     state_sets: dict[int, tuple[str, ...]]
     submasters: dict[int, int]
-    parents: dict[int, int | None]                 # active clusters only
+    parents: dict[int, int | None]                 # the root's is None
     activation_edges: dict[int, tuple[str, str]]
     unassigned: tuple[str, ...] = ()
     split_rounds: int = 0
 
     def cluster_ids(self):
         return sorted(self.groups)
-
-    def active_ids(self):
-        return sorted(self.parents)
 
     def depth(self, cid: int) -> int:
         d, cur = 0, cid

@@ -256,8 +256,8 @@ class _CyclePlan:
     subtree_members: dict[int, set[int]]
 
 
-def _plan_cycle(truth, known, positions, frontiers, base, master, static,
-                t_max) -> _CyclePlan:
+def _plan_cycle(truth, known, positions, frontiers, base, master,
+                static) -> _CyclePlan:
     """Prune, induce, cluster and rank the known world for one cycle."""
     R = len(positions)
     plan_states = prune_dead_states(
@@ -267,12 +267,12 @@ def _plan_cycle(truth, known, positions, frontiers, base, master, static,
                                masters=frozenset({master}),
                                static=static)
     k = max(math.ceil(R / 4),
-            min(R // 2, math.ceil(len(net.states) / (TERRITORY_SPAN * t_max))))
+            min(R // 2, math.ceil(len(net.states) / (TERRITORY_SPAN * T_MAX))))
     clustering = cluster_instance(net, cycle_agents, k=k)
     centrality = betweenness_centrality(net)
     frontier_dist = _hop_distances(net, [s for s in frontiers if net.has_state(s)])
 
-    by_depth = sorted(clustering.active_ids(),
+    by_depth = sorted(clustering.cluster_ids(),
                       key=lambda c: (clustering.depth(c), c))
     children = {cid: [c for c in by_depth if clustering.parents.get(c) == cid]
                 for cid in by_depth}
@@ -291,7 +291,7 @@ def _plan_cycle(truth, known, positions, frontiers, base, master, static,
 
 
 def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
-               records, t_max):
+               records):
     """Top-down consistent plans, each executed as soon as it verifies.
 
     Moves members in `positions`, adds what they reveal to `reveals` and
@@ -302,7 +302,7 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
     cl = plan.clustering
     logger.debug("cycle %d: k=%d groups=%s parents=%s submasters=%s",
                  cycle, plan.k, cl.groups, cl.parents, cl.submasters)
-    endowed = {plan.by_depth[0]} if plan.by_depth else set()
+    endowed = {plan.by_depth[0]}
     frozen: dict[int, set[int]] = {}
     for cid in plan.by_depth:
         if cid not in endowed:
@@ -322,10 +322,10 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
         territory = cl.state_sets[cid]
         member_pos = [positions[r] for r in cl.groups[cid]]
         reach = _hop_distances(plan.net, member_pos, within=territory)
-        T = max(1, min(t_max, max(reach.values(), default=0) + 2))
+        T = max(1, min(T_MAX, max(reach.values(), default=0) + 2))
         # states beyond T hops are unreachable within the horizon;
         # trimming them keeps the model small without losing plans
-        in_range = {s for s in territory if reach.get(s, t_max + 1) <= T}
+        in_range = {s for s in territory if reach.get(s, T_MAX + 1) <= T}
         sub_net = induced_network(plan.net, in_range | stations)
         rewards = {(s, kk): v for (s, kk), v in rewards.items()
                    if sub_net.has_state(s)}
@@ -356,7 +356,7 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
 
 
 def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
-                knowledge, reveals, records, t_max) -> bool:
+                knowledge, reveals, records) -> bool:
     """Bottom-up collection of findings at each endowed cluster's submaster.
 
     Sources are members holding news the submaster lacks plus the frozen
@@ -379,8 +379,8 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
             [config.initial[i] for i in src], config.initial[sm_index])
         at_base = cid == plan.by_depth[0] and config.count > len(config.static)
         record, sol, used_src = _solve_post(
-            induced_network(plan.net, corridor), config, t_max, sm_index, src,
-            at_base, cycle, cid, roster)
+            induced_network(plan.net, corridor), config, sm_index, src, at_base,
+            cycle, cid, roster)
         if record is None:
             continue    # every source proved unreachable; regroup later
         records.append(record)
@@ -396,8 +396,8 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
 
 
 def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
-                    initially_known=None, t_max: int = T_MAX,
-                    max_cycles: int = MAX_CYCLES, trace_dir=None) -> ExplorationLog:
+                    initially_known=None, max_cycles: int = MAX_CYCLES,
+                    trace_dir=None) -> ExplorationLog:
     """Explore `truth` until the base knows every reachable state.
 
     Each cycle plans (`_plan_cycle`), pushes plans down the hierarchy
@@ -427,7 +427,7 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
             break
         base_before, positions_before = len(knowledge[master]), dict(positions)
         plan = _plan_cycle(truth, known, positions, frontiers, base, master,
-                           static, t_max)
+                           static)
         if trace_dir is not None:
             _write_trace(trace_dir, cycle, plan.net, plan.clustering, positions,
                          known)
@@ -435,12 +435,12 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
         post_reveals = {r: set() for r in range(R)}
         records: list[SubproblemRecord] = []
         endowed, frozen, failed = _pre_phase(truth, plan, cycle, positions,
-                                             knowledge, pre_reveals, records, t_max)
+                                             knowledge, pre_reveals, records)
         if not failed:
             for r in range(R):      # knowledge gained while exploring
                 knowledge[r] |= pre_reveals[r]
             failed = _post_phase(truth, plan, cycle, endowed, frozen, positions,
-                                 knowledge, post_reveals, records, t_max)
+                                 knowledge, post_reveals, records)
 
         log.subproblems.extend(records)
         new_states = set().union(*pre_reveals.values(),
@@ -505,8 +505,7 @@ def _cluster_rewards(plan_net, clustering: Clustering, cid, frontier_set,
     return rewards
 
 
-def _solve_post(sub_net, config, t_max, sm_index, src, at_base,
-                cycle, cid, roster):
+def _solve_post(sub_net, config, sm_index, src, at_base, cycle, cid, roster):
     """Collection problem with horizon-retry and source-drop ladders.
 
     Infeasibility is first answered by lengthening the horizon; once the
@@ -517,7 +516,7 @@ def _solve_post(sub_net, config, t_max, sm_index, src, at_base,
     dist = _hop_distances(sub_net, [config.initial[sm_index]])
     far = len(sub_net.states) + 1
     src_left = sorted(src)
-    t0 = max(1, min(t_max,
+    t0 = max(1, min(T_MAX,
                     max((dist.get(config.initial[i], far) for i in src_left),
                         default=1) + 2))
     horizon = t0

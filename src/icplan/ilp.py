@@ -374,7 +374,6 @@ def build_master(model: MilpModel, spec: ProblemSpec):
                 for sp in net.neighbors(s0, "succ", COMM):
                     _accumulate(coeffs, model.var("fbar", fid, s0, sp, t), -1.0)
                 model.add_constr(coeffs, ">=", 0.0, "master_comm")
-    return cum
 
 
 def base_reachable_states(spec: ProblemSpec) -> frozenset[str]:
@@ -397,8 +396,7 @@ def base_reachable_states(spec: ProblemSpec) -> frozenset[str]:
     return frozenset(reach)
 
 
-def build_extensions(model: MilpModel, spec: ProblemSpec,
-                     master_cum: dict[str, list[dict[int, float]]] | None = None):
+def build_extensions(model: MilpModel, spec: ProblemSpec):
     net, T, agents = spec.net, spec.T, spec.agents
 
     for r in sorted(agents.static):
@@ -426,12 +424,8 @@ def build_extensions(model: MilpModel, spec: ProblemSpec,
         for (s, k), _ in spec.sorted_rewards():
             if s in starts:
                 continue
-            if master_cum is None or s not in master_cum:
-                cum = _cumulative_inflows(model, spec, s)
-            else:
-                cum = master_cum[s]
             coeffs = {model.var("y", s, k): 1.0}
-            for idx, c in cum[T].items():
+            for idx, c in _cumulative_inflows(model, spec, s)[T].items():
                 _accumulate(coeffs, idx, -c)
             model.add_constr(coeffs, "<=", 0.0, "awareness")
 
@@ -486,10 +480,9 @@ def assemble(spec: ProblemSpec) -> MilpModel:
     for fid in spec.data_flow_ids():
         build_bridge(model, spec, fid)
     build_reward_link(model, spec)
-    master_cum = None
     if spec.information_consistent:
-        master_cum = build_master(model, spec)
+        build_master(model, spec)
         build_bridge(model, spec, MASTER_FLOW)
-    build_extensions(model, spec, master_cum)
+    build_extensions(model, spec)
     build_objective(model, spec)
     return model

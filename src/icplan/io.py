@@ -28,7 +28,7 @@ Layout::
 
 "problem" requires "agents"; "agents" may stand alone (exploration worlds
 carry agents and an "exploration" section but no problem). "exploration" is
-optional everywhere.  Any other key in "agents" or "problem" is refused.
+optional everywhere.  Every section refuses a key this layout does not name.
 """
 
 from __future__ import annotations
@@ -37,25 +37,32 @@ from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
 from .network import MobilityCommNetwork, load_network, read_json_object, write_json
 
+NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 AGENT_KEYS = frozenset({"count", "initial", "static", "masters"})
 PROBLEM_KEYS = frozenset({"T", "src", "snk", "rewards", "information_consistent",
                           "collision_avoidance", "awareness_reward",
                           "return_to_base"})
+EXPLORATION_KEYS = frozenset({"base", "initially_known"})
 
 
 def load_instance(source):
-    """Read (net, spec_or_None, extras) from a dict, JSON string or path."""
+    """Read (net, spec_or_None, extras) from a dict or a file path."""
     data = read_json_object(source)
     if "network" not in data:
         raise InstanceError("instance is missing the 'network' section")
+    _refuse_unknown_keys("network", data["network"], NETWORK_KEYS)
     net = load_network(data["network"])
     spec = None
     if "problem" in data:
         if "agents" not in data:
             raise InstanceError("'problem' requires an 'agents' section")
         spec = _parse_spec(net, data["agents"], data["problem"])
-    extras = dict(data.get("exploration", {}))
-    return net, spec, extras
+    extras = data.get("exploration", {})
+    _refuse_unknown_keys("exploration", extras, EXPLORATION_KEYS)
+    known = extras.get("initially_known", [])
+    if not isinstance(known, list) or not all(map(net.has_state, known)):
+        raise InstanceError("initially_known must be a JSON array of the network's states")
+    return net, spec, dict(extras)
 
 
 def load_agents(agents_data: dict) -> AgentConfig:

@@ -61,7 +61,7 @@ class MobilityCommNetwork:
             raise InstanceError(f"unknown state {s!r}") from None
 
     def has_state(self, s: str) -> bool:
-        return s in self._index
+        return isinstance(s, str) and s in self._index
 
     def neighbors(self, s: str, direction: str = "succ", relation: str = MOBILITY):
         """States adjacent to s. direction in {succ, pred}, relation in {mobility, comm}."""
@@ -152,7 +152,7 @@ def build_network(states, mobility_edges, comm_edges,
 
 
 def load_network(source) -> MobilityCommNetwork:
-    """Load a network from an instance dict, JSON string, or file path."""
+    """Load a network from an instance dict or a file path."""
     data = read_json_object(source)
     if "states" not in data:
         raise InstanceError("instance missing 'states'")
@@ -181,18 +181,15 @@ def load_network(source) -> MobilityCommNetwork:
 
 
 def read_json_object(source) -> dict:
-    """The JSON object in a dict, a JSON string, or a str or Path file path."""
+    """The JSON object in a dict, or in the file at a str or Path path."""
     if isinstance(source, dict):
         return source
     if not isinstance(source, (str, Path)):
         raise InstanceError(f"cannot load JSON from {type(source).__name__}")
-    text = source
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        try:
-            text = Path(source).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InstanceError(
-                f"cannot read file {str(source)!r}: {exc}") from None
+    try:
+        text = Path(source).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceError(f"cannot read file {str(source)!r}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

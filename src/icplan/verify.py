@@ -5,7 +5,8 @@ token spreads over communication edges between occupied states, iterated to
 a fixpoint, so multi-hop relaying inside a single time step is allowed.
 Across a step, every agent standing on a tokened state carries the token to
 its next state.  These are exactly the semantics the flow model relaxes to:
-arrival and relay within the same layer both count.
+arrival and relay within the same layer both count.  A plan's own delivery
+check spreads only over the communication events the plan declares.
 
 The consistency check gates motion and transmission on a master token that
 spreads the same way from the master agents' initial states: an agent whose
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -41,6 +41,7 @@ from .ilp import MASTER_FLOW, ProblemSpec
 from .network import COMM, MOBILITY, count_walks, read_json_object, write_json
 
 TOL = 1e-6
+ORACLE_GUARD = 1_000_000     # most joint plans the oracle enumerates
 
 
 @dataclass(frozen=True)
@@ -295,26 +296,18 @@ def check_flows(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
 # -- reachability ---------------------------------------------------------
 
 
-def information_reachability(plan: PlanSolution, spec: ProblemSpec,
-                             events: str = "declared") -> ReachabilityReport:
+def information_reachability(plan: PlanSolution, spec: ProblemSpec) -> ReachabilityReport:
     """Which source agents' information reaches which sink agents' terminals.
 
-    events="declared" restricts within-layer spreading to the plan's own
-    communication events; events="potential" uses every communication edge
-    between occupied states (the feasibility semantics of the flow model).
+    Within-layer spreading follows only the plan's own communication events.
     A witness walks back from the sink's final state through first
     discoverers (see `_spread`), so it never depends on set order.
     """
-    if events not in ("declared", "potential"):
-        raise ValueError("events must be 'declared' or 'potential'")
-    net, T = spec.net, spec.T
-    if events == "declared":
-        arcs = [[] for _ in range(T + 1)]
-        for t, a, b, fid, amount in plan.comm_events:
-            if amount > TOL:
-                arcs[t].append((a, b))
-    else:
-        arcs = _plan_arcs(net, plan.paths, T)[2]
+    T = spec.T
+    arcs = [[] for _ in range(T + 1)]
+    for t, a, b, fid, amount in plan.comm_events:
+        if amount > TOL:
+            arcs[t].append((a, b))
     links = _links(arcs)
 
     pair_matrix, witnesses, token_layers = {}, {}, {}
@@ -364,8 +357,7 @@ def check_consistency(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
     return bad
 
 
-def plan_violations(plan: PlanSolution, spec: ProblemSpec,
-                    events: str = "declared") -> list[str]:
+def plan_violations(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
     """Every check the spec asks for; an empty list means the plan verifies.
 
     The flow, consistency and reachability checks index layers by the
@@ -376,7 +368,7 @@ def plan_violations(plan: PlanSolution, spec: ProblemSpec,
         return bad
     bad = check_flows(plan, spec) + check_consistency(plan, spec)
     if spec.src and spec.snk:
-        report = information_reachability(plan, spec, events=events)
+        report = information_reachability(plan, spec)
         bad += [f"undelivered source {i} -> sink {j}"
                 for (i, j) in report.unreachable()]
     return bad
@@ -454,7 +446,7 @@ def save_solution(plan: PlanSolution, path: str):
 
 
 def load_solution(path: str) -> PlanSolution:
-    return solution_from_dict(read_json_object(Path(path)))
+    return solution_from_dict(read_json_object(path))
 
 
 # -- brute-force oracle -----------------------------------------------------
@@ -489,10 +481,10 @@ def _claimable(reward_items, finals):
     return [(s, k, v) for (s, k), v in reward_items if counts.get(s, 0) >= k]
 
 
-def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult:
+def brute_force_solve(spec: ProblemSpec) -> OracleResult:
     """Exhaustive optimum over joint mobility paths.
 
-    Refuses when the joint path count exceeds the guard.  Under the
+    Refuses when the joint path count exceeds ORACLE_GUARD.  Under the
     strict rule (a later plan replaces the incumbent only when it is better
     by more than 1e-12, in `itertools.product` order over each agent's
     paths) the first maximiser wins.  A plan that breaks the collision or
@@ -520,8 +512,8 @@ def brute_force_solve(spec: ProblemSpec, guard: int = 1_000_000) -> OracleResult
         if n == 0:
             return OracleResult("infeasible", None, None)
         total *= n
-        if total > guard:
-            raise GuardExceeded(f"joint path count {total} exceeds guard {guard}")
+        if total > ORACLE_GUARD:
+            raise GuardExceeded(f"joint path count {total} exceeds guard {ORACLE_GUARD}")
 
     per_agent = []
     for r in range(agents.count):

@@ -1,5 +1,6 @@
 """Powerset-cut baselines: guards, cut counts, and agreement with the flow model."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -10,7 +11,7 @@ from icplan.errors import ConfigurationError, GuardExceeded
 from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import line_instance, random_oracle_instance
 from icplan.solver import solve_problem
-from icplan.verify import check_dynamics, information_reachability
+from icplan.verify import information_reachability, plan_violations
 
 from _helpers import line_network, relay_spec
 
@@ -94,10 +95,24 @@ def test_baseline_plans_are_executable_and_reachable(line4):
     _, spec = line4
     for run in (solve_powerset(spec), solve_adaptive_powerset(spec)):
         assert run.plan is not None
-        assert check_dynamics(run.plan, spec) == []
-        report = information_reachability(run.plan, spec, events="declared")
-        assert report.all_reachable
-        assert all(ev[3] == "comm" for ev in run.plan.comm_events)
+        assert plan_violations(run.plan, spec) == []
+        assert information_reachability(run.plan, spec).all_reachable
+        # every data-flow comm event rides an active edge
+        active = {ev[:3] for ev in run.plan.comm_events if ev[3] == "comm"}
+        assert {ev[:3] for ev in run.plan.comm_events} == active
+        assert {ev[3] for ev in run.plan.comm_events} == {"comm", *spec.data_flow_ids()}
+
+
+def test_baseline_certificates_follow_the_orientation():
+    # one unit per (src, snk) pair under the source's id one_to_many and
+    # the sink's many_to_one; the verifier checks both balances
+    _, spec = random_oracle_instance(0, "p1")
+    for case in (spec, dataclasses.replace(spec, src=spec.snk, snk=spec.src)):
+        run = solve_adaptive_powerset(case)
+        assert run.plan is not None
+        assert plan_violations(run.plan, case) == []
+        fids = {ev[3] for ev in run.plan.comm_events + run.plan.flow_moves}
+        assert fids == {"comm", *case.data_flow_ids()}
 
 
 def test_adaptive_matches_flow_on_random_free_comm_instances():

@@ -235,7 +235,6 @@ def test_cluster_instance_invariants(seed):
 
     assert clustering.parents[1] is None
     assert 0 in clustering.groups[1]
-    assert clustering.active_ids() == ids
     assert set(clustering.parents) == set(clustering.groups)
     for cid in ids:
         if cid == 1:

@@ -175,11 +175,11 @@ def test_spent_clusters_fall_back_to_border_rewards():
 
 
 def test_plan_cycle_ranks_clusters_root_first_with_subtree_values():
-    net = line_network(10)
-    positions = {0: "s0", 1: "s1", 2: "s2", 3: "s7", 4: "s8", 5: "s9"}
-    plan = _plan_cycle(net, set(net.states), positions, ("s9",), "s0", 0,
-                       frozenset({0}), 2)
-    # max(ceil(6 / 4), min(6 // 2, ceil(10 states / (2.0 * t_max))))
+    net = line_network(40)
+    positions = {0: "s0", 1: "s1", 2: "s2", 3: "s37", 4: "s38", 5: "s39"}
+    plan = _plan_cycle(net, set(net.states), positions, ("s39",), "s0", 0,
+                       frozenset({0}))
+    # max(ceil(6 / 4), min(6 // 2, ceil(40 states / (2.0 * T_MAX = 8))))
     assert plan.k == 3
     assert plan.by_depth == [1, 2, 3]
     assert [plan.clustering.depth(c) for c in plan.by_depth] == [0, 1, 2]
@@ -188,7 +188,7 @@ def test_plan_cycle_ranks_clusters_root_first_with_subtree_values():
     # the frontier's 100 halves per tier on its way up to the root
     assert plan.subtree_value == {3: 100.0, 2: 50.0, 1: 25.0}
     assert plan.subtree_members == {1: set(range(6)), 2: {2, 3, 4, 5}, 3: {4, 5}}
-    assert plan.frontier_dist["s9"] == 0 and plan.frontier_dist["s0"] == 9
+    assert plan.frontier_dist["s39"] == 0 and plan.frontier_dist["s0"] == 39
 
 
 def test_pre_phase_endows_covered_stations_and_freezes_unreached_members():
@@ -211,7 +211,7 @@ def test_pre_phase_endows_covered_stations_and_freezes_unreached_members():
     records = []
     endowed, frozen, failed = _pre_phase(net, plan, 1, positions,
                                          {r: set() for r in range(4)},
-                                         reveals, records, 8)
+                                         reveals, records)
     assert not failed
     # station c is one comm hop from the master; the island is never reached
     assert endowed == {1, 2}
@@ -243,14 +243,16 @@ def test_post_ladder_grows_the_horizon_then_drops_the_farthest_source(monkeypatc
     calls = _spy_solves(monkeypatch)
     config = AgentConfig(count=3, initial={0: "a", 1: "b", 2: "x"},
                          static=frozenset({0}), masters=frozenset({0}))
-    record, plan, used = _solve_post(net, config, 2, 0, [2, 1], False, 4, 1,
+    record, plan, used = _solve_post(net, config, 0, [2, 1], False, 4, 1,
                                      [0, 1, 2])
-    ladder = [(T, (1, 2), "infeasible") for T in range(2, POST_T_CAP + 1, 2)]
-    assert calls == ladder + [(2, (1,), "optimal")]
+    # the ladder starts at the farthest source's distance plus 2; x, cut
+    # off, counts as |S| + 1 = 4 hops, so it starts at 6 (below T_MAX)
+    ladder = [(T, (1, 2), "infeasible") for T in range(6, POST_T_CAP + 1, 2)]
+    assert calls == ladder + [(6, (1,), "optimal")]
     assert used == [1]
     assert plan is not None
     assert (record.cycle, record.cluster, record.phase, record.horizon,
-            record.verified) == (4, 1, "post", 2, True)
+            record.verified) == (4, 1, "post", 6, True)
 
 
 def test_post_ladder_gives_up_when_every_source_is_dropped(monkeypatch):
@@ -258,9 +260,9 @@ def test_post_ladder_gives_up_when_every_source_is_dropped(monkeypatch):
     calls = _spy_solves(monkeypatch)
     config = AgentConfig(count=2, initial={0: "a", 1: "x"},
                          static=frozenset({0}), masters=frozenset({0}))
-    assert _solve_post(net, config, 2, 0, [1], False, 1, 1, [0, 1]) == \
+    assert _solve_post(net, config, 0, [1], False, 1, 1, [0, 1]) == \
         (None, None, [])
-    assert [T for T, _, _ in calls] == list(range(2, POST_T_CAP + 1, 2))
+    assert [T for T, _, _ in calls] == list(range(6, POST_T_CAP + 1, 2))
 
 
 # -- the loop ---------------------------------------------------------------------

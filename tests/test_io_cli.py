@@ -12,7 +12,7 @@ import pytest
 import icplan
 
 from icplan import cli, verify
-from icplan.errors import InstanceError
+from icplan.errors import ConfigurationError, InstanceError
 from icplan.ilp import AgentConfig, ProblemSpec
 from icplan.instances import (exploration_world, line_instance,
                                random_oracle_instance)
@@ -90,11 +90,26 @@ def test_exploration_files_reject_bad_bases_and_missing_agents(tmp_path):
         load_exploration(instance_to_dict(truth))
 
 
-def test_load_instance_rejects_malformed_sources():
+_MALFORMED_EXPLORATION = [
+    (5, "'exploration' section must be an object"),
+    ([1], "'exploration' section must be an object"),
+    ({"bas": "s0"}, "unknown key.*'exploration'.*bas"),
+    ({"initially_known": "s0"}, "initially_known must be a JSON array"),
+    ({"initially_known": None}, "initially_known must be a JSON array"),
+    ({"initially_known": ["s0", "nowhere"]}, "initially_known must be a JSON array"),
+    ({"initially_known": [["s0"]]}, "initially_known must be a JSON array"),
+]
+
+
+def test_load_instance_rejects_malformed_sources(tmp_path):
     with pytest.raises(InstanceError, match="cannot load"):
         load_instance(42)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
     with pytest.raises(InstanceError, match="invalid JSON"):
-        load_instance("{not json")
+        load_instance(garbled)
+    with pytest.raises(InstanceError, match="cannot read file"):
+        load_instance("{not json")          # text is a path, never JSON
     with pytest.raises(InstanceError, match="network"):
         load_instance({})
     net, spec = relay_spec()
@@ -117,6 +132,10 @@ def test_load_instance_rejects_malformed_sources():
     data["agents"]["initial"] = []
     with pytest.raises(InstanceError, match="malformed agents"):
         load_instance(data)
+    data = instance_to_dict(net, spec)
+    data["agents"]["initial"]["0"] = ["s0"]     # a list is no state name
+    with pytest.raises(ConfigurationError, match="unknown state"):
+        load_instance(data)
     for states in (5, "abc", [1, 2]):
         data = instance_to_dict(net, spec)
         data["network"]["states"] = states
@@ -127,6 +146,30 @@ def test_load_instance_rejects_malformed_sources():
         data["network"][key] = 5
         with pytest.raises(InstanceError, match=f"{key} must be a JSON array"):
             load_instance(data)
+    data = instance_to_dict(net, spec)
+    data["network"]["mobility_edge"] = data["network"].pop("mobility_edges")
+    with pytest.raises(InstanceError, match="unknown key.*'network'.*mobility_edge"):
+        load_instance(data)
+    data["network"] = ["s0"]
+    with pytest.raises(InstanceError, match="'network' section must be an object"):
+        load_instance(data)
+    for section, message in _MALFORMED_EXPLORATION:
+        data = instance_to_dict(net, spec)
+        data["exploration"] = section
+        with pytest.raises(InstanceError, match=message):
+            load_instance(data)
+
+
+@pytest.mark.parametrize("section", [5, {"base": ["s0"]}, {"initially_known": [1]}])
+def test_cli_reports_malformed_exploration_sections(tmp_path, capsys, section):
+    truth, agents, _ = exploration_world(seed=2, n_states=10, n_agents=3)
+    data = instance_to_dict(truth, agents=agents)
+    data["exploration"] = section
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(data))
+    assert cli.main(["explore", "--instance", str(world)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content, message", [
@@ -164,13 +207,24 @@ def test_files_naming_removed_settings_are_refused(tmp_path, capsys,
     assert err.startswith("error: unknown key") and key in err
 
 
-def test_load_instance_accepts_dicts_and_json_strings():
+def test_load_instance_accepts_dicts_and_files(tmp_path, monkeypatch):
     net, spec = relay_spec()
     data = instance_to_dict(net, spec)
-    for source in (data, json.dumps(data)):
+    monkeypatch.chdir(tmp_path)
+    save_instance("{relay}.json", net, spec)   # a name that opens like JSON text
+    for source in (data, Path("{relay}.json"), "{relay}.json"):
         net2, spec2, _ = load_instance(source)
         assert net2.states == net.states
         assert spec2.T == spec.T
+
+
+def test_cli_solves_a_file_whose_name_opens_with_a_brace(tmp_path, capsys,
+                                                         monkeypatch):
+    net, spec = relay_spec()
+    monkeypatch.chdir(tmp_path)
+    save_instance("{relay}.json", net, spec)
+    assert cli.main(["solve", "{relay}.json"]) == cli.EXIT_OK
+    assert "status=optimal" in capsys.readouterr().out
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -215,14 +269,16 @@ def test_cli_solve_reports_infeasibility(tmp_path):
 
 
 def test_cli_solve_supports_the_baseline_methods(tmp_path, capsys):
-    net, spec = relay_spec()
-    instance = tmp_path / "relay.json"
-    save_instance(instance, net, spec)
-    assert cli.main(["solve", str(instance), "--method", "adaptive"]) == \
-        cli.EXIT_OK
-    assert "rounds=" in capsys.readouterr().out
-    assert cli.main(["solve", str(instance), "--method", "powerset"]) == \
-        cli.EXIT_OK
+    # their plans carry a flow certificate, so `verify` accepts them
+    for net, spec in (relay_spec(), line_instance(4)):
+        instance, sol = tmp_path / "instance.json", tmp_path / "plan.json"
+        save_instance(instance, net, spec)
+        for method in ("adaptive", "powerset"):
+            assert cli.main(["solve", str(instance), "--method", method,
+                             "--out", str(sol)]) == cli.EXIT_OK
+            assert "rounds=" in capsys.readouterr().out
+            assert cli.main(["verify", str(instance), str(sol)]) == cli.EXIT_OK
+            assert capsys.readouterr().out.endswith("verification: ok\n")
 
 
 def test_cli_solve_errors_cleanly_on_guard_refusal(tmp_path, capsys):
@@ -251,9 +307,6 @@ def test_cli_verify_accepts_good_plans_and_flags_bad_ones(tmp_path, capsys):
         cli.EXIT_VERIFICATION
     out = capsys.readouterr().out
     assert "violation:" in out
-
-    assert cli.main(["verify", str(instance), str(sol),
-                     "--events", "potential"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1,2]", '{"paths": []}'])

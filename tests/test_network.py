@@ -369,12 +369,15 @@ def test_network_json_round_trip():
     assert back.comm == net.comm
 
 
-def test_load_network_rejects_malformed_input():
+def test_load_network_rejects_malformed_input(tmp_path):
     with pytest.raises(InstanceError):
         load_network({"mobility_edges": []})                      # no states
     with pytest.raises(InstanceError):
         load_network({"states": ["a"], "mobility_edges": [{"to": "a"}]})
-    with pytest.raises(InstanceError):
-        load_network("{not json")
-    with pytest.raises(InstanceError):
-        load_network("[1, 2]")                                    # root not an object
+    path = tmp_path / "net.json"
+    path.write_text("{not json")
+    with pytest.raises(InstanceError, match="invalid JSON"):
+        load_network(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(InstanceError, match="root must be an object"):
+        load_network(path)

@@ -206,7 +206,7 @@ def test_flow_move_must_ride_an_agent(line4_solution):
 
 def test_declared_reachability_with_witnesses(line4_solution):
     spec, _, _, plan = line4_solution
-    report = information_reachability(plan, spec, events="declared")
+    report = information_reachability(plan, spec)
     assert report.all_reachable
     assert report.unreachable() == []
     for (i, j), witness in report.witnesses.items():
@@ -216,21 +216,20 @@ def test_declared_reachability_with_witnesses(line4_solution):
         assert times == sorted(times)
 
 
-def test_potential_events_can_reach_where_declared_cannot():
+def test_reachability_follows_only_declared_events():
+    # the agents stand on a comm chain s1 - s2 - s3 at t=1, but a plan that
+    # declares no event delivers nothing over it
     _, spec = relay_spec(green_at="s2", T=1)
     plan = PlanSolution(paths={0: ("s0", "s1"), 1: ("s2", "s2"), 2: ("s3", "s3")})
     assert check_dynamics(plan, spec) == []
-    potential = information_reachability(plan, spec, events="potential")
-    declared = information_reachability(plan, spec, events="declared")
-    assert potential.all_reachable
-    assert not declared.all_reachable
-    assert (0, 2) in declared.unreachable()
-
-
-def test_reachability_rejects_unknown_event_mode(line4_solution):
-    spec, _, _, plan = line4_solution
-    with pytest.raises(ValueError):
-        information_reachability(plan, spec, events="psychic")
+    silent = information_reachability(plan, spec)
+    assert not silent.all_reachable
+    assert (0, 2) in silent.unreachable()
+    events = ((1, "s1", "s2", 0, 1.0), (1, "s2", "s3", 0, 1.0))
+    chatty = information_reachability(
+        PlanSolution(paths=plan.paths, comm_events=events), spec)
+    assert chatty.pair_matrix[(0, 2)]
+    assert chatty.witnesses[(0, 2)] == [(0, "s0"), (1, "s1"), (1, "s2"), (1, "s3")]
 
 
 _WITNESSES = """
@@ -243,9 +242,8 @@ spec = ProblemSpec(net=net, agents=AgentConfig(count=3, initial={0: "a", 1: "c",
                    T=1, src=(0,), snk=(2,))
 paths = {0: ("a", "a"), 1: ("c", "c"), 2: ("d", "b")}
 events = ((0, "a", "c", 0, 1.0), (1, "c", "b", 0, 1.0), (1, "a", "b", 0, 1.0))
-for mode, plan in (("potential", PlanSolution(paths=paths)),
-                   ("declared", PlanSolution(paths=paths, comm_events=events))):
-    print(information_reachability(plan, spec, events=mode).witnesses[(0, 2)])
+plan = PlanSolution(paths=paths, comm_events=events)
+print(information_reachability(plan, spec).witnesses[(0, 2)])
 """
 
 
@@ -259,7 +257,7 @@ def test_witnesses_follow_the_first_discoverer_not_the_hash_seed():
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = subprocess.run([sys.executable, "-c", _WITNESSES], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["[(0, 'a'), (1, 'a'), (1, 'b')]"] * 2
+        assert out.splitlines() == ["[(0, 'a'), (1, 'a'), (1, 'b')]"]
 
 
 # -- master token and consistency --------------------------------------------------
@@ -485,10 +483,10 @@ def test_oracle_reports_infeasible():
     assert brute_force_solve(spec).status == "infeasible"
 
 
-def test_oracle_guard_refuses_large_joint_spaces(line4):
-    _, spec = line4
-    with pytest.raises(GuardExceeded):
-        brute_force_solve(spec, guard=5)
+def test_oracle_guard_refuses_large_joint_spaces():
+    _, spec = line_instance(12)       # 51,898,392 joint plans
+    with pytest.raises(GuardExceeded, match="51898392"):
+        brute_force_solve(spec)
 
 
 def _assert_oracle_is_exhaustive(spec):
