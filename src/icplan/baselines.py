@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, GuardExceeded
-from .ilp import (MilpModel, ProblemSpec, allocate_variables, build_dynamics,
-                  build_extensions, build_reward_and_motion_terms,
-                  build_reward_link)
+from .ilp import (MilpModel, ProblemSpec, add_comm_costs, allocate_variables,
+                  build_comm_gates, build_dynamics, build_extensions,
+                  build_reward_and_motion_terms, build_reward_link)
 from .solver import SolveResult, solve
 from .verify import PlanSolution, extract_solution, information_reachability
 
@@ -56,51 +58,36 @@ def _build_base_model(spec: ProblemSpec) -> MilpModel:
     """Dynamics, comm gating, rewards and objective - no cuts yet."""
     model = allocate_variables(spec)
     net, T = spec.net, spec.T
-    for t in range(T + 1):
-        for (a, b) in net.comm:
-            model.add_var(("comm", a, b, t), "B")
+    model.add_vars("comm", [("comm", a, b, t) for t in range(T + 1)
+                            for (a, b) in net.comm], "B")
     build_dynamics(model, spec)
     build_reward_link(model, spec)
-    for t in range(T + 1):
-        for (a, b) in net.comm:
-            for endpoint in (a, b):
-                coeffs = {model.var("comm", a, b, t): 1.0}
-                for r in range(spec.agents.count):
-                    coeffs[model.var("z", r, endpoint, t)] = -1.0
-                model.add_constr(coeffs, "<=", 0.0, "comm_active")
+    build_comm_gates(model, _active(model, spec), 1.0, "comm_active")
     build_extensions(model, spec)
 
     build_reward_and_motion_terms(model, spec)
-    for t in range(1, T + 1):
-        for (a, b), cost in net.comm.items():
-            if cost:
-                model.add_objective(model.var("comm", a, b, t), -cost)
+    add_comm_costs(model, _active(model, spec))
     return model
 
 
-def _add_cut(model: MilpModel, spec: ProblemSpec, subset: frozenset):
-    """Sink terminals inside `subset` require an active arc crossing into it."""
-    net, T = spec.net, spec.T
+def _active(model: MilpModel, spec: ProblemSpec) -> np.ndarray:
+    """Indices of the CommActive variables, [t, c]."""
+    shape = (spec.T + 1, len(spec.net.comm))
+    return model.start["comm"] + np.arange(shape[0] * shape[1]).reshape(shape)
+
+
+def _add_cut(model: MilpModel, spec: ProblemSpec, inside: np.ndarray):
+    """Sink terminals inside the vertex subset `inside` ((T+1) x |S|, True
+    for a member) require an active arc crossing into it."""
+    g, T = model.grid, spec.T
     weight = float(len(spec.snk))
-    coeffs: dict[int, float] = {}
-
-    def bump(idx, delta):
-        coeffs[idx] = coeffs.get(idx, 0.0) + delta
-
-    for (s, t) in subset:
-        if t == T:
-            for r in spec.snk:
-                bump(model.var("z", r, s, T), 1.0)
-    for t in range(T):
-        for (a, b) in net.mobility:
-            if (a, t) not in subset and (b, t + 1) in subset:
-                for r in range(spec.agents.count):
-                    bump(model.var("x", r, a, b, t), -weight)
-    for t in range(T + 1):
-        for (a, b) in net.comm:
-            if (a, t) not in subset and (b, t) in subset:
-                bump(model.var("comm", a, b, t), -weight)
-    model.add_constr(coeffs, "<=", 0.0, "powerset_cut")
+    moved = ~inside[:-1, g.tail] & inside[1:, g.head]       # [t, e]
+    sent = ~inside[:, g.ctail] & inside[:, g.chead]         # [t, c]
+    snk = np.array(spec.snk)[:, None]
+    model.add_rows(1, [(0, g.Z[snk, T, np.flatnonzero(inside[T])], 1.0),
+                       (0, g.X[:, moved], -weight),
+                       (0, _active(model, spec)[sent], -weight)],
+                   "<=", 0.0, "powerset_cut")
 
 
 def build_powerset_model(spec: ProblemSpec) -> MilpModel:
@@ -119,15 +106,13 @@ def build_powerset_model(spec: ProblemSpec) -> MilpModel:
             f"({2 ** n_vertices} subsets) exceeds guard of {POWERSET_GUARD}")
 
     model = _build_base_model(spec)
-    vertices = [(s, t) for t in range(T + 1) for s in net.states]
-    starts = {(spec.agents.initial[i], 0) for i in spec.src}
+    starts = [net.index(spec.agents.initial[i]) for i in spec.src]
+    bit = 1 << np.arange(n_vertices)        # vertex t*|S| + s
     for bits in range(1, 2 ** n_vertices):
-        subset = frozenset(v for i, v in enumerate(vertices) if bits >> i & 1)
-        if starts <= subset:
+        inside = (bits & bit != 0).reshape(T + 1, len(net.states))
+        if inside[0, starts].all() or not inside[T].any():
             continue
-        if not any(t == T for (_, t) in subset):
-            continue
-        _add_cut(model, spec, subset)
+        _add_cut(model, spec, inside)
     return model
 
 
@@ -147,10 +132,9 @@ def solve_adaptive_powerset(spec: ProblemSpec,
     _check_supported(spec)
     net, T = spec.net, spec.T
     model = _build_base_model(spec)
-    vertices = frozenset((s, t) for t in range(T + 1) for s in net.states)
     total_time = 0.0
     n_cuts = 0
-    seen_cuts: set[frozenset] = set()
+    seen_cuts: set[bytes] = set()
     for round_no in range(1, ADAPTIVE_MAX_ROUNDS + 1):
         result = solve(model, time_limit=time_limit)
         total_time += result.wall_time
@@ -163,12 +147,13 @@ def solve_adaptive_powerset(spec: ProblemSpec,
         if not violated:
             return BaselineRun(model, result, plan, round_no, n_cuts, total_time)
         for i in violated:
-            cut = vertices - {(s, t) for t, layer in enumerate(report.token_layers[i])
-                              for s in layer}
-            if cut in seen_cuts:
+            inside = np.ones((T + 1, len(net.states)), dtype=bool)
+            for t, layer in enumerate(report.token_layers[i]):
+                inside[t, [net.index(s) for s in layer]] = False
+            if inside.tobytes() in seen_cuts:
                 continue
-            seen_cuts.add(cut)
-            _add_cut(model, spec, cut)
+            seen_cuts.add(inside.tobytes())
+            _add_cut(model, spec, inside)
             n_cuts += 1
     raise GuardExceeded(
         f"adaptive cut separation exceeded {ADAPTIVE_MAX_ROUNDS} rounds")

@@ -67,7 +67,9 @@ def _cmd_solve(args) -> int:
         result, plan = run.result, run.plan
         print(f"rounds={run.rounds} cuts={run.cuts_added}")
     print(f"status={result.status} objective={_num(result.objective)} "
-          f"wall={result.wall_time:.2f}s nodes={_num(result.nodes)} "
+          f"wall={result.wall_time:.2f}s highs={result.highs_s:.2f}s "
+          f"vars={result.n_variables} rows={result.n_constraints} "
+          f"nonzeros={result.nonzeros} nodes={_num(result.nodes)} "
           f"dual_bound={_num(result.dual_bound)} gap={_num(result.gap)}")
     if plan is not None and args.out:
         verify.save_solution(plan, args.out)

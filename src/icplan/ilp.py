@@ -21,15 +21,29 @@ through the current layer, so receive-then-relay within one layer is allowed.
 
 Layer-0 communication is cost-free by construction: the objective's
 communication term runs over t in {1..T} only.
+
+A model is stored as arrays, never as one dict per row.  Variables are
+allocated in blocks (z by (r, t, s), x by (r, t, e), y, then f and fbar per
+flow id), so every index follows from a block's start by arithmetic: the
+`_Grid` index tables Z[r, t, s], X[r, t, e] and a flow's f[t, e] and
+fbar[t, c].  Each constraint family appends one chunk of rows through
+`MilpModel.add_rows`: (row, column, value) entry arrays built with numpy
+over the edge index arrays, plus row bounds and a tag.  `MilpModel.matrix()`
+sums the entries that meet at one cell, in the order they were added, drops
+exact zeros and returns the CSC matrix HiGHS reads, built once per model.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy import sparse
+
 from .errors import ConfigurationError
-from .network import COMM, MOBILITY, MobilityCommNetwork
+from .network import COMM, MobilityCommNetwork
 
 MASTER_FLOW = "m"
 
@@ -133,38 +147,128 @@ class ProblemSpec:
 
 
 class MilpModel:
-    """Solver-neutral MILP: sparse constraints over an indexed variable table."""
+    """Solver-neutral MILP held as arrays: blocks of variables, chunks of
+    rows and objective terms (maximised)."""
 
     def __init__(self):
         self.refs: list[tuple] = []
         self.domains: list[str] = []          # 'B' binary, 'C' continuous >= 0
-        self.by_ref: dict[tuple, int] = {}
-        self.constraints: list[tuple[dict[int, float], str, float, str]] = []
-        self.objective: dict[int, float] = {}  # maximize
+        self.start: dict = {}                 # block key -> its first variable
+        self.tags: list[str] = []             # one per row
+        self.grid: _Grid | None = None        # set by allocate_variables
+        self._blocks: list[tuple[int, bool]] = []   # (size, binary) per block
+        self._entries: list[tuple] = []       # (rows, cols, vals, chunk's first row)
+        self._bounds: list[tuple] = []        # (row count, lo, hi) per chunk
+        self._terms: list[tuple] = []         # (cols, vals) of the objective
+        self._by_ref: dict[tuple, int] | None = None
+        self._matrix = None
 
     # -- construction ---------------------------------------------------
 
-    def add_var(self, ref: tuple, domain: str) -> int:
-        if ref in self.by_ref:
-            raise ConfigurationError(f"duplicate variable {ref!r}")
-        idx = len(self.refs)
-        self.refs.append(ref)
-        self.domains.append(domain)
-        self.by_ref[ref] = idx
-        return idx
+    def add_vars(self, key, refs: list[tuple], domain: str) -> int:
+        """Append a block of variables under `key`; returns its first index."""
+        if key in self.start:
+            raise ConfigurationError(f"duplicate variable block {key!r}")
+        first = self.start[key] = len(self.refs)
+        self.refs.extend(refs)
+        self.domains.extend([domain] * len(refs))
+        self._blocks.append((len(refs), domain == "B"))
+        self._by_ref = None
+        return first
 
-    def add_constr(self, coeffs: dict[int, float], rel: str, rhs: float, tag: str):
+    def add_rows(self, n: int, entries, rel: str, rhs, tag):
+        """Append a chunk of n rows `rel` `rhs` (a scalar or one per row).
+
+        `entries` is a list of (rows, cols, vals): cols is an array of
+        variable indices, rows (numbered from 0 within the chunk) are
+        broadcast to its shape, and vals is a scalar or an array of its
+        shape.  Entries that meet at one cell are summed.  `tag` names every
+        row, or is a list, one per row.
+        """
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"bad relation {rel!r}")
-        self.constraints.append((coeffs, rel, rhs, tag))
+        first = len(self.tags)
+        for rows, cols, vals in entries:
+            if type(rows) is not np.ndarray or rows.shape != cols.shape:
+                rows = _broadcast(np.asarray(rows), cols.shape)
+            if type(vals) is np.ndarray:
+                vals = vals.ravel()
+            self._entries.append((rows.ravel(), cols.ravel(), vals, first))
+        self._bounds.append((n, -np.inf if rel == "<=" else rhs,
+                             np.inf if rel == ">=" else rhs))
+        self.tags.extend([tag] * n if isinstance(tag, str) else tag)
+        self._matrix = None
 
-    def var(self, *ref) -> int:
-        return self.by_ref[ref]
+    def add_objective(self, cols: np.ndarray, vals):
+        """Add vals (a scalar or an array broadcast to cols) at cols."""
+        if isinstance(vals, np.ndarray):
+            vals = _broadcast(vals, cols.shape).ravel()
+        self._terms.append((cols.ravel(), vals))
 
-    def add_objective(self, idx: int, coeff: float):
-        self.objective[idx] = self.objective.get(idx, 0.0) + coeff
+    # -- solver input -----------------------------------------------------
+
+    def matrix(self):
+        """(A, lo, hi): the CSC constraint matrix and the row bounds, built
+        on first use.  Entries at one cell are summed in the order they were
+        added, exact zeros dropped, row indices ascend within each column."""
+        if self._matrix is None:
+            rows, cols, vals, firsts = zip(*self._entries)
+            sizes = [len(c) for c in cols]
+            n_rows, n_cols = self.n_constraints, self.n_variables
+            rows = np.concatenate(rows) + np.array(firsts).repeat(sizes)
+            cell = np.concatenate(cols) * n_rows + rows
+            order = cell.argsort(kind="stable")
+            cell = cell[order]
+            new = np.empty(len(cell), dtype=bool)   # the first entry of each cell
+            new[:1] = True
+            np.not_equal(cell[1:], cell[:-1], out=new[1:])
+            first = new.nonzero()[0]
+            vals = np.add.reduceat(_expand(vals, sizes)[order], first)
+            keep = vals != 0.0
+            cols, rows = np.divmod(cell[first[keep]], n_rows)
+            indptr = np.zeros(n_cols + 1, dtype=np.int32)
+            np.bincount(cols, minlength=n_cols).cumsum(out=indptr[1:])
+            A = sparse.csc_array((vals[keep], rows.astype(np.int32), indptr),
+                                 shape=(n_rows, n_cols))
+            counts, lo, hi = zip(*self._bounds)
+            bounds = _expand(lo + hi, counts + counts)
+            self._matrix = (A, bounds[:n_rows], bounds[n_rows:])
+        return self._matrix
+
+    def binary(self) -> np.ndarray:
+        """Boolean mask of the binary variables."""
+        sizes, flags = zip(*self._blocks)
+        return np.array(flags).repeat(sizes)
+
+    def objective_terms(self):
+        """(cols, vals) arrays of every objective term."""
+        cols, vals = zip(*self._terms)
+        return np.concatenate(cols), _expand(vals, [len(c) for c in cols])
 
     # -- inspection -------------------------------------------------------
+
+    def var(self, *ref) -> int:
+        if self._by_ref is None:
+            self._by_ref = {r: i for i, r in enumerate(self.refs)}
+        return self._by_ref[ref]
+
+    @property
+    def objective(self) -> dict[int, float]:
+        return dict(zip(*(a.tolist() for a in self.objective_terms())))
+
+    @property
+    def constraints(self) -> list[tuple[dict[int, float], str, float, str]]:
+        """(coeffs, rel, rhs, tag) per row, rebuilt from the matrix per call."""
+        A, lo, hi = self.matrix()
+        A = A.tocsr()
+        ptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+        out = []
+        for i, (low, high, tag) in enumerate(zip(lo.tolist(), hi.tolist(), self.tags)):
+            rel, rhs = (("==", low) if low == high else
+                        ("<=", high) if low == -np.inf else (">=", low))
+            coeffs = dict(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]]))
+            out.append((coeffs, rel, rhs, tag))
+        return out
 
     @property
     def n_variables(self) -> int:
@@ -172,13 +276,113 @@ class MilpModel:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.tags)
 
     def tag_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for _, _, _, tag in self.constraints:
+        for tag in self.tags:
             counts[tag] = counts.get(tag, 0) + 1
         return counts
+
+
+def _broadcast(a: np.ndarray, shape) -> np.ndarray:
+    out = np.empty(shape, dtype=a.dtype)
+    out[...] = a
+    return out
+
+
+def _expand(values, sizes) -> np.ndarray:
+    """Each value repeated to its size, concatenated; a value is a scalar
+    or a flat array of that size."""
+    arrays = [isinstance(v, np.ndarray) for v in values]
+    out = np.array([0.0 if a else v for v, a in zip(values, arrays)], dtype=float).repeat(sizes)
+    end = 0
+    for v, a, size in zip(values, arrays, sizes):
+        end += size
+        if a:
+            out[end - size:end] = v
+    return out
+
+
+class _Grid:
+    """Index tables over a model's variable blocks, and the network as arrays.
+
+    Z[r, t, s], X[r, t, e] and Y[j] hold the indices of z, x and y (see
+    `allocate_variables`); `f(fid)[t, e]` and `fbar(fid)[t, c]` those of a
+    flow's block, which holds f and then fbar, t-major.  States s, mobility
+    edges e and comm edges c are numbered in network order.
+    """
+
+    def __init__(self, spec: ProblemSpec, start: dict, rewards: list):
+        net, T = spec.net, spec.T
+        R, S = spec.agents.count, len(net.states)
+        self.start, self.T, self.S = start, T, S
+        self.rewards = rewards                  # `spec.sorted_rewards()`, y's order
+        ends = itertools.chain.from_iterable
+        self.tail, self.head = _states(net, ends(net.mobility)).reshape(-1, 2).T
+        self.ctail, self.chead = _states(net, ends(net.comm)).reshape(-1, 2).T
+        M, C = len(self.tail), len(self.ctail)
+        self.mob_cost = np.fromiter(net.mobility.values(), float, M)
+        self.comm_cost = np.fromiter(net.comm.values(), float, C)
+        self.Z = start["z"] + np.arange(R * (T + 1) * S).reshape(R, T + 1, S)
+        self.X = start["x"] + np.arange(R * T * M).reshape(R, T, M)
+        self.Y = start["y"] + np.arange(len(self.rewards))
+        self._f = np.arange(T * M).reshape(T, M)
+        self._fbar = T * M + np.arange((T + 1) * C).reshape(T + 1, C)
+        self._cumulative: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def inflow_terms(self):
+        """(rows, offsets, signs): each flow variable as net inflow on row
+        t*|S| + s, by its offset in a flow's block.  f(e, t) enters e's head
+        at t+1 and leaves its tail at t; fbar(c, t) enters c's head and
+        leaves its tail at t."""
+        S = self.S
+        t, t1 = np.arange(self.T)[:, None] * S, np.arange(self.T + 1)[:, None] * S
+        rows = np.concatenate([(t + S + self.head).ravel(), (t1 + self.chead).ravel(),
+                               (t + self.tail).ravel(), (t1 + self.ctail).ravel()])
+        width = self._f.size + self._fbar.size
+        return rows, np.concatenate([np.arange(width)] * 2), np.repeat([1.0, -1.0], width)
+
+    @functools.cached_property
+    def gates(self):
+        """The rows of `build_comm_gates`: v[t, c] (q = t*C + c) has row 2q
+        for c's tail and 2q + 1 for its head.  Returns (v's rows, the z
+        entries' rows, their z columns), each a (tail, head) pair."""
+        shape = (self.Z.shape[1], len(self.ctail))
+        q = 2 * np.arange(shape[0] * shape[1]).reshape(shape)
+        rows = _broadcast(q, (self.Z.shape[0],) + q.shape)
+        return (q, q + 1), (rows, rows + 1), (self.Z[:, :, self.ctail], self.Z[:, :, self.chead])
+
+    def f(self, fid) -> np.ndarray:
+        return self.start["f", fid] + self._f
+
+    def fbar(self, fid) -> np.ndarray:
+        return self.start["f", fid] + self._fbar
+
+    def inflow(self, fid):
+        """(rows, cols, vals) of flow `fid`'s net inflow at each state and
+        layer, on row t*|S| + s."""
+        rows, offsets, signs = self.inflow_terms
+        return rows, self.start["f", fid] + offsets, signs
+
+    def cumulative_inflow(self, s: int) -> np.ndarray:
+        """Row t: the net inflow at state s summed over layers 0..t, per
+        offset in a flow's block (read-only, built once per state)."""
+        if s not in self._cumulative:
+            rows, offsets, signs = self.inflow_terms
+            layer, state = np.divmod(rows, self.S)
+            at = state == s
+            width = len(offsets) // 2
+            dense = np.bincount(layer[at] * width + offsets[at],
+                                weights=signs[at], minlength=(self.T + 1) * width)
+            self._cumulative[s] = dense.reshape(self.T + 1, width).cumsum(axis=0)
+        return self._cumulative[s]
+
+
+def _states(net: MobilityCommNetwork, states) -> np.ndarray:
+    """Indices of `states` in network order."""
+    return np.array([net.index(s) for s in states], dtype=np.intp)
 
 
 # -- variable allocation ------------------------------------------------
@@ -188,16 +392,13 @@ def allocate_variables(spec: ProblemSpec) -> MilpModel:
     """Occupancy z, transition x and reward y variables, in that order."""
     net, T, R = spec.net, spec.T, spec.agents.count
     model = MilpModel()
-    for r in range(R):
-        for t in range(T + 1):
-            for s in net.states:
-                model.add_var(("z", r, s, t), "B")
-    for r in range(R):
-        for t in range(T):
-            for (a, b) in net.mobility:
-                model.add_var(("x", r, a, b, t), "B")
-    for (s, k), _ in spec.sorted_rewards():
-        model.add_var(("y", s, k), "B")
+    model.add_vars("z", [("z", r, s, t) for r in range(R) for t in range(T + 1)
+                         for s in net.states], "B")
+    model.add_vars("x", [("x", r, a, b, t) for r in range(R) for t in range(T)
+                         for (a, b) in net.mobility], "B")
+    rewards = spec.sorted_rewards()
+    model.add_vars("y", [("y", s, k) for (s, k), _ in rewards], "B")
+    model.grid = _Grid(spec, model.start, rewards)
     return model
 
 
@@ -206,50 +407,18 @@ def allocate_variables(spec: ProblemSpec) -> MilpModel:
 
 def build_dynamics(model: MilpModel, spec: ProblemSpec):
     """Initial placement plus per-step occupancy/transition coupling."""
-    net, T = spec.net, spec.T
-    for r in range(spec.agents.count):
-        s0 = spec.agents.initial[r]
-        for s in net.states:
-            model.add_constr({model.var("z", r, s, 0): 1.0}, "==",
-                             1.0 if s == s0 else 0.0, "initial")
-    for r in range(spec.agents.count):
-        for t in range(T):
-            for s in net.states:
-                coeffs = {model.var("z", r, s, t + 1): 1.0}
-                for sp in net.neighbors(s, "pred", MOBILITY):
-                    idx = model.var("x", r, sp, s, t)
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-                model.add_constr(coeffs, "==", 0.0, "dynamics_in")
-                coeffs = {model.var("z", r, s, t): 1.0}
-                for sp in net.neighbors(s, "succ", MOBILITY):
-                    idx = model.var("x", r, s, sp, t)
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-                model.add_constr(coeffs, "==", 0.0, "dynamics_out")
-
-
-def _accumulate(coeffs: dict[int, float], idx: int, delta: float):
-    value = coeffs.get(idx, 0.0) + delta
-    if value == 0.0:
-        coeffs.pop(idx, None)
-    else:
-        coeffs[idx] = value
-
-
-def net_inflow(model: MilpModel, spec: ProblemSpec, fid, s: str, t: int) -> dict[int, float]:
-    """Coefficients of the net information inflow at state s, layer t."""
-    net, T = spec.net, spec.T
-    coeffs: dict[int, float] = {}
-    if t >= 1:
-        for sp in net.neighbors(s, "pred", MOBILITY):
-            _accumulate(coeffs, model.var("f", fid, sp, s, t - 1), 1.0)
-    for sp in net.neighbors(s, "pred", COMM):
-        _accumulate(coeffs, model.var("fbar", fid, sp, s, t), 1.0)
-    if t <= T - 1:
-        for sp in net.neighbors(s, "succ", MOBILITY):
-            _accumulate(coeffs, model.var("f", fid, s, sp, t), -1.0)
-    for sp in net.neighbors(s, "succ", COMM):
-        _accumulate(coeffs, model.var("fbar", fid, s, sp, t), -1.0)
-    return coeffs
+    g, R, T = model.grid, spec.agents.count, spec.T
+    here = np.zeros((R, g.S))
+    here[np.arange(R), _states(spec.net, [spec.agents.initial[r] for r in range(R)])] = 1.0
+    model.add_rows(R * g.S, [(np.arange(R * g.S).reshape(R, g.S), g.Z[:, 0], 1.0)],
+                   "==", here.ravel(), "initial")
+    # rows alternate per (r, t, s): z(t+1) = inflow, then z(t) = outflow
+    row = 2 * np.arange(R * T * g.S).reshape(R, T, g.S)
+    at = row[:, :, :1]                           # rows of (r, t, state 0)
+    model.add_rows(2 * row.size,
+                   [(row, g.Z[:, 1:], 1.0), (row + 1, g.Z[:, :-1], 1.0),
+                    (at + 2 * g.head, g.X, -1.0), (at + 2 * g.tail + 1, g.X, -1.0)],
+                   "==", 0.0, ["dynamics_in", "dynamics_out"] * row.size)
 
 
 def build_flow(model: MilpModel, spec: ProblemSpec):
@@ -259,26 +428,25 @@ def build_flow(model: MilpModel, spec: ProblemSpec):
     vertex to the sinks' terminal vertices.  many_to_one mirrors it.  At T=0
     the emission and absorption cases land on the same layer and are summed.
     """
-    net, T = spec.net, spec.T
-    orientation = spec.orientation()
+    g, T = model.grid, spec.T
     src, snk = spec.src, spec.snk
+    s = np.arange(g.S)
     for fid in spec.data_flow_ids():
-        for t in range(T + 1):
-            for s in net.states:
-                coeffs = net_inflow(model, spec, fid, s, t)
-                if orientation == "one_to_many":
-                    if t == 0:
-                        _accumulate(coeffs, model.var("z", fid, s, 0), float(len(snk)))
-                    if t == T:
-                        for r in snk:
-                            _accumulate(coeffs, model.var("z", r, s, T), -1.0)
-                else:
-                    if t == 0:
-                        for r in src:
-                            _accumulate(coeffs, model.var("z", r, s, 0), 1.0)
-                    if t == T:
-                        _accumulate(coeffs, model.var("z", fid, s, T), -float(len(src)))
-                model.add_constr(coeffs, "==", 0.0, "flow_balance")
+        if spec.orientation() == "one_to_many":
+            ends = [(fid, 0, float(len(snk)))] + [(r, T, -1.0) for r in snk]
+        else:
+            ends = [(r, 0, 1.0) for r in src] + [(fid, T, -float(len(src)))]
+        entries = [g.inflow(fid)] + [(t * g.S + s, g.Z[r, t], v) for r, t, v in ends]
+        model.add_rows((T + 1) * g.S, entries, "==", 0.0, "flow_balance")
+
+
+def build_comm_gates(model: MilpModel, v: np.ndarray, weight: float, tag: str):
+    """v[t, c] <= weight * (agents at each end of comm edge c at layer t)."""
+    (q_tail, q_head), (tail_rows, head_rows), (tail, head) = model.grid.gates
+    model.add_rows(2 * v.size,
+                   [(q_tail, v, 1.0), (q_head, v, 1.0),
+                    (tail_rows, tail, -weight), (head_rows, head, -weight)],
+                   "<=", 0.0, tag)
 
 
 def build_bridge(model: MilpModel, spec: ProblemSpec, fid):
@@ -289,47 +457,28 @@ def build_bridge(model: MilpModel, spec: ProblemSpec, fid):
     which keeps every row and costs nothing, no arc carries more.  The
     master flow keeps `big_m_value()`.
     """
-    net, T = spec.net, spec.T
+    g = model.grid
     if fid == MASTER_FLOW:
         N = float(spec.big_m_value())
     elif spec.orientation() == "one_to_many":
         N = float(len(spec.snk))
     else:
         N = float(len(spec.src))
-    R = spec.agents.count
-    for t in range(T + 1):
-        for (a, b) in net.comm:
-            for endpoint in (a, b):
-                coeffs = {model.var("fbar", fid, a, b, t): 1.0}
-                for r in range(R):
-                    _accumulate(coeffs, model.var("z", r, endpoint, t), -N)
-                model.add_constr(coeffs, "<=", 0.0, "bridge_comm")
-    for t in range(T):
-        for (a, b) in net.mobility:
-            coeffs = {model.var("f", fid, a, b, t): 1.0}
-            for r in range(R):
-                _accumulate(coeffs, model.var("x", r, a, b, t), -N)
-            model.add_constr(coeffs, "<=", 0.0, "bridge_mobility")
+    build_comm_gates(model, g.fbar(fid), N, "bridge_comm")
+    f = g.f(fid)
+    row = np.arange(f.size).reshape(f.shape)
+    model.add_rows(f.size, [(row, f, 1.0), (row, g.X, -N)], "<=", 0.0,
+                   "bridge_mobility")
 
 
 def build_reward_link(model: MilpModel, spec: ProblemSpec):
     """Terminal reward y(s,k) needs at least k agents at s at T."""
-    for (s, k), _ in spec.sorted_rewards():
-        coeffs = {model.var("y", s, k): float(k)}
-        for r in range(spec.agents.count):
-            _accumulate(coeffs, model.var("z", r, s, spec.T), -1.0)
-        model.add_constr(coeffs, "<=", 0.0, "reward_link")
-
-
-def _cumulative_inflows(model: MilpModel, spec: ProblemSpec, s: str):
-    """List over t of coefficient dicts for sum_{tau<=t} master net inflow."""
-    out = []
-    running: dict[int, float] = {}
-    for t in range(spec.T + 1):
-        for idx, c in net_inflow(model, spec, MASTER_FLOW, s, t).items():
-            _accumulate(running, idx, c)
-        out.append(dict(running))
-    return out
+    g = model.grid
+    s = _states(spec.net, [s for (s, _), _ in g.rewards])
+    k = np.array([k for (_, k), _ in g.rewards], dtype=float)
+    j = np.arange(len(g.rewards))
+    model.add_rows(len(j), [(j, g.Y, k), (j, g.Z[:, spec.T, s], -1.0)],
+                   "<=", 0.0, "reward_link")
 
 
 def build_master(model: MilpModel, spec: ProblemSpec):
@@ -342,38 +491,34 @@ def build_master(model: MilpModel, spec: ProblemSpec):
     are bounded by the same cumulative inflow (scaled by big-M), which permits
     relaying within the layer of arrival.
     """
-    net, T = spec.net, spec.T
+    g, T = model.grid, spec.T
     N = float(spec.big_m_value())
-    n_states = float(len(net.states))
     starts = spec.agents.master_states()
+    rhs = np.zeros((T + 1) * g.S)
+    rhs[_states(spec.net, starts)] = -float(g.S)     # layer 0 comes first
+    model.add_rows(len(rhs), [g.inflow(MASTER_FLOW)], ">=", rhs, "master_flow")
 
-    for t in range(T + 1):
-        for s in net.states:
-            coeffs = net_inflow(model, spec, MASTER_FLOW, s, t)
-            rhs = -n_states if (t == 0 and s in starts) else 0.0
-            model.add_constr(coeffs, ">=", rhs, "master_flow")
-
-    gated = [r for r in range(spec.agents.count)
-             if spec.agents.initial[r] not in starts]
-    cum: dict[str, list[dict[int, float]]] = {}
-    for r in gated:
-        s0 = spec.agents.initial[r]
-        if s0 not in cum:
-            cum[s0] = _cumulative_inflows(model, spec, s0)
-        for t in range(T + 1):
-            coeffs = {model.var("z", r, s0, t): 1.0}
-            if t >= 1:
-                for idx, c in cum[s0][t - 1].items():
-                    _accumulate(coeffs, idx, c)
-            model.add_constr(coeffs, ">=", 1.0, "master_static")
-        for fid in spec.flow_ids():
-            for t in range(T + 1):
-                coeffs = {}
-                for idx, c in cum[s0][t].items():
-                    coeffs[idx] = N * c
-                for sp in net.neighbors(s0, "succ", COMM):
-                    _accumulate(coeffs, model.var("fbar", fid, s0, sp, t), -1.0)
-                model.add_constr(coeffs, ">=", 0.0, "master_comm")
+    m0, layers = g.start["f", MASTER_FLOW], np.arange(T + 1)
+    fids = spec.flow_ids()
+    firsts = np.array([g.start["f", fid] for fid in fids])[:, None, None]
+    blocks = (T + 1) * np.arange(len(fids))[:, None]    # first row per flow
+    for r in range(spec.agents.count):
+        if spec.agents.initial[r] in starts:
+            continue
+        s0 = spec.net.index(spec.agents.initial[r])
+        cum = g.cumulative_inflow(s0)
+        lay, off = cum[:T].nonzero()            # inflow through t-1 gates t
+        model.add_rows(T + 1, [(layers, g.Z[r, :, s0], 1.0),
+                               (lay + 1, m0 + off, cum[lay, off])],
+                       ">=", 1.0, "master_static")
+        lay, off = cum.nonzero()
+        shape = (len(fids), len(off))
+        sends = firsts + (g.fbar(MASTER_FLOW) - m0)[:, g.ctail == s0]   # [flow, t, c]
+        model.add_rows(len(fids) * (T + 1),
+                       [(blocks + lay, _broadcast(m0 + off, shape),
+                         _broadcast(N * cum[lay, off], shape)),
+                        (blocks[:, :, None] + layers[:, None], sends, -1.0)],
+                       ">=", 0.0, "master_comm")
 
 
 def base_reachable_states(spec: ProblemSpec) -> frozenset[str]:
@@ -397,70 +542,67 @@ def base_reachable_states(spec: ProblemSpec) -> frozenset[str]:
 
 
 def build_extensions(model: MilpModel, spec: ProblemSpec):
-    net, T, agents = spec.net, spec.T, spec.agents
+    g, net, T, agents = model.grid, spec.net, spec.T, spec.agents
 
-    for r in sorted(agents.static):
-        s0 = agents.initial[r]
-        for t in range(1, T + 1):
-            model.add_constr({model.var("z", r, s0, t): 1.0}, "==", 1.0, "static_agent")
+    if agents.static:
+        static = np.array(sorted(agents.static), dtype=np.intp)[:, None]
+        s0 = _states(net, [agents.initial[r] for r in static[:, 0]])[:, None]
+        cols = g.Z[static, np.arange(1, T + 1), s0]
+        model.add_rows(cols.size, [(np.arange(cols.size).reshape(cols.shape), cols, 1.0)],
+                       "==", 1.0, "static_agent")
 
     if spec.collision_avoidance:
-        for i, j in itertools.combinations(range(agents.count), 2):
-            for t in range(T + 1):
-                for s in net.states:
-                    model.add_constr({model.var("z", i, s, t): 1.0,
-                                      model.var("z", j, s, t): 1.0},
-                                     "<=", 1.0, "collision_pos")
-            for t in range(T):
-                for (a, b) in net.mobility:
-                    if a == b or (b, a) not in net.mobility:
-                        continue
-                    model.add_constr({model.var("x", i, a, b, t): 1.0,
-                                      model.var("x", j, b, a, t): 1.0},
-                                     "<=", 1.0, "collision_trans")
+        edge = {ab: e for e, ab in enumerate(net.mobility)}
+        swap = np.array([(e, edge[b, a]) for (a, b), e in edge.items()
+                         if a != b and (b, a) in edge], dtype=np.intp).reshape(-1, 2)
+        pos = np.arange((T + 1) * g.S).reshape(T + 1, g.S)
+        trans = np.arange(T * len(swap)).reshape(T, len(swap))
+        for p, q in itertools.combinations(range(agents.count), 2):
+            model.add_rows(pos.size, [(pos, g.Z[p], 1.0), (pos, g.Z[q], 1.0)],
+                           "<=", 1.0, "collision_pos")
+            model.add_rows(trans.size, [(trans, g.X[p][:, swap[:, 0]], 1.0),
+                                        (trans, g.X[q][:, swap[:, 1]], 1.0)],
+                           "<=", 1.0, "collision_trans")
 
     if spec.awareness_reward:
         starts = agents.master_states()
-        for (s, k), _ in spec.sorted_rewards():
+        m0 = g.start["f", MASTER_FLOW]
+        for j, ((s, k), _) in enumerate(g.rewards):
             if s in starts:
                 continue
-            coeffs = {model.var("y", s, k): 1.0}
-            for idx, c in _cumulative_inflows(model, spec, s)[T].items():
-                _accumulate(coeffs, idx, -c)
-            model.add_constr(coeffs, "<=", 0.0, "awareness")
+            final = g.cumulative_inflow(net.index(s))[T]
+            off = np.flatnonzero(final)
+            model.add_rows(1, [(0, g.Y[j:j + 1], 1.0), (0, m0 + off, -final[off])],
+                           "<=", 0.0, "awareness")
 
     if spec.return_to_base:
-        base = base_reachable_states(spec)     # holds the static master's state
-        coeffs: dict[int, float] = {}
-        for r in range(agents.count):
-            if r in agents.static:
-                continue
-            for s in sorted(base, key=net.index):
-                _accumulate(coeffs, model.var("z", r, s, T), 1.0)
-        model.add_constr(coeffs, ">=", 1.0, "return_to_base")
+        base = np.sort(_states(net, base_reachable_states(spec)))  # holds the static master's state
+        movers = np.array([r for r in range(agents.count) if r not in agents.static])
+        model.add_rows(1, [(0, g.Z[movers[:, None], T, base], 1.0)],
+                       ">=", 1.0, "return_to_base")
 
 
 def build_reward_and_motion_terms(model: MilpModel, spec: ProblemSpec):
     """Objective terms every model shares: terminal rewards minus mobility cost."""
-    net, T = spec.net, spec.T
-    for (s, k), value in spec.sorted_rewards():
-        model.add_objective(model.var("y", s, k), value)
-    for r in range(spec.agents.count):
-        for t in range(T):
-            for (a, b), cost in net.mobility.items():
-                if cost:
-                    model.add_objective(model.var("x", r, a, b, t), -cost)
+    g = model.grid
+    model.add_objective(g.Y, np.array([v for _, v in g.rewards], dtype=float))
+    paid = np.flatnonzero(g.mob_cost)
+    model.add_objective(g.X[:, :, paid], -g.mob_cost[paid])
+
+
+def add_comm_costs(model: MilpModel, v: np.ndarray):
+    """Objective terms -cost(c) on v[t, c] for t in 1..T: layer-0
+    communication is free."""
+    cost = model.grid.comm_cost
+    paid = np.flatnonzero(cost)
+    model.add_objective(v[1:, paid], -cost[paid])
 
 
 def build_objective(model: MilpModel, spec: ProblemSpec):
     """Maximize terminal rewards minus mobility cost minus communication cost."""
     build_reward_and_motion_terms(model, spec)
-    net, T = spec.net, spec.T
     for fid in spec.flow_ids():
-        for t in range(1, T + 1):
-            for (a, b), cost in net.comm.items():
-                if cost:
-                    model.add_objective(model.var("fbar", fid, a, b, t), -cost)
+        add_comm_costs(model, model.grid.fbar(fid))
 
 
 def assemble(spec: ProblemSpec) -> MilpModel:
@@ -469,12 +611,10 @@ def assemble(spec: ProblemSpec) -> MilpModel:
     net, T = spec.net, spec.T
     model = allocate_variables(spec)
     for fid in spec.flow_ids():                 # flows f (mobility), fbar (comm)
-        for t in range(T):
-            for (a, b) in net.mobility:
-                model.add_var(("f", fid, a, b, t), "C")
-        for t in range(T + 1):
-            for (a, b) in net.comm:
-                model.add_var(("fbar", fid, a, b, t), "C")
+        model.add_vars(("f", fid),
+                       [("f", fid, a, b, t) for t in range(T) for (a, b) in net.mobility]
+                       + [("fbar", fid, a, b, t) for t in range(T + 1)
+                          for (a, b) in net.comm], "C")
     build_dynamics(model, spec)
     build_flow(model, spec)
     for fid in spec.data_flow_ids():

@@ -70,10 +70,10 @@ def load_agents(agents_data: dict) -> AgentConfig:
     _refuse_unknown_keys("agents", agents_data, AGENT_KEYS)
     try:
         return AgentConfig(
-            count=int(agents_data["count"]),
-            initial={int(r): s for r, s in agents_data["initial"].items()},
-            static=frozenset(int(r) for r in agents_data.get("static", [])),
-            masters=frozenset(int(r) for r in agents_data.get("masters", [])))
+            count=_integer(agents_data["count"]),
+            initial={_integer(r): s for r, s in agents_data["initial"].items()},
+            static=frozenset(map(_integer, agents_data.get("static", []))),
+            masters=frozenset(map(_integer, agents_data.get("masters", []))))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed agents section: {exc}") from None
 
@@ -107,16 +107,24 @@ def _refuse_unknown_keys(section: str, data, accepted: frozenset):
         raise InstanceError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
 
 
+def _integer(value) -> int:
+    """`value` as an int; a number with a fractional part is refused rather
+    than truncated, so that "T": 2.7 does not solve a T=2 problem."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InstanceError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_spec(net: MobilityCommNetwork, agents_data: dict, problem: dict) -> ProblemSpec:
     agents = load_agents(agents_data)
     _refuse_unknown_keys("problem", problem, PROBLEM_KEYS)
     try:
-        rewards = {(rec["state"], int(rec["k"])): float(rec["value"])
+        rewards = {(rec["state"], _integer(rec["k"])): float(rec["value"])
                    for rec in problem.get("rewards", [])}
         spec = ProblemSpec(
-            net=net, agents=agents, T=int(problem["T"]),
-            src=tuple(int(r) for r in problem.get("src", [])),
-            snk=tuple(int(r) for r in problem.get("snk", [])),
+            net=net, agents=agents, T=_integer(problem["T"]),
+            src=tuple(map(_integer, problem.get("src", []))),
+            snk=tuple(map(_integer, problem.get("snk", []))),
             rewards=rewards,
             information_consistent=bool(problem.get("information_consistent", False)),
             collision_avoidance=bool(problem.get("collision_avoidance", False)),

@@ -167,9 +167,13 @@ def load_network(source) -> MobilityCommNetwork:
         out = []
         for rec in records:
             try:
-                out.append((rec["from"], rec["to"], float(rec.get("weight", 0.0))))
+                edge = (rec["from"], rec["to"], float(rec.get("weight", 0.0)))
+                named = isinstance(edge[0], str) and isinstance(edge[1], str)
             except (KeyError, TypeError, ValueError):
-                raise InstanceError(f"malformed edge record in {key}: {rec!r}") from None
+                named = False
+            if not named:           # endpoints are state names
+                raise InstanceError(f"malformed edge record in {key}: {rec!r}")
+            out.append(edge)
         return out
 
     return build_network(

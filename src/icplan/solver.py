@@ -1,8 +1,8 @@
 """HiGHS solves of the solver-neutral model, and its LP-format export.
 
-`solve` hands a `MilpModel` to HiGHS through scipy.optimize.milp;
-`export_lp` writes the same model as CPLEX-LP text for inspection or for
-an external solver.
+`solve` hands a `MilpModel`'s cached CSC matrix (`MilpModel.matrix()`) to
+HiGHS through scipy.optimize.milp; `export_lp` writes the same model as
+CPLEX-LP text for inspection or for an external solver.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import SolverError
@@ -44,42 +43,22 @@ class SolveResult:
     nodes: int | None = None          # branch-and-bound nodes HiGHS explored
     dual_bound: float | None = None   # upper bound on the objective
     gap: float | None = None          # HiGHS's relative MIP gap at exit
+    n_variables: int = 0              # size of the model HiGHS was given
+    n_constraints: int = 0
+    nonzeros: int = 0
+    highs_s: float = 0.0              # seconds inside scipy's milp
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
 
 
-def _round_assignment(model: MilpModel, x) -> dict[tuple, float]:
-    assignment = {}
-    for idx, ref in enumerate(model.refs):
-        v = float(x[idx])
-        if model.domains[idx] == "B":
-            v = float(round(v))
-        elif abs(v) < INT_TOL:
-            v = 0.0
-        assignment[ref] = v
-    return assignment
-
-
-def _constraint_matrix(model: MilpModel):
-    rows, cols, vals = [], [], []
-    lb = np.empty(model.n_constraints)
-    ub = np.empty(model.n_constraints)
-    for i, (coeffs, rel, rhs, _) in enumerate(model.constraints):
-        for idx, c in coeffs.items():
-            rows.append(i)
-            cols.append(idx)
-            vals.append(c)
-        if rel == "==":
-            lb[i] = ub[i] = rhs
-        elif rel == "<=":
-            lb[i], ub[i] = -np.inf, rhs
-        else:
-            lb[i], ub[i] = rhs, np.inf
-    A = sparse.csr_matrix((vals, (rows, cols)),
-                          shape=(model.n_constraints, model.n_variables))
-    return A, lb, ub
+def _round_assignment(model: MilpModel, x, binary) -> dict[tuple, float]:
+    """Binaries rounded, continuous values within INT_TOL of 0 set to 0."""
+    x = np.asarray(x, dtype=float)
+    values = np.where(binary, np.round(x) + 0.0,          # + 0.0: no -0.0
+                      np.where(np.abs(x) < INT_TOL, 0.0, x))
+    return dict(zip(model.refs, values.tolist()))
 
 
 @contextmanager
@@ -105,14 +84,12 @@ def solve(model: MilpModel, time_limit: float | None = None,
           gap: float | None = None) -> SolveResult:
     """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap."""
     start = time.perf_counter()
-    n = model.n_variables
-    c = np.zeros(n)
-    for idx, coeff in model.objective.items():
-        c[idx] = -coeff                      # milp minimizes
-    integrality = np.array([1 if d == "B" else 0 for d in model.domains])
-    upper = np.array([1.0 if d == "B" else np.inf for d in model.domains])
-    bounds = Bounds(np.zeros(n), upper)
-    A, lb, ub = _constraint_matrix(model)
+    A, lb, ub = model.matrix()
+    binary = model.binary()
+    cols, vals = model.objective_terms()
+    c = np.zeros(model.n_variables)
+    c[cols] = -vals                          # milp minimizes
+    bounds = Bounds(np.zeros(model.n_variables), np.where(binary, 1.0, np.inf))
     options = dict(_HIGHS_OPTIONS)
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
@@ -121,31 +98,35 @@ def solve(model: MilpModel, time_limit: float | None = None,
     try:
         with _quiet_fd1(), warnings.catch_warnings():
             warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
+            highs_start = time.perf_counter()
             res = milp(c=c, constraints=LinearConstraint(A, lb, ub),
-                       integrality=integrality, bounds=bounds, options=options)
+                       integrality=binary.astype(np.uint8), bounds=bounds,
+                       options=options)
+            highs_s = time.perf_counter() - highs_start
     except Exception as exc:                 # pragma: no cover - defensive
         raise SolverError(f"scipy/HiGHS failed: {exc}") from exc
-    result = _classify(model, res)
+    result = _classify(model, res, binary)
     bound = res.get("mip_dual_bound")
     result.nodes = res.get("mip_node_count")
     result.dual_bound = None if bound is None else -float(bound)
     result.gap = res.get("mip_gap")
+    result.n_variables, result.n_constraints = A.shape[1], A.shape[0]
+    result.nonzeros, result.highs_s = A.nnz, highs_s
     result.wall_time = time.perf_counter() - start
     return result
 
 
-def _classify(model: MilpModel, res) -> SolveResult:
+def _classify(model: MilpModel, res, binary) -> SolveResult:
     """The status, objective and rounded assignment of a `milp` result."""
     if res.status == 0:
         return SolveResult("optimal", -float(res.fun),
-                           _round_assignment(model, res.x))
+                           _round_assignment(model, res.x, binary))
     if res.status == 1 and res.x is not None:
         # keep a time-limit incumbent only if it is integer-feasible
-        drift = max((abs(res.x[i] - round(res.x[i]))
-                     for i, d in enumerate(model.domains) if d == "B"), default=0.0)
-        if drift <= 1e-4:
+        ints = res.x[binary]
+        if np.abs(ints - np.round(ints)).max(initial=0.0) <= 1e-4:
             return SolveResult("limit", -float(res.fun),
-                               _round_assignment(model, res.x),
+                               _round_assignment(model, res.x, binary),
                                message=res.message)
         return SolveResult("limit", None, message="fractional incumbent")
     if res.status == 1:

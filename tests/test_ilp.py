@@ -1,11 +1,22 @@
-"""Model shape: variable/constraint counts, validation, flow orientation."""
+"""Model shape: variable/constraint counts, validation, flow orientation,
+and the arrays HiGHS is given."""
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
+from scipy.sparse import csc_array
 
+from icplan import solver
+from icplan.baselines import solve_powerset
 from icplan.errors import ConfigurationError
+from icplan.explore import run_exploration
 from icplan.ilp import MASTER_FLOW, AgentConfig, MilpModel, ProblemSpec, assemble
-from icplan.instances import ORACLE_CLASSES, random_oracle_instance
+from icplan.instances import (ORACLE_CLASSES, exploration_world, line_instance,
+                              random_oracle_instance)
 from icplan.network import build_network
 
 from _helpers import line_network, relay_spec
@@ -236,5 +247,83 @@ def test_src_snk_deduplicated_and_sorted():
 
 def test_model_var_lookup():
     model = MilpModel()
-    idx = model.add_var(("x", 1, "a"), "C")
-    assert model.var("x", 1, "a") == idx
+    model.add_vars("z", [("z", 0, "a", 0)], "B")
+    first = model.add_vars("x", [("x", 1, "a"), ("x", 1, "b")], "C")
+    assert model.var("x", 1, "b") == first + 1 == 2
+    assert model.domains == ["B", "C", "C"]
+    assert model.binary().tolist() == [True, False, False]
+
+
+# -- the arrays HiGHS is given ---------------------------------------------------
+
+# SHA-256 over every array of every `milp` call on the corpus below,
+# captured from the model code that kept one dict per row and made the matrix
+# from COO triples.  A change to how models are stored must give HiGHS the
+# same bytes.
+HIGHS_INPUT_SHA256 = "941024f0e5e7952665773e18e28ffcf8052919fd5e8c87847b5ddc7c75f8cbce"
+
+
+def _pinned_corpus():
+    """C1's 200 specs, line_instance(3..10), C1 p2 seeds 0-49 re-posed
+    many_to_one onto agent 0."""
+    specs = [random_oracle_instance(seed, klass)[1]
+             for seed in range(50) for klass in ORACLE_CLASSES]
+    specs += [line_instance(n)[1] for n in range(3, 11)]
+    for seed in range(50):
+        spec = random_oracle_instance(seed, "p2")[1]
+        specs.append(dataclasses.replace(
+            spec, src=tuple(range(spec.agents.count)), snk=(0,)))
+    return specs
+
+
+def test_highs_input_is_pinned(monkeypatch):
+    digest, calls = hashlib.sha256(), []
+    real_milp = solver.milp
+
+    def recording_milp(c, *, integrality, bounds, constraints, options):
+        A = csc_array(constraints.A)
+        for array, dtype in ((c, float), (integrality, np.uint8),
+                             (bounds.lb, float), (bounds.ub, float),
+                             (A.indptr, np.int64), (A.indices, np.int64),
+                             (A.data, float), (constraints.lb, float),
+                             (constraints.ub, float)):
+            digest.update(np.asarray(array, dtype=dtype).tobytes())
+        calls.append(A.shape)
+        if solving:
+            return real_milp(c, integrality=integrality, bounds=bounds,
+                             constraints=constraints, options=options)
+        return OptimizeResult(status=2, x=None, fun=None, message="recorded")
+
+    monkeypatch.setattr(solver, "milp", recording_milp)
+    solving, corpus = False, _pinned_corpus()
+    for spec in corpus:
+        solver.solve(assemble(spec))
+    solve_powerset(line_instance(4)[1])     # one build_powerset_model model
+    solving = True          # exploration needs each plan to go on
+    log = run_exploration(*exploration_world(0, 15, 3))
+    assert log.status == "complete"
+    assert len(calls) == len(corpus) + 1 + len(log.subproblems)
+    assert digest.hexdigest() == HIGHS_INPUT_SHA256
+
+
+def test_the_rows_view_matches_the_matrix():
+    # perfbench counts nonzeros and rows through `constraints`
+    specs = [random_oracle_instance(0, "p2_awareness")[1], line_instance(6)[1]]
+    for spec in specs:
+        model = assemble(spec)
+        A, lo, hi = model.matrix()
+        assert sum(len(c) for c, _, _, _ in model.constraints) == A.nnz
+        assert model.n_constraints == A.shape[0] == len(lo) == len(hi)
+        assert model.n_variables == A.shape[1]
+
+
+def test_lp_text_is_pinned():
+    # the LP text reads the model through `constraints` and `objective`;
+    # taken when both were the model's own per-row dicts
+    pins = {"f0e4212fbeb565a638a01db7352d637bb81f0ec9639931ae631111b67bb8799a":
+            line_instance(4)[1],
+            "78d42f564ff1ba2e89c9db7636f73f0488eb2bdcbe561ed9d09603cce47251a9":
+            random_oracle_instance(3, "p2_awareness")[1]}
+    for digest, spec in pins.items():
+        text = solver.export_lp(assemble(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

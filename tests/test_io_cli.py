@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import icplan
 
 from icplan import cli, verify
 from icplan.errors import ConfigurationError, InstanceError
-from icplan.ilp import AgentConfig, ProblemSpec
+from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import (exploration_world, line_instance,
                                random_oracle_instance)
 from icplan.io import (instance_to_dict, load_exploration, load_instance,
@@ -146,6 +147,26 @@ def test_load_instance_rejects_malformed_sources(tmp_path):
         data["network"][key] = 5
         with pytest.raises(InstanceError, match=f"{key} must be a JSON array"):
             load_instance(data)
+        for record in ({"from": ["x"], "to": "s1"}, {"from": "s0", "to": 1}):
+            data = instance_to_dict(net, spec)
+            data["network"][key].append(record)
+            with pytest.raises(InstanceError, match=f"malformed edge record in {key}"):
+                load_instance(data)
+    # a number with a fractional part is refused, not truncated
+    for section, key, value in (("problem", "T", 2.7), ("problem", "src", [0.5]),
+                                ("problem", "snk", [2, 0.25]), ("agents", "count", 3.5),
+                                ("agents", "static", [1.5]), ("agents", "masters", [0.1])):
+        data = instance_to_dict(net, spec)
+        data[section][key] = value
+        with pytest.raises(InstanceError, match="expected an integer"):
+            load_instance(data)
+    data = instance_to_dict(net, spec)
+    data["problem"]["rewards"] = [{"state": "s1", "k": 1.5, "value": 2.0}]
+    with pytest.raises(InstanceError, match="expected an integer"):
+        load_instance(data)
+    data["problem"]["rewards"][0]["k"] = 1.0          # integral: accepted
+    data["problem"]["T"] = 2.0
+    assert load_instance(data)[1].T == 2
     data = instance_to_dict(net, spec)
     data["network"]["mobility_edge"] = data["network"].pop("mobility_edges")
     with pytest.raises(InstanceError, match="unknown key.*'network'.*mobility_edge"):
@@ -240,6 +261,14 @@ def test_cli_solve_writes_every_artifact(tmp_path, capsys):
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "status=optimal" in out
+    # the size HiGHS was given and the seconds it took, next to nodes=
+    model = assemble(spec)
+    A, _, _ = model.matrix()
+    sizes = re.search(r" highs=(\S+)s vars=(\d+) rows=(\d+) nonzeros=(\d+) nodes=", out)
+    assert sizes is not None, out
+    assert 0.0 <= float(sizes[1]) <= float(re.search(r" wall=(\S+)s", out)[1])
+    assert [int(n) for n in sizes.groups()[1:]] == \
+        [model.n_variables, model.n_constraints, A.nnz]
     assert lp.read_text().startswith("\\")
     assert dot.read_text().startswith("digraph")
     plan = verify.load_solution(sol)
