@@ -36,7 +36,6 @@ ACTIVE_ID = "comm"          # flow-id tag for CommActive events in plans
 
 @dataclass
 class BaselineRun:
-    model: MilpModel
     result: SolveResult
     plan: PlanSolution | None
     rounds: int = 1
@@ -121,7 +120,7 @@ def solve_powerset(spec: ProblemSpec,
     model = build_powerset_model(spec)
     result = solve(model, time_limit=time_limit)
     plan = extract_baseline_solution(spec, result) if result.ok else None
-    return BaselineRun(model, result, plan, rounds=1,
+    return BaselineRun(result, plan, rounds=1,
                        cuts_added=model.tag_counts().get("powerset_cut", 0),
                        wall_time=result.wall_time)
 
@@ -139,13 +138,13 @@ def solve_adaptive_powerset(spec: ProblemSpec,
         result = solve(model, time_limit=time_limit)
         total_time += result.wall_time
         if not result.ok:
-            return BaselineRun(model, result, None, round_no, n_cuts, total_time)
+            return BaselineRun(result, None, round_no, n_cuts, total_time)
         plan = extract_baseline_solution(spec, result)
         report = information_reachability(plan, spec)
         violated = [i for i in spec.src
                     if not all(report.pair_matrix[(i, j)] for j in spec.snk)]
         if not violated:
-            return BaselineRun(model, result, plan, round_no, n_cuts, total_time)
+            return BaselineRun(result, plan, round_no, n_cuts, total_time)
         for i in violated:
             inside = np.ones((T + 1, len(net.states)), dtype=bool)
             for t, layer in enumerate(report.token_layers[i]):

@@ -129,12 +129,17 @@ def _cmd_explore(args) -> int:
         print(f"cycle {o.cycle}: clusters={o.n_clusters} "
               f"frontiers={o.frontiers_before} new={len(o.new_states)} "
               f"base+={o.base_gain} slowest_solve={o.max_solve_time:.1f}s")
+    data = log.to_dict()
+    for f in data["failures"]:
+        print(f"violation: cycle {f['cycle']} cluster {f['cluster']} "
+              f"{f['phase']} T={f['horizon']} status={f['status']}: "
+              + "; ".join(f["violations"]))
     print(f"status={log.status} cycles={log.cycles} "
           f"coverage={log.coverage:.2f} base={log.base_coverage:.2f} "
           f"subproblems={len(log.subproblems)} verified={log.all_verified} "
           f"wall={log.wall_time:.1f}s")
     if args.out:
-        write_json(args.out, log.to_dict())
+        write_json(args.out, data)
         print(f"wrote {args.out}")
     if log.status == "complete":
         return EXIT_OK

@@ -185,6 +185,13 @@ class ExplorationLog:
                 "new_states": len(o.new_states), "base_gain": o.base_gain,
                 "max_solve_time": o.max_solve_time,
             } for o in self.outcomes],
+            "failures": [{
+                "cycle": rec.cycle, "cluster": rec.cluster, "phase": rec.phase,
+                "horizon": rec.horizon, "status": rec.status,
+                "roster": [list(e) if isinstance(e, tuple) else e
+                           for e in rec.roster],
+                "violations": list(rec.violations),
+            } for rec in self.subproblems if not rec.verified],
         }
 
 

@@ -30,7 +30,7 @@ fbar[t, c].  Each constraint family appends one chunk of rows through
 `MilpModel.add_rows`: (row, column, value) entry arrays built with numpy
 over the edge index arrays, plus row bounds and a tag.  `MilpModel.matrix()`
 sums the entries that meet at one cell, in the order they were added, drops
-exact zeros and returns the CSC matrix HiGHS reads, built once per model.
+exact zeros and returns the CSC matrix HiGHS reads, built on each call.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ class MilpModel:
 
     def __init__(self):
         self.refs: list[tuple] = []
-        self.domains: list[str] = []          # 'B' binary, 'C' continuous >= 0
         self.start: dict = {}                 # block key -> its first variable
         self.tags: list[str] = []             # one per row
         self.grid: _Grid | None = None        # set by allocate_variables
@@ -160,20 +159,17 @@ class MilpModel:
         self._entries: list[tuple] = []       # (rows, cols, vals, chunk's first row)
         self._bounds: list[tuple] = []        # (row count, lo, hi) per chunk
         self._terms: list[tuple] = []         # (cols, vals) of the objective
-        self._by_ref: dict[tuple, int] | None = None
-        self._matrix = None
 
     # -- construction ---------------------------------------------------
 
     def add_vars(self, key, refs: list[tuple], domain: str) -> int:
-        """Append a block of variables under `key`; returns its first index."""
+        """Append a block of variables under `key`, 'B' binary or 'C'
+        continuous >= 0; returns its first index."""
         if key in self.start:
             raise ConfigurationError(f"duplicate variable block {key!r}")
         first = self.start[key] = len(self.refs)
         self.refs.extend(refs)
-        self.domains.extend([domain] * len(refs))
         self._blocks.append((len(refs), domain == "B"))
-        self._by_ref = None
         return first
 
     def add_rows(self, n: int, entries, rel: str, rhs, tag):
@@ -197,7 +193,6 @@ class MilpModel:
         self._bounds.append((n, -np.inf if rel == "<=" else rhs,
                              np.inf if rel == ">=" else rhs))
         self.tags.extend([tag] * n if isinstance(tag, str) else tag)
-        self._matrix = None
 
     def add_objective(self, cols: np.ndarray, vals):
         """Add vals (a scalar or an array broadcast to cols) at cols."""
@@ -209,31 +204,29 @@ class MilpModel:
 
     def matrix(self):
         """(A, lo, hi): the CSC constraint matrix and the row bounds, built
-        on first use.  Entries at one cell are summed in the order they were
+        on each call.  Entries at one cell are summed in the order they were
         added, exact zeros dropped, row indices ascend within each column."""
-        if self._matrix is None:
-            rows, cols, vals, firsts = zip(*self._entries)
-            sizes = [len(c) for c in cols]
-            n_rows, n_cols = self.n_constraints, self.n_variables
-            rows = np.concatenate(rows) + np.array(firsts).repeat(sizes)
-            cell = np.concatenate(cols) * n_rows + rows
-            order = cell.argsort(kind="stable")
-            cell = cell[order]
-            new = np.empty(len(cell), dtype=bool)   # the first entry of each cell
-            new[:1] = True
-            np.not_equal(cell[1:], cell[:-1], out=new[1:])
-            first = new.nonzero()[0]
-            vals = np.add.reduceat(_expand(vals, sizes)[order], first)
-            keep = vals != 0.0
-            cols, rows = np.divmod(cell[first[keep]], n_rows)
-            indptr = np.zeros(n_cols + 1, dtype=np.int32)
-            np.bincount(cols, minlength=n_cols).cumsum(out=indptr[1:])
-            A = sparse.csc_array((vals[keep], rows.astype(np.int32), indptr),
-                                 shape=(n_rows, n_cols))
-            counts, lo, hi = zip(*self._bounds)
-            bounds = _expand(lo + hi, counts + counts)
-            self._matrix = (A, bounds[:n_rows], bounds[n_rows:])
-        return self._matrix
+        rows, cols, vals, firsts = zip(*self._entries)
+        sizes = [len(c) for c in cols]
+        n_rows, n_cols = self.n_constraints, self.n_variables
+        rows = np.concatenate(rows) + np.array(firsts).repeat(sizes)
+        cell = np.concatenate(cols) * n_rows + rows
+        order = cell.argsort(kind="stable")
+        cell = cell[order]
+        new = np.empty(len(cell), dtype=bool)   # the first entry of each cell
+        new[:1] = True
+        np.not_equal(cell[1:], cell[:-1], out=new[1:])
+        first = new.nonzero()[0]
+        vals = np.add.reduceat(_expand(vals, sizes)[order], first)
+        keep = vals != 0.0
+        cols, rows = np.divmod(cell[first[keep]], n_rows)
+        indptr = np.zeros(n_cols + 1, dtype=np.int32)
+        np.bincount(cols, minlength=n_cols).cumsum(out=indptr[1:])
+        A = sparse.csc_array((vals[keep], rows.astype(np.int32), indptr),
+                             shape=(n_rows, n_cols))
+        counts, lo, hi = zip(*self._bounds)
+        bounds = _expand(lo + hi, counts + counts)
+        return A, bounds[:n_rows], bounds[n_rows:]
 
     def binary(self) -> np.ndarray:
         """Boolean mask of the binary variables."""
@@ -246,11 +239,6 @@ class MilpModel:
         return np.concatenate(cols), _expand(vals, [len(c) for c in cols])
 
     # -- inspection -------------------------------------------------------
-
-    def var(self, *ref) -> int:
-        if self._by_ref is None:
-            self._by_ref = {r: i for i, r in enumerate(self.refs)}
-        return self._by_ref[ref]
 
     @property
     def objective(self) -> dict[int, float]:

@@ -1,7 +1,7 @@
 """HiGHS solves of the solver-neutral model, and its LP-format export.
 
-`solve` hands a `MilpModel`'s cached CSC matrix (`MilpModel.matrix()`) to
-HiGHS through scipy.optimize.milp; `export_lp` writes the same model as
+`solve` builds a `MilpModel`'s CSC matrix (`MilpModel.matrix()`) and hands it
+to HiGHS through scipy.optimize.milp; `export_lp` writes the same model as
 CPLEX-LP text for inspection or for an external solver.
 """
 
@@ -36,6 +36,9 @@ _VERBATIM_WARNING = (r"Unrecognized options detected: "
 @dataclass
 class SolveResult:
     status: str                       # optimal | infeasible | unbounded | limit | error
+    # HiGHS's -res.fun, not re-priced from the plan: when a flow falls short
+    # by the feasibility tolerance it can read ~1e-6 above the plan's exact
+    # value (5.749001 against 5.749 on C1 p1 seed 20 re-posed many_to_one)
     objective: float | None
     assignment: dict[tuple, float] = field(default_factory=dict)
     wall_time: float = 0.0
@@ -175,8 +178,9 @@ def export_lp(model: MilpModel) -> str:
     rel_text = {"<=": "<=", ">=": ">=", "==": "="}
     for i, (coeffs, rel, rhs, tag) in enumerate(model.constraints):
         lines.append(f" c{i}_{tag}: {_expr(coeffs, names)} {rel_text[rel]} {_fmt(rhs)}")
-    binaries = [names[i] for i, d in enumerate(model.domains) if d == "B"]
-    continuous = [names[i] for i, d in enumerate(model.domains) if d == "C"]
+    binary = model.binary().tolist()
+    binaries = [nm for nm, b in zip(names, binary) if b]
+    continuous = [nm for nm, b in zip(names, binary) if not b]
     if continuous:
         lines.append("Bounds")
         for nm in continuous:

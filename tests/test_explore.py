@@ -12,7 +12,7 @@ import pytest
 
 import icplan
 from icplan.cluster import Clustering
-from icplan import explore
+from icplan import cli, explore
 from icplan.explore import (POST_T_CAP, _cluster_rewards, _CyclePlan,
                             _delivery_corridor, _hop_distances, _plan_cycle,
                             _pre_phase, _solve_post, detect_frontiers,
@@ -359,6 +359,34 @@ def test_log_serialisation_matches_the_run():
     assert data["coverage"] == log.coverage
     for outcome in data["outcomes"]:
         assert outcome["max_solve_time"] <= data["max_solve_time"]
+    assert data["failures"] == []
+
+
+def test_a_failed_run_says_which_plan_failed_and_why(monkeypatch, tmp_path, capsys):
+    solve = explore.solve_problem
+
+    def truncating(spec, **kwargs):
+        # cut every path of a problem with a child station to its first
+        # state, which plan_violations refuses
+        model, result, plan = solve(spec, **kwargs)
+        if plan is not None and len(spec.agents.static) > 1:
+            plan = dataclasses.replace(
+                plan, paths={r: p[:1] for r, p in plan.paths.items()})
+        return model, result, plan
+
+    monkeypatch.setattr(explore, "solve_problem", truncating)
+    out = tmp_path / "log.json"
+    assert cli.main(["explore", "--seed", "0", "--n-states", "30", "--n-agents",
+                     "5", "--out", str(out)]) == cli.EXIT_VERIFICATION
+    violations = [f"agent {r}: path length 1, expected 4" for r in range(4)]
+    assert json.loads(out.read_text())["failures"] == [{
+        "cycle": 2, "cluster": 1, "phase": "pre", "horizon": 3,
+        "status": "optimal", "roster": [0, 3, 4, ["station", 1]],
+        "violations": violations}]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3] == ("violation: cycle 2 cluster 1 pre T=3 status=optimal: "
+                         + "; ".join(violations))
+    assert lines[-2].startswith("status=verification_failed ")
 
 
 _RECORDS = """

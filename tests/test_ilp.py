@@ -245,12 +245,12 @@ def test_src_snk_deduplicated_and_sorted():
 # -- model object ----------------------------------------------------------------
 
 
-def test_model_var_lookup():
+def test_model_blocks_start_at_their_first_index():
     model = MilpModel()
     model.add_vars("z", [("z", 0, "a", 0)], "B")
     first = model.add_vars("x", [("x", 1, "a"), ("x", 1, "b")], "C")
-    assert model.var("x", 1, "b") == first + 1 == 2
-    assert model.domains == ["B", "C", "C"]
+    assert first == model.start["x"] == 1 and model.start["z"] == 0
+    assert model.refs[first + 1] == ("x", 1, "b")
     assert model.binary().tolist() == [True, False, False]
 
 

@@ -28,13 +28,37 @@ def _references(tree):
     return names
 
 
-def _uncalled(private):
-    """The package's private or public top-level definitions that neither the
-    package nor the benchmark references, and all of them; re-exports in
-    __init__ are not callers."""
+def _members(tree):
+    """(class, name) of every method, property and dataclass field of the
+    module's top-level classes; dunder methods are called implicitly."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                yield cls.name, node.name
+            elif dataclass and isinstance(node, ast.AnnAssign):
+                yield cls.name, node.target.id
+
+
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _parsed():
+    """The package's modules but __init__ (re-exports are not callers), and
+    the parsed modules of the package and the benchmark."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers = modules + sorted(BENCHMARK.glob("*.py"))
-    trees = {p: ast.parse(p.read_text()) for p in callers}
+    return modules, {p: ast.parse(p.read_text()) for p in callers}
+
+
+def _uncalled(private):
+    """The package's private or public top-level definitions that neither the
+    package nor the benchmark references, and all of them."""
+    modules, trees = _parsed()
     referenced = set().union(*map(_references, trees.values()))
     defined = {name for p in modules for name in _definitions(trees[p])
                if name.startswith("_") == private}
@@ -50,6 +74,16 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_every_private_definition_has_a_caller_outside_the_tests():
     # a helper that only the tests still call is dead library code
     assert _uncalled(private=True)[0] == set()
+
+
+def test_every_class_member_has_a_reader_outside_the_tests():
+    # a field or method that the package and the benchmark never read as
+    # obj.name is kept for the tests alone; keywords and locals do not count
+    modules, trees = _parsed()
+    read = set().union(*map(_attribute_reads, trees.values()))
+    members = [m for p in modules for m in _members(trees[p])]
+    assert members
+    assert [f"{cls}.{name}" for cls, name in members if name not in read] == []
 
 
 def test_no_module_imports_heapq():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from icplan import solver
+from icplan import solver, verify
+from icplan.errors import InstanceError
 from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import line_instance
 from icplan.network import build_network
@@ -36,9 +37,21 @@ def test_extracted_paths_have_the_right_shape(line4_solution):
 
 def test_assignment_is_integral(line4_solution):
     _, model, result, _ = line4_solution
-    for ref, value in result.assignment.items():
-        if model.domains[model.var(*ref)] == "B":
+    assert list(result.assignment) == model.refs
+    for value, binary in zip(result.assignment.values(), model.binary()):
+        if binary:
             assert value in (0.0, 1.0)
+
+
+def test_extraction_refuses_an_agent_on_zero_or_two_states(line4_solution):
+    spec, _, result, _ = line4_solution
+    [here] = [s for s in spec.net.states if result.assignment[("z", 0, s, 1)] == 1.0]
+    there = next(s for s in spec.net.states if s != here)
+    for change, count in (({("z", 0, here, 1): 0.0}, 0),
+                          ({("z", 0, there, 1): 1.0}, 2)):
+        assignment = {**result.assignment, **change}
+        with pytest.raises(InstanceError, match=f"agent 0 occupies {count} states at t=1"):
+            verify.extract_solution(spec, assignment, result.objective)
 
 
 def test_infeasible_instance_reports_infeasible():
@@ -148,7 +161,7 @@ def _check_lp_counts(model) -> None:
     assert [line.split(":")[0] for line in rows] == \
         [f" c{i}_{c[3]}" for i, c in enumerate(model.constraints)]
     binaries = [nm for line in sections["Binaries"] for nm in line.split()]
-    assert len(binaries) == sum(1 for d in model.domains if d == "B")
+    assert len(binaries) == model.binary().sum()
     continuous = [line.split()[-1] for line in sections.get("Bounds", [])]
     names = binaries + continuous
     assert len(names) == len(set(names)) == model.n_variables
