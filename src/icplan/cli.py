@@ -49,6 +49,21 @@ def _num(value) -> str:
     return "-" if value is None else f"{value:.6g}"
 
 
+def _solve_flow(spec, time_limit, gap) -> baselines.BaselineRun:
+    _, result, plan = solve_problem(spec, time_limit=time_limit, gap=gap)
+    return baselines.BaselineRun(result, plan, wall_time=result.wall_time)
+
+
+# method name -> solver(spec, time_limit, gap); the baselines take no gap
+METHODS = {
+    "flow": _solve_flow,
+    "powerset": lambda spec, time_limit, gap:
+        baselines.solve_powerset(spec, time_limit=time_limit),
+    "adaptive": lambda spec, time_limit, gap:
+        baselines.solve_adaptive_powerset(spec, time_limit=time_limit),
+}
+
+
 def _cmd_solve(args) -> int:
     net, spec = _load_spec(args.instance)
     if args.lp_out:
@@ -57,14 +72,9 @@ def _cmd_solve(args) -> int:
     if args.dot_out:
         write_text(args.dot_out, to_dot(net))
         print(f"wrote {args.dot_out}")
-    if args.method == "flow":
-        model, result, plan = solve_problem(spec, time_limit=args.time_limit,
-                                            gap=args.gap)
-    else:
-        solver = (baselines.solve_powerset if args.method == "powerset"
-                  else baselines.solve_adaptive_powerset)
-        run = solver(spec, time_limit=args.time_limit)
-        result, plan = run.result, run.plan
+    run = METHODS[args.method](spec, args.time_limit, args.gap)
+    result, plan = run.result, run.plan
+    if args.method != "flow":
         print(f"rounds={run.rounds} cuts={run.cuts_added}")
     print(f"status={result.status} objective={_num(result.objective)} "
           f"wall={result.wall_time:.2f}s highs={result.highs_s:.2f}s "
@@ -170,20 +180,12 @@ def bench_rows(methods, sizes, time_limit=None):
     for n in sizes:
         net, spec = line_instance(n)
         for method in methods:
-            if method == "flow":
-                model, result, plan = solve_problem(spec,
-                                                    time_limit=time_limit)
-                status, wall, obj = result.status, result.wall_time, \
-                    result.objective
-            else:
-                solver = (baselines.solve_powerset if method == "powerset"
-                          else baselines.solve_adaptive_powerset)
-                try:
-                    run = solver(spec, time_limit=time_limit)
-                    status, wall, obj = (run.result.status, run.wall_time,
-                                         run.result.objective)
-                except GuardExceeded:
-                    status, wall, obj = "refused", 0.0, None
+            try:
+                run = METHODS[method](spec, time_limit, None)
+                status, wall, obj = (run.result.status, run.wall_time,
+                                     run.result.objective)
+            except GuardExceeded:
+                status, wall, obj = "refused", 0.0, None
             rows.append({"method": method, "N": n, "T": spec.T,
                          "status": status, "wall_time": f"{wall:.3f}",
                          "objective": ("" if obj is None else f"{obj:.6g}")})
@@ -193,7 +195,7 @@ def bench_rows(methods, sizes, time_limit=None):
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("flow", "powerset", "adaptive"):
+        if m not in METHODS:
             raise IcplanError(f"unknown bench method {m!r}")
     sizes = _parse_n_range(args.n_range)
     if args.out:
@@ -222,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a planning instance")
     p.add_argument("instance")
     p.add_argument("--method", default="flow",
-                   choices=("flow", "powerset", "adaptive"))
+                   choices=tuple(METHODS))
     p.add_argument("--gap", type=float, default=None)
     p.add_argument("--out", help="write the solution JSON here")
     p.add_argument("--lp-out", help="export the model in LP format")

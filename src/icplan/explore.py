@@ -20,7 +20,9 @@ every activated cluster solves up to two small problems on its territory.
   here) appear as sources; a cluster with nothing to deliver skips the
   solve.  Since children report before their parents, fresh discoveries
   climb the whole hierarchy within one cycle, and the master cluster
-  additionally requires a returning agent near the base.
+  additionally requires a returning agent near the base.  Each collection
+  problem is solved once; an infeasible one moves nobody and its sources
+  deliver in a later cycle.
 
 Movement reveals the one-hop mobility neighbourhood of every visited state.
 The loop ends when no frontiers remain and the base knows every revealed
@@ -53,7 +55,6 @@ GRADIENT_MIN = 0.5          # approach rewards below this are dropped
 NEWS_REWARD = 25.0          # station bonus when a child subtree holds news
 EVAC_REWARD = 50.0          # border rewards for clusters with nothing left
 T_MAX = 8                   # horizon cap per subproblem
-POST_T_CAP = 12             # retry ceiling for infeasible collection problems
 TERRITORY_SPAN = 2.0        # target territory size, in states per horizon step
 MAX_CYCLES = 40
 SOLVE_TIME_LIMIT = 55.0
@@ -224,6 +225,11 @@ def _sub_agents(positions, clustering: Clustering, cid, children, static):
     return config, roster, sm_index, stations
 
 
+def _horizon(hops) -> int:
+    """Subproblem horizon: the farthest hop count plus 2, within 1..T_MAX."""
+    return max(1, min(T_MAX, max(hops) + 2))
+
+
 def _record(cycle, cid, phase, roster, spec, result, plan) -> SubproblemRecord:
     """Record of one solve: the plan's violations, or why there is no plan."""
     if plan is None:
@@ -329,7 +335,7 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
         territory = cl.state_sets[cid]
         member_pos = [positions[r] for r in cl.groups[cid]]
         reach = _hop_distances(plan.net, member_pos, within=territory)
-        T = max(1, min(T_MAX, max(reach.values(), default=0) + 2))
+        T = _horizon(reach.values())
         # states beyond T hops are unreachable within the horizon;
         # trimming them keeps the model small without losing plans
         in_range = {s for s in territory if reach.get(s, T_MAX + 1) <= T}
@@ -367,9 +373,11 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
     """Bottom-up collection of findings at each endowed cluster's submaster.
 
     Sources are members holding news the submaster lacks plus the frozen
-    members, which regroup here.  Moves members, merges delivered knowledge
-    into the submaster's, records every solve, and returns True when one
-    fails.
+    members, which regroup here.  Each cluster's problem is solved once: an
+    infeasible or time-limited one is not recorded and moves nobody, so its
+    sources deliver in a later cycle.  Otherwise moves members, merges
+    delivered knowledge into the submaster's, records the solve, and returns
+    True when it fails.
     """
     cl = plan.clustering
     for cid in sorted(endowed, key=lambda c: (-cl.depth(c), c)):
@@ -384,16 +392,23 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
         corridor = _delivery_corridor(
             plan.net, set(cl.state_sets[cid]) | stations, config.initial,
             [config.initial[i] for i in src], config.initial[sm_index])
+        sub_net = induced_network(plan.net, corridor)
+        dist = _hop_distances(sub_net, [config.initial[sm_index]])
+        far = len(sub_net.states) + 1
         at_base = cid == plan.by_depth[0] and config.count > len(config.static)
-        record, sol, used_src = _solve_post(
-            induced_network(plan.net, corridor), config, sm_index, src, at_base,
-            cycle, cid, roster)
-        if record is None:
-            continue    # every source proved unreachable; regroup later
+        spec = ProblemSpec(net=sub_net, agents=config,
+                           T=_horizon(dist.get(config.initial[i], far) for i in src),
+                           src=tuple(src), snk=(sm_index,), rewards={},
+                           return_to_base=at_base)
+        _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
+                                       gap=POST_GAP)
+        if sol is None and result.status in ("infeasible", "limit"):
+            continue    # the sources deliver in a later cycle
+        record = _record(cycle, cid, "post", roster, spec, result, sol)
         records.append(record)
         if not record.verified:
             return True
-        for i in used_src:
+        for i in src:
             knowledge[sm_world] |= knowledge[_world_id(roster[i])]
         _execute(truth, sol, roster, positions, reveals)
     return False
@@ -510,42 +525,6 @@ def _cluster_rewards(plan_net, clustering: Clustering, cid, frontier_set,
             for k in range(1, K_MAX + 1):
                 rewards[(s, k)] = EVAC_REWARD * REWARD_DECAY ** (k - 1)
     return rewards
-
-
-def _solve_post(sub_net, config, sm_index, src, at_base, cycle, cid, roster):
-    """Collection problem with horizon-retry and source-drop ladders.
-
-    Infeasibility is first answered by lengthening the horizon; once the
-    ceiling is hit, the source farthest from the submaster is postponed to
-    a later cycle and the ladder restarts.  Returns (record, plan, sources
-    actually served); record is None when every source was postponed.
-    """
-    dist = _hop_distances(sub_net, [config.initial[sm_index]])
-    far = len(sub_net.states) + 1
-    src_left = sorted(src)
-    t0 = max(1, min(T_MAX,
-                    max((dist.get(config.initial[i], far) for i in src_left),
-                        default=1) + 2))
-    horizon = t0
-    while src_left:
-        spec = ProblemSpec(net=sub_net, agents=config, T=horizon,
-                           src=tuple(src_left), snk=(sm_index,), rewards={},
-                           return_to_base=at_base)
-        _, result, plan = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
-                                        gap=POST_GAP)
-        if plan is None and result.status == "infeasible" \
-                and horizon + 2 <= POST_T_CAP:
-            horizon += 2
-        elif plan is None and result.status in ("infeasible", "limit"):
-            # out of ladder: postpone the farthest source to a later cycle
-            drop = max(src_left,
-                       key=lambda i: (dist.get(config.initial[i], far), i))
-            src_left.remove(drop)
-            horizon = t0
-        else:
-            return (_record(cycle, cid, "post", roster, spec, result, plan),
-                    plan, src_left)
-    return None, None, []
 
 
 def _write_trace(trace_dir, cycle, plan_net, clustering, positions, known):

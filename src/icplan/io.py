@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
-from .network import MobilityCommNetwork, load_network, read_json_object, write_json
+from .network import (MobilityCommNetwork, json_flag, json_integer, load_network,
+                      read_json_object, write_json)
 
 NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 AGENT_KEYS = frozenset({"count", "initial", "static", "masters"})
@@ -70,10 +71,10 @@ def load_agents(agents_data: dict) -> AgentConfig:
     _refuse_unknown_keys("agents", agents_data, AGENT_KEYS)
     try:
         return AgentConfig(
-            count=_integer(agents_data["count"]),
-            initial={_integer(r): s for r, s in agents_data["initial"].items()},
-            static=frozenset(map(_integer, agents_data.get("static", []))),
-            masters=frozenset(map(_integer, agents_data.get("masters", []))))
+            count=json_integer(agents_data["count"]),
+            initial={json_integer(r): s for r, s in agents_data["initial"].items()},
+            static=frozenset(map(json_integer, agents_data.get("static", []))),
+            masters=frozenset(map(json_integer, agents_data.get("masters", []))))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed agents section: {exc}") from None
 
@@ -107,29 +108,21 @@ def _refuse_unknown_keys(section: str, data, accepted: frozenset):
         raise InstanceError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
 
 
-def _integer(value) -> int:
-    """`value` as an int; a number with a fractional part is refused rather
-    than truncated, so that "T": 2.7 does not solve a T=2 problem."""
-    if isinstance(value, float) and not value.is_integer():
-        raise InstanceError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _parse_spec(net: MobilityCommNetwork, agents_data: dict, problem: dict) -> ProblemSpec:
     agents = load_agents(agents_data)
     _refuse_unknown_keys("problem", problem, PROBLEM_KEYS)
     try:
-        rewards = {(rec["state"], _integer(rec["k"])): float(rec["value"])
+        rewards = {(rec["state"], json_integer(rec["k"])): float(rec["value"])
                    for rec in problem.get("rewards", [])}
         spec = ProblemSpec(
-            net=net, agents=agents, T=_integer(problem["T"]),
-            src=tuple(map(_integer, problem.get("src", []))),
-            snk=tuple(map(_integer, problem.get("snk", []))),
+            net=net, agents=agents, T=json_integer(problem["T"]),
+            src=tuple(map(json_integer, problem.get("src", []))),
+            snk=tuple(map(json_integer, problem.get("snk", []))),
             rewards=rewards,
-            information_consistent=bool(problem.get("information_consistent", False)),
-            collision_avoidance=bool(problem.get("collision_avoidance", False)),
-            awareness_reward=bool(problem.get("awareness_reward", False)),
-            return_to_base=bool(problem.get("return_to_base", False)))
+            information_consistent=json_flag(problem, "information_consistent", False),
+            collision_avoidance=json_flag(problem, "collision_avoidance", False),
+            awareness_reward=json_flag(problem, "awareness_reward", False),
+            return_to_base=json_flag(problem, "return_to_base", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from None
     spec.validate()

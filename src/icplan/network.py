@@ -180,8 +180,24 @@ def load_network(source) -> MobilityCommNetwork:
         states,
         read_edges("mobility_edges"),
         read_edges("comm_edges"),
-        self_loops=bool(data.get("self_loops", True)),
+        self_loops=json_flag(data, "self_loops", True),
     )
+
+
+def json_integer(value) -> int:
+    """`value` as an int; a number with a fractional part is refused rather
+    than truncated, so that "T": 2.7 does not solve a T=2 problem."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InstanceError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def json_flag(data: dict, key: str, default: bool) -> bool:
+    """data[key], which must be a JSON boolean: bool("false") is True."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise InstanceError(f"{key!r} must be true or false, got {value!r}")
+    return value
 
 
 def read_json_object(source) -> dict:

@@ -38,7 +38,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import GuardExceeded, InstanceError
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import COMM, MOBILITY, count_walks, read_json_object, write_json
+from .network import (COMM, MOBILITY, count_walks, json_integer, read_json_object,
+                      write_json)
 
 TOL = 1e-6
 ORACLE_GUARD = 1_000_000     # most joint plans the oracle enumerates
@@ -423,12 +424,10 @@ def solution_to_dict(plan: PlanSolution) -> dict:
 
 def solution_from_dict(data: dict) -> PlanSolution:
     try:
-        paths = {int(r): tuple(path) for r, path in data["paths"].items()}
-        comm = tuple((int(t), a, b, _fid(fid), float(amt))
-                     for t, a, b, fid, amt in data.get("comm_events", []))
-        moves = tuple((int(t), a, b, _fid(fid), float(amt))
-                      for t, a, b, fid, amt in data.get("flow_moves", []))
-        rewards = {(rec["state"], int(rec["k"])): int(rec["value"])
+        paths = {json_integer(r): _path(path) for r, path in data["paths"].items()}
+        comm = tuple(map(_event, data.get("comm_events", [])))
+        moves = tuple(map(_event, data.get("flow_moves", [])))
+        rewards = {(rec["state"], json_integer(rec["k"])): json_integer(rec["value"])
                    for rec in data.get("reward_flags", [])}
         return PlanSolution(paths=paths, comm_events=comm, flow_moves=moves,
                             objective=float(data.get("objective", 0.0)),
@@ -437,8 +436,20 @@ def solution_from_dict(data: dict) -> PlanSolution:
         raise InstanceError(f"malformed solution: {exc}") from None
 
 
-def _fid(fid):
-    return int(fid) if str(fid).lstrip("-").isdigit() else fid
+def _path(path) -> tuple[str, ...]:
+    if not isinstance(path, list) or not all(isinstance(s, str) for s in path):
+        raise InstanceError(f"a path must be an array of state names, got {path!r}")
+    return tuple(path)
+
+
+def _event(event) -> tuple:
+    """(t, from, to, flow_id, amount); a flow id is an agent index or a tag."""
+    t, a, b, fid, amount = event
+    if not (isinstance(a, str) and isinstance(b, str)):
+        raise InstanceError(f"event endpoints must be state names, got {event!r}")
+    if not isinstance(fid, str) or fid.lstrip("-").isdigit():
+        fid = json_integer(fid)
+    return json_integer(t), a, b, fid, float(amount)
 
 
 def save_solution(plan: PlanSolution, path: str):

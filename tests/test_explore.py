@@ -13,10 +13,10 @@ import pytest
 import icplan
 from icplan.cluster import Clustering
 from icplan import cli, explore
-from icplan.explore import (POST_T_CAP, _cluster_rewards, _CyclePlan,
-                            _delivery_corridor, _hop_distances, _plan_cycle,
-                            _pre_phase, _solve_post, detect_frontiers,
-                            induced_network, reveal_neighborhood, run_exploration)
+from icplan.explore import (_cluster_rewards, _CyclePlan, _delivery_corridor,
+                            _hop_distances, _plan_cycle, _post_phase,
+                            _pre_phase, detect_frontiers, induced_network,
+                            reveal_neighborhood, run_exploration)
 from icplan.ilp import AgentConfig
 from icplan.instances import exploration_world
 from icplan.network import build_network
@@ -237,32 +237,27 @@ def _spy_solves(monkeypatch):
     return calls
 
 
-def test_post_ladder_grows_the_horizon_then_drops_the_farthest_source(monkeypatch):
-    # a - b plus an island x: a source on x can never reach the submaster
+def test_an_infeasible_collection_problem_is_solved_once_and_left(monkeypatch):
+    # a - b plus an island x: member 1 on x holds news it can never deliver
     net = _bidirectional(["a", "b", "x"], [("a", "b")])
+    clustering = Clustering(groups={1: (0, 1)}, state_sets={1: net.states},
+                            submasters={1: 0}, parents={1: None},
+                            activation_edges={})
+    plan = _CyclePlan(net, 1, clustering, frozenset(), {}, {}, frozenset({0}),
+                      [1], {1: []}, {1: 0.0}, {1: {0, 1}})
     calls = _spy_solves(monkeypatch)
-    config = AgentConfig(count=3, initial={0: "a", 1: "b", 2: "x"},
-                         static=frozenset({0}), masters=frozenset({0}))
-    record, plan, used = _solve_post(net, config, 0, [2, 1], False, 4, 1,
-                                     [0, 1, 2])
-    # the ladder starts at the farthest source's distance plus 2; x, cut
-    # off, counts as |S| + 1 = 4 hops, so it starts at 6 (below T_MAX)
-    ladder = [(T, (1, 2), "infeasible") for T in range(6, POST_T_CAP + 1, 2)]
-    assert calls == ladder + [(6, (1,), "optimal")]
-    assert used == [1]
-    assert plan is not None
-    assert (record.cycle, record.cluster, record.phase, record.horizon,
-            record.verified) == (4, 1, "post", 6, True)
-
-
-def test_post_ladder_gives_up_when_every_source_is_dropped(monkeypatch):
-    net = _bidirectional(["a", "b", "x"], [("a", "b")])
-    calls = _spy_solves(monkeypatch)
-    config = AgentConfig(count=2, initial={0: "a", 1: "x"},
-                         static=frozenset({0}), masters=frozenset({0}))
-    assert _solve_post(net, config, 0, [1], False, 1, 1, [0, 1]) == \
-        (None, None, [])
-    assert [T for T, _, _ in calls] == list(range(6, POST_T_CAP + 1, 2))
+    positions = {0: "a", 1: "x"}
+    knowledge = {0: {"a"}, 1: {"a", "x"}}
+    reveals = {0: set(), 1: set()}
+    records = []
+    assert not _post_phase(net, plan, 1, {1}, {}, positions, knowledge,
+                           reveals, records)
+    # x, cut off, counts as |S| + 1 = 3 hops from the submaster: T = 5
+    assert calls == [(5, (1,), "infeasible")]
+    assert records == []
+    assert knowledge == {0: {"a"}, 1: {"a", "x"}}
+    assert positions == {0: "a", 1: "x"}
+    assert reveals == {0: set(), 1: set()}
 
 
 # -- the loop ---------------------------------------------------------------------

@@ -160,6 +160,16 @@ def test_load_instance_rejects_malformed_sources(tmp_path):
         data[section][key] = value
         with pytest.raises(InstanceError, match="expected an integer"):
             load_instance(data)
+    # flags must be JSON booleans, since bool("false") is True
+    for section, key in (("problem", "information_consistent"),
+                         ("problem", "collision_avoidance"),
+                         ("problem", "awareness_reward"),
+                         ("problem", "return_to_base"), ("network", "self_loops")):
+        for value in ("false", 0):
+            data = instance_to_dict(net, spec)
+            data[section][key] = value
+            with pytest.raises(InstanceError, match=f"'{key}' must be true or false"):
+                load_instance(data)
     data = instance_to_dict(net, spec)
     data["problem"]["rewards"] = [{"state": "s1", "k": 1.5, "value": 2.0}]
     with pytest.raises(InstanceError, match="expected an integer"):
@@ -338,7 +348,16 @@ def test_cli_verify_accepts_good_plans_and_flags_bad_ones(tmp_path, capsys):
     assert "violation:" in out
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1,2]", '{"paths": []}'])
+@pytest.mark.parametrize("content", [
+    None, "{not json", "[1,2]", '{"paths": []}',
+    # wrong JSON types: each once loaded, then crashed the checker or was
+    # read as something else (a layer of 0.5 as 0, a string as its letters)
+    '{"paths": {"0": [["s0"], "s0", "s0"]}}',
+    '{"paths": {"0": "s0s0s1"}}',
+    '{"paths": {}, "comm_events": [[0, ["s0"], "s1", 0, 1.0]]}',
+    '{"paths": {}, "comm_events": [[0.5, "s0", "s1", 0, 1.0]]}',
+    '{"paths": {}, "flow_moves": [[0, "s0", "s1", [0], 1.0]]}',
+])
 def test_cli_verify_reports_unreadable_plan_files(tmp_path, capsys, content):
     net, spec = relay_spec()
     instance, sol = tmp_path / "relay.json", tmp_path / "plan.json"
