@@ -21,7 +21,9 @@ every activated cluster solves up to two small problems on its territory.
   solve.  Since children report before their parents, fresh discoveries
   climb the whole hierarchy within one cycle, and the master cluster
   additionally requires a returning agent near the base.  Each collection
-  problem is solved once; an infeasible one moves nobody and its sources
+  problem is posed at its farthest source's hop count + 1 (POST_SLACK; a
+  reward plan gets + 2, PRE_SLACK), since HiGHS's root work grows with the
+  horizon, and solved once; an infeasible one moves nobody and its sources
   deliver in a later cycle.
 
 Movement reveals the one-hop mobility neighbourhood of every visited state.
@@ -60,6 +62,8 @@ MAX_CYCLES = 40
 SOLVE_TIME_LIMIT = 55.0
 PRE_GAP = 0.05              # relative MIP gap: reward plans near-optimal
 POST_GAP = 0.25             # collection plans only need to be feasible
+PRE_SLACK = 2               # reward-plan horizon: farthest member's hops + 2
+POST_SLACK = 1              # collection horizon: farthest source's hops + 1
 
 logger = logging.getLogger(__name__)
 
@@ -180,6 +184,11 @@ class ExplorationLog:
             "all_verified": self.all_verified,
             "max_solve_time": self.max_solve_time,
             "wall_time": self.wall_time,
+            "phases": {phase: {
+                "solves": sum(rec.phase == phase for rec in self.subproblems),
+                "solve_time": sum(rec.wall_time for rec in self.subproblems
+                                  if rec.phase == phase),
+            } for phase in ("pre", "post")},
             "outcomes": [{
                 "cycle": o.cycle, "clusters": o.n_clusters,
                 "endowed": list(o.endowed), "frontiers": o.frontiers_before,
@@ -225,9 +234,14 @@ def _sub_agents(positions, clustering: Clustering, cid, children, static):
     return config, roster, sm_index, stations
 
 
-def _horizon(hops) -> int:
-    """Subproblem horizon: the farthest hop count plus 2, within 1..T_MAX."""
-    return max(1, min(T_MAX, max(hops) + 2))
+def _horizon(hops, slack: int) -> int:
+    """Subproblem horizon: the farthest hop count plus `slack`, within
+    1..T_MAX.  Reward plans take PRE_SLACK and collection plans POST_SLACK:
+    a collection plan only has to route its sources to the submaster, and
+    every extra step grows the model and HiGHS's root work.  With no slack
+    at all, more collection problems turn infeasible and their sources wait
+    for a later cycle."""
+    return max(1, min(T_MAX, max(hops) + slack))
 
 
 def _record(cycle, cid, phase, roster, spec, result, plan) -> SubproblemRecord:
@@ -335,7 +349,7 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
         territory = cl.state_sets[cid]
         member_pos = [positions[r] for r in cl.groups[cid]]
         reach = _hop_distances(plan.net, member_pos, within=territory)
-        T = _horizon(reach.values())
+        T = _horizon(reach.values(), PRE_SLACK)
         # states beyond T hops are unreachable within the horizon;
         # trimming them keeps the model small without losing plans
         in_range = {s for s in territory if reach.get(s, T_MAX + 1) <= T}
@@ -397,7 +411,8 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
         far = len(sub_net.states) + 1
         at_base = cid == plan.by_depth[0] and config.count > len(config.static)
         spec = ProblemSpec(net=sub_net, agents=config,
-                           T=_horizon(dist.get(config.initial[i], far) for i in src),
+                           T=_horizon((dist.get(config.initial[i], far)
+                                       for i in src), POST_SLACK),
                            src=tuple(src), snk=(sm_index,), rewards={},
                            return_to_base=at_base)
         _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,

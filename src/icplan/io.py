@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
-from .network import (MobilityCommNetwork, json_flag, json_integer, load_network,
-                      read_json_object, write_json)
+from .network import (MobilityCommNetwork, json_flag, json_integer, json_key_integer,
+                      load_network, read_json_object, write_json)
 
 NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 AGENT_KEYS = frozenset({"count", "initial", "static", "masters"})
@@ -72,7 +72,7 @@ def load_agents(agents_data: dict) -> AgentConfig:
     try:
         return AgentConfig(
             count=json_integer(agents_data["count"]),
-            initial={json_integer(r): s for r, s in agents_data["initial"].items()},
+            initial={json_key_integer(r): s for r, s in agents_data["initial"].items()},
             static=frozenset(map(json_integer, agents_data.get("static", []))),
             masters=frozenset(map(json_integer, agents_data.get("masters", []))))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,11 +186,21 @@ def load_network(source) -> MobilityCommNetwork:
 
 
 def json_integer(value) -> int:
-    """`value` as an int; a number with a fractional part is refused rather
-    than truncated, so that "T": 2.7 does not solve a T=2 problem."""
-    if isinstance(value, float) and not value.is_integer():
+    """`value`, a JSON number with no fractional part, as an int.  Anything
+    else is refused rather than converted, so that "T": 2.7 does not solve a
+    T=2 problem, nor "T": "2" or "T": true a T=2 or T=1 one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise InstanceError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_key_integer(key: str) -> int:
+    """An object key, which JSON makes a string, that names an integer
+    (an agent id): "0" is 0, "0.5" and "a" are refused."""
+    if not isinstance(key, str) or not re.fullmatch(r"-?[0-9]+", key):
+        raise InstanceError(f"expected an integer key, got {key!r}")
+    return int(key)
 
 
 def json_flag(data: dict, key: str, default: bool) -> bool:

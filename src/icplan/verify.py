@@ -38,8 +38,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import GuardExceeded, InstanceError
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import (COMM, MOBILITY, count_walks, json_integer, read_json_object,
-                      write_json)
+from .network import (COMM, MOBILITY, count_walks, json_integer, json_key_integer,
+                      read_json_object, write_json)
 
 TOL = 1e-6
 ORACLE_GUARD = 1_000_000     # most joint plans the oracle enumerates
@@ -424,7 +424,7 @@ def solution_to_dict(plan: PlanSolution) -> dict:
 
 def solution_from_dict(data: dict) -> PlanSolution:
     try:
-        paths = {json_integer(r): _path(path) for r, path in data["paths"].items()}
+        paths = {json_key_integer(r): _path(path) for r, path in data["paths"].items()}
         comm = tuple(map(_event, data.get("comm_events", [])))
         moves = tuple(map(_event, data.get("flow_moves", [])))
         rewards = {(rec["state"], json_integer(rec["k"])): json_integer(rec["value"])
@@ -447,8 +447,10 @@ def _event(event) -> tuple:
     t, a, b, fid, amount = event
     if not (isinstance(a, str) and isinstance(b, str)):
         raise InstanceError(f"event endpoints must be state names, got {event!r}")
-    if not isinstance(fid, str) or fid.lstrip("-").isdigit():
+    if not isinstance(fid, str):
         fid = json_integer(fid)
+    elif fid.lstrip("-").isdigit():
+        fid = json_key_integer(fid)
     return json_integer(t), a, b, fid, float(amount)
 
 

@@ -252,12 +252,35 @@ def test_an_infeasible_collection_problem_is_solved_once_and_left(monkeypatch):
     records = []
     assert not _post_phase(net, plan, 1, {1}, {}, positions, knowledge,
                            reveals, records)
-    # x, cut off, counts as |S| + 1 = 3 hops from the submaster: T = 5
-    assert calls == [(5, (1,), "infeasible")]
+    # x, cut off, counts as |S| + 1 = 3 hops from the submaster: T = 3 + 1
+    assert calls == [(4, (1,), "infeasible")]
     assert records == []
     assert knowledge == {0: {"a"}, 1: {"a", "x"}}
     assert positions == {0: "a", 1: "x"}
     assert reveals == {0: set(), 1: set()}
+
+
+@pytest.mark.parametrize("far", [3, explore.T_MAX])
+def test_a_collection_problem_is_posed_at_its_farthest_source_plus_one(
+        monkeypatch, far):
+    # a line s0 - ... - s<far>: sources 1 and 2 hold news 1 and `far` hops
+    # from the submaster on s0, so T = far + 1, capped at T_MAX
+    states = [f"s{i}" for i in range(far + 1)]
+    net = _bidirectional(states, zip(states, states[1:]))
+    clustering = Clustering(groups={1: (0, 1, 2)}, state_sets={1: net.states},
+                            submasters={1: 0}, parents={1: None},
+                            activation_edges={})
+    plan = _CyclePlan(net, 1, clustering, frozenset(), {}, {}, frozenset({0}),
+                      [1], {1: []}, {1: 0.0}, {1: {0, 1, 2}})
+    calls = _spy_solves(monkeypatch)
+    positions = {0: "s0", 1: "s1", 2: states[-1]}
+    knowledge = {0: {"s0"}, 1: {"s0", "s1"}, 2: set(states)}
+    records = []
+    assert not _post_phase(net, plan, 1, {1}, {}, positions, knowledge,
+                           {r: set() for r in positions}, records)
+    assert calls == [(min(far + 1, explore.T_MAX), (1, 2), "optimal")]
+    assert [r.horizon for r in records] == [calls[0][0]]
+    assert knowledge[0] == set(states)
 
 
 # -- the loop ---------------------------------------------------------------------
@@ -354,6 +377,11 @@ def test_log_serialisation_matches_the_run():
     assert data["coverage"] == log.coverage
     for outcome in data["outcomes"]:
         assert outcome["max_solve_time"] <= data["max_solve_time"]
+    for phase, split in data["phases"].items():
+        records = [r for r in log.subproblems if r.phase == phase]
+        assert records and split["solves"] == len(records)
+        assert split["solve_time"] == pytest.approx(sum(r.wall_time for r in records))
+    assert set(data["phases"]) == {"pre", "post"}
     assert data["failures"] == []
 
 
@@ -419,42 +447,45 @@ def test_exploration_records_do_not_follow_the_hash_seed():
 # change to them must be explained in CHANGES.md; three gap-stopped rows moved
 # when HiGHS's feasibility-jump heuristic was switched off, and world 0's
 # cycle-4 pre row moved with the per-flow bridge M (an equal-objective
-# cycle-3 collection plan left the agents elsewhere).
+# cycle-3 collection plan left the agents elsewhere).  Every post row's T fell
+# by one when collection problems went from hops + 2 to hops + 1, and world
+# 0's cycle-4 pre row moved with it (T 5 -> 4, objective 205.96 -> 207.96),
+# as its cycle-3 collection plan left the agents elsewhere.
 _PINNED_ROWS = {
     (0, 15, 3): [
         (1, 1, "pre", 3, "optimal", 256.0),
-        (1, 1, "post", 3, "optimal", -0.0),
+        (1, 1, "post", 2, "optimal", -0.0),
         (2, 1, "pre", 3, "optimal", 238.0),
-        (2, 1, "post", 4, "optimal", -1.0),
+        (2, 1, "post", 3, "optimal", -1.0),
         (3, 1, "pre", 4, "optimal", 221.6),
-        (3, 1, "post", 5, "optimal", -3.0),
-        (4, 1, "pre", 5, "optimal", 205.96),
-        (4, 1, "post", 6, "optimal", -3.0),
+        (3, 1, "post", 4, "optimal", -3.0),
+        (4, 1, "pre", 4, "optimal", 207.96),
+        (4, 1, "post", 5, "optimal", -3.0),
     ],
     (2, 15, 3): [
         (1, 1, "pre", 3, "optimal", 258.0),
-        (1, 1, "post", 3, "optimal", -0.0),
+        (1, 1, "post", 2, "optimal", -0.0),
         (2, 1, "pre", 3, "optimal", 258.0),
-        (2, 1, "post", 4, "optimal", -2.0),
+        (2, 1, "post", 3, "optimal", -2.0),
         (3, 1, "pre", 4, "optimal", 266.666667),
-        (3, 1, "post", 5, "optimal", -4.0),
+        (3, 1, "post", 4, "optimal", -4.0),
         (4, 1, "pre", 5, "optimal", 206.0),
-        (4, 1, "post", 3, "optimal", -0.0),
+        (4, 1, "post", 2, "optimal", -0.0),
     ],
     (0, 20, 5): [
         (1, 1, "pre", 3, "optimal", 356.0),
-        (1, 1, "post", 3, "optimal", -0.0),
+        (1, 1, "post", 2, "optimal", -0.0),
         (2, 1, "pre", 3, "optimal", 245.0),
         (2, 2, "pre", 3, "optimal", 159.0),
-        (2, 2, "post", 3, "optimal", -0.0),
-        (2, 1, "post", 4, "optimal", -0.0),
+        (2, 2, "post", 2, "optimal", -0.0),
+        (2, 1, "post", 3, "optimal", -0.0),
         (3, 1, "pre", 3, "optimal", 215.6),
         (3, 2, "pre", 4, "optimal", 152.0),
-        (3, 2, "post", 4, "optimal", -1.0),
+        (3, 2, "post", 3, "optimal", -1.0),
         (4, 1, "pre", 4, "optimal", 116.56),
         (4, 2, "pre", 4, "optimal", 119.6),
-        (4, 2, "post", 5, "optimal", -2.0),
-        (4, 1, "post", 4, "optimal", -2.0),
+        (4, 2, "post", 4, "optimal", -2.0),
+        (4, 1, "post", 3, "optimal", -2.0),
     ],
 }
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.sparse import csc_array
 
-from icplan import solver
+from icplan import explore, solver
 from icplan.baselines import solve_powerset
 from icplan.errors import ConfigurationError
 from icplan.explore import run_exploration
@@ -300,6 +300,9 @@ def test_highs_input_is_pinned(monkeypatch):
         solver.solve(assemble(spec))
     solve_powerset(line_instance(4)[1])     # one build_powerset_model model
     solving = True          # exploration needs each plan to go on
+    # the collection horizon the digest was captured under (hops + 2); the
+    # pin holds the model code, not the exploration's horizon rule
+    monkeypatch.setattr(explore, "POST_SLACK", 2)
     log = run_exploration(*exploration_world(0, 15, 3))
     assert log.status == "complete"
     assert len(calls) == len(corpus) + 1 + len(log.subproblems)

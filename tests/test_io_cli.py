@@ -152,13 +152,25 @@ def test_load_instance_rejects_malformed_sources(tmp_path):
             data["network"][key].append(record)
             with pytest.raises(InstanceError, match=f"malformed edge record in {key}"):
                 load_instance(data)
-    # a number with a fractional part is refused, not truncated
+    # a number with a fractional part is refused, not truncated, and a
+    # string or a boolean is refused, not converted; the CLI exits 3
     for section, key, value in (("problem", "T", 2.7), ("problem", "src", [0.5]),
                                 ("problem", "snk", [2, 0.25]), ("agents", "count", 3.5),
-                                ("agents", "static", [1.5]), ("agents", "masters", [0.1])):
+                                ("agents", "static", [1.5]), ("agents", "masters", [0.1]),
+                                ("problem", "T", "2"), ("problem", "T", True),
+                                ("problem", "src", ["0"])):
         data = instance_to_dict(net, spec)
         data[section][key] = value
         with pytest.raises(InstanceError, match="expected an integer"):
+            load_instance(data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["solve", str(path)]) == cli.EXIT_ERROR
+    # agent ids are object keys, so JSON strings, and must name integers
+    for key in ("0.5", "a", ""):
+        data = instance_to_dict(net, spec)
+        data["agents"]["initial"][key] = data["agents"]["initial"].pop("0")
+        with pytest.raises(InstanceError, match="expected an integer key"):
             load_instance(data)
     # flags must be JSON booleans, since bool("false") is True
     for section, key in (("problem", "information_consistent"),
@@ -356,6 +368,8 @@ def test_cli_verify_accepts_good_plans_and_flags_bad_ones(tmp_path, capsys):
     '{"paths": {"0": "s0s0s1"}}',
     '{"paths": {}, "comm_events": [[0, ["s0"], "s1", 0, 1.0]]}',
     '{"paths": {}, "comm_events": [[0.5, "s0", "s1", 0, 1.0]]}',
+    '{"paths": {}, "comm_events": [["0", "s0", "s1", 0, 1.0]]}',
+    '{"paths": {"0.5": ["s0"]}}',
     '{"paths": {}, "flow_moves": [[0, "s0", "s1", [0], 1.0]]}',
 ])
 def test_cli_verify_reports_unreadable_plan_files(tmp_path, capsys, content):
