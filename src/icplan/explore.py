@@ -23,8 +23,11 @@ every activated cluster solves up to two small problems on its territory.
   additionally requires a returning agent near the base.  Each collection
   problem is posed at its farthest source's hop count + 1 (POST_SLACK; a
   reward plan gets + 2, PRE_SLACK), since HiGHS's root work grows with the
-  horizon, and solved once; an infeasible one moves nobody and its sources
-  deliver in a later cycle.
+  horizon.
+
+Both phases solve each cluster's problem once (`_solve_cluster`).  One that
+ends infeasible, or at the time limit without a plan, is not recorded and
+moves nobody; a rejected plan or a HiGHS error ends the run.
 
 Movement reveals the one-hop mobility neighbourhood of every visited state.
 The loop ends when no frontiers remain and the base knows every revealed
@@ -103,20 +106,24 @@ def _hop_distances(net: MobilityCommNetwork, sources, within=None) -> dict[str, 
 
 
 def _delivery_corridor(net: MobilityCommNetwork, allowed, initial,
-                       src_positions, sm_position) -> set[str]:
-    """States needed to route each source to the submaster.
+                       src_positions, sm_position) -> tuple[set[str], list[int]]:
+    """States needed to route each source to the submaster, and each
+    source's hop count to it.
 
     Every agent position plus, per source, the hops of one shortest
     undirected path to the submaster; keeps collection problems small even
-    in large territories.
+    in large territories.  A source with no path counts |corridor| + 1 hops.
     """
     parent = hop_bfs(net, [sm_position], within=allowed)
     corridor = {sm_position} | set(initial.values())
+    hops = []
     for p in src_positions:
+        n = 0
         while p in parent and p != sm_position:
             corridor.add(p)
-            p = parent[p]
-    return corridor
+            p, n = parent[p], n + 1
+        hops.append(n if p in parent else None)
+    return corridor, [len(corridor) + 1 if n is None else n for n in hops]
 
 
 # -- records ----------------------------------------------------------------
@@ -244,24 +251,39 @@ def _horizon(hops, slack: int) -> int:
     return max(1, min(T_MAX, max(hops) + slack))
 
 
-def _record(cycle, cid, phase, roster, spec, result, plan) -> SubproblemRecord:
-    """Record of one solve: the plan's violations, or why there is no plan."""
-    if plan is None:
+def _solve_cluster(truth, plan, phase, cycle, cid, roster, spec, positions,
+                   reveals, records):
+    """Solve one cluster's subproblem at the phase's gap and execute its plan.
+
+    Returns (solution, failed).  A solve with no plan (infeasible, or
+    stopped at the time limit) is not recorded and moves nobody.  Any other
+    is recorded and fails when the verifier rejects the plan or HiGHS
+    errors; a plan that passes moves the roster's members, adding what they
+    reveal to `reveals`.
+    """
+    _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
+                                   gap=PRE_GAP if phase == "pre" else POST_GAP)
+    logger.debug("%s c%d depth=%d roster=%s T=%d status=%s obj=%s", phase, cid,
+                 plan.clustering.depth(cid), roster, spec.T, result.status,
+                 result.objective)
+    if sol is None and result.status in ("infeasible", "limit"):
+        return None, False
+    if sol is None:
         violations = [result.message or result.status]
     else:
-        violations = verify.plan_violations(plan, spec)
-    return SubproblemRecord(cycle, cid, phase, tuple(roster), spec.T,
-                            result.status, result.objective, result.wall_time,
-                            not violations, tuple(violations))
-
-
-def _execute(truth, plan, roster, positions, reveals):
-    """Move the roster's members along `plan` and collect what they reveal."""
+        violations = verify.plan_violations(sol, spec)
+    records.append(SubproblemRecord(cycle, cid, phase, tuple(roster), spec.T,
+                                    result.status, result.objective,
+                                    result.wall_time, not violations,
+                                    tuple(violations)))
+    if violations:
+        return None, True
     for i, entry in enumerate(roster):
         if not isinstance(entry, tuple):
-            positions[entry] = plan.paths[i][-1]
-            for s in plan.paths[i]:
+            positions[entry] = sol.paths[i][-1]
+            for s in sol.paths[i]:
                 reveals[entry] |= reveal_neighborhood(truth, s)
+    return sol, False
 
 
 # -- cycle stages ---------------------------------------------------------------
@@ -339,16 +361,14 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
         news_children = {c for c in children
                          if any(knowledge[r] - knowledge[sm_world]
                                 for r in plan.subtree_members[c])}
-        rewards = _cluster_rewards(plan.net, cl, cid, plan.frontiers,
-                                   plan.frontier_dist, plan.centrality, children,
-                                   plan.subtree_value, positions, news_children)
+        rewards = _cluster_rewards(plan, cid, positions, news_children)
         if not rewards and not children:
             continue    # nothing to chase, nobody to endow
         config, roster, _, stations = _sub_agents(positions, cl, cid, children,
                                                   plan.static)
         territory = cl.state_sets[cid]
-        member_pos = [positions[r] for r in cl.groups[cid]]
-        reach = _hop_distances(plan.net, member_pos, within=territory)
+        reach = _hop_distances(plan.net, [positions[r] for r in cl.groups[cid]],
+                               within=territory)
         T = _horizon(reach.values(), PRE_SLACK)
         # states beyond T hops are unreachable within the horizon;
         # trimming them keeps the model small without losing plans
@@ -359,22 +379,13 @@ def _pre_phase(truth, plan: _CyclePlan, cycle, positions, knowledge, reveals,
         spec = ProblemSpec(net=sub_net, agents=config, T=T, src=(), snk=(),
                            rewards=rewards, information_consistent=True,
                            awareness_reward=True)
-        _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
-                                       gap=PRE_GAP)
-        record = _record(cycle, cid, "pre", roster, spec, result, sol)
-        records.append(record)
-        if not record.verified:
+        sol, failed = _solve_cluster(truth, plan, "pre", cycle, cid, roster, spec,
+                                     positions, reveals, records)
+        if failed:
             return endowed, frozen, True
+        if sol is None:
+            continue    # no plan: nobody moves and no child is endowed
         covered = set().union(*verify.master_token_layers(spec, sol.paths))
-        if logger.isEnabledFor(logging.DEBUG):
-            sta = {c: (positions[cl.submasters[c]],
-                       positions[cl.submasters[c]] in covered) for c in children}
-            logger.debug("pre c%d depth=%d members=%s sm=%d |terr|=%d T=%d "
-                         "obj=%.1f rewards=%d stations=%s pos=%s",
-                         cid, cl.depth(cid), cl.groups[cid], sm_world,
-                         len(territory), T, result.objective, len(rewards), sta,
-                         member_pos)
-        _execute(truth, sol, roster, positions, reveals)
         frozen[cid] = {r for i, r in enumerate(cl.groups[cid])
                        if len(set(sol.paths[i])) == 1
                        and sol.paths[i][0] not in covered}
@@ -387,11 +398,10 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
     """Bottom-up collection of findings at each endowed cluster's submaster.
 
     Sources are members holding news the submaster lacks plus the frozen
-    members, which regroup here.  Each cluster's problem is solved once: an
-    infeasible or time-limited one is not recorded and moves nobody, so its
-    sources deliver in a later cycle.  Otherwise moves members, merges
-    delivered knowledge into the submaster's, records the solve, and returns
-    True when it fails.
+    members, which regroup here.  Each cluster's problem is solved once
+    (`_solve_cluster`): one with no plan moves nobody, so its sources
+    deliver in a later cycle.  A plan moves members and merges delivered
+    knowledge into the submaster's.  Returns True when a solve fails.
     """
     cl = plan.clustering
     for cid in sorted(endowed, key=lambda c: (-cl.depth(c), c)):
@@ -403,29 +413,20 @@ def _post_phase(truth, plan: _CyclePlan, cycle, endowed, frozen, positions,
                or _world_id(entry) in frozen.get(cid, ())]
         if not src:
             continue    # nothing to deliver, nobody to regroup
-        corridor = _delivery_corridor(
+        corridor, hops = _delivery_corridor(
             plan.net, set(cl.state_sets[cid]) | stations, config.initial,
             [config.initial[i] for i in src], config.initial[sm_index])
-        sub_net = induced_network(plan.net, corridor)
-        dist = _hop_distances(sub_net, [config.initial[sm_index]])
-        far = len(sub_net.states) + 1
         at_base = cid == plan.by_depth[0] and config.count > len(config.static)
-        spec = ProblemSpec(net=sub_net, agents=config,
-                           T=_horizon((dist.get(config.initial[i], far)
-                                       for i in src), POST_SLACK),
-                           src=tuple(src), snk=(sm_index,), rewards={},
-                           return_to_base=at_base)
-        _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
-                                       gap=POST_GAP)
-        if sol is None and result.status in ("infeasible", "limit"):
-            continue    # the sources deliver in a later cycle
-        record = _record(cycle, cid, "post", roster, spec, result, sol)
-        records.append(record)
-        if not record.verified:
+        spec = ProblemSpec(net=induced_network(plan.net, corridor), agents=config,
+                           T=_horizon(hops, POST_SLACK), src=tuple(src),
+                           snk=(sm_index,), rewards={}, return_to_base=at_base)
+        sol, failed = _solve_cluster(truth, plan, "post", cycle, cid, roster, spec,
+                                     positions, reveals, records)
+        if failed:
             return True
-        for i in src:
-            knowledge[sm_world] |= knowledge[_world_id(roster[i])]
-        _execute(truth, sol, roster, positions, reveals)
+        if sol is not None:
+            for i in src:
+                knowledge[sm_world] |= knowledge[_world_id(roster[i])]
     return False
 
 
@@ -468,22 +469,20 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
         if trace_dir is not None:
             _write_trace(trace_dir, cycle, plan.net, plan.clustering, positions,
                          known)
-        pre_reveals = {r: set() for r in range(R)}
-        post_reveals = {r: set() for r in range(R)}
+        reveals = {r: set() for r in range(R)}
         records: list[SubproblemRecord] = []
         endowed, frozen, failed = _pre_phase(truth, plan, cycle, positions,
-                                             knowledge, pre_reveals, records)
+                                             knowledge, reveals, records)
         if not failed:
             for r in range(R):      # knowledge gained while exploring
-                knowledge[r] |= pre_reveals[r]
+                knowledge[r] |= reveals[r]
             failed = _post_phase(truth, plan, cycle, endowed, frozen, positions,
-                                 knowledge, post_reveals, records)
+                                 knowledge, reveals, records)
 
         log.subproblems.extend(records)
-        new_states = set().union(*pre_reveals.values(),
-                                 *post_reveals.values()) - known
+        new_states = set().union(*reveals.values()) - known
         for r in range(R):
-            knowledge[r] |= post_reveals[r]
+            knowledge[r] |= reveals[r]
         known |= new_states
         base_gain = len(knowledge[master]) - base_before
         log.outcomes.append(CycleOutcome(
@@ -511,32 +510,30 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
     return log
 
 
-def _cluster_rewards(plan_net, clustering: Clustering, cid, frontier_set,
-                     frontier_dist, centrality, child_ids, subtree_value,
-                     positions, news_children):
+def _cluster_rewards(plan: _CyclePlan, cid, positions, news_children):
     """Frontier tiers, approach gradients, child values, evac fallbacks."""
     rewards: dict[tuple[str, int], float] = {}
-    territory = clustering.state_sets[cid]
+    territory = plan.clustering.state_sets[cid]
     for s in territory:
-        if s in frontier_set:
+        if s in plan.frontiers:
             for k in range(1, K_MAX + 1):
                 value = FRONTIER_REWARD * REWARD_DECAY ** (k - 1)
                 if k == 1:
-                    value += CENTRALITY_WEIGHT * centrality.get(s, 0.0)
+                    value += CENTRALITY_WEIGHT * plan.centrality.get(s, 0.0)
                 rewards[(s, k)] = rewards.get((s, k), 0.0) + value
-        elif s in frontier_dist:
-            value = FRONTIER_REWARD * GRADIENT_DECAY ** frontier_dist[s]
+        elif s in plan.frontier_dist:
+            value = FRONTIER_REWARD * GRADIENT_DECAY ** plan.frontier_dist[s]
             if value >= GRADIENT_MIN:
                 rewards[(s, 1)] = rewards.get((s, 1), 0.0) + value
-    for c in child_ids:
-        value = REWARD_DECAY * subtree_value[c]
+    for c in plan.children[cid]:
+        value = REWARD_DECAY * plan.subtree_value[c]
         if c in news_children:
             value += NEWS_REWARD
         if value > 0:
-            station = positions[clustering.submasters[c]]
+            station = positions[plan.clustering.submasters[c]]
             rewards[(station, 1)] = rewards.get((station, 1), 0.0) + value
     if not rewards:
-        for s in detect_frontiers(plan_net, set(territory)):
+        for s in detect_frontiers(plan.net, set(territory)):
             for k in range(1, K_MAX + 1):
                 rewards[(s, k)] = EVAC_REWARD * REWARD_DECAY ** (k - 1)
     return rewards

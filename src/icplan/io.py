@@ -36,9 +36,9 @@ from __future__ import annotations
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
 from .network import (MobilityCommNetwork, json_flag, json_integer, json_key_integer,
-                      load_network, read_json_object, write_json)
+                      load_network, read_json_object, refuse_unknown_keys,
+                      write_json)
 
-NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 AGENT_KEYS = frozenset({"count", "initial", "static", "masters"})
 PROBLEM_KEYS = frozenset({"T", "src", "snk", "rewards", "information_consistent",
                           "collision_avoidance", "awareness_reward",
@@ -51,7 +51,8 @@ def load_instance(source):
     data = read_json_object(source)
     if "network" not in data:
         raise InstanceError("instance is missing the 'network' section")
-    _refuse_unknown_keys("network", data["network"], NETWORK_KEYS)
+    if not isinstance(data["network"], dict):      # a string would name a file
+        raise InstanceError("the 'network' section must be an object")
     net = load_network(data["network"])
     spec = None
     if "problem" in data:
@@ -59,7 +60,7 @@ def load_instance(source):
             raise InstanceError("'problem' requires an 'agents' section")
         spec = _parse_spec(net, data["agents"], data["problem"])
     extras = data.get("exploration", {})
-    _refuse_unknown_keys("exploration", extras, EXPLORATION_KEYS)
+    refuse_unknown_keys("exploration", extras, EXPLORATION_KEYS)
     known = extras.get("initially_known", [])
     if not isinstance(known, list) or not all(map(net.has_state, known)):
         raise InstanceError("initially_known must be a JSON array of the network's states")
@@ -68,7 +69,7 @@ def load_instance(source):
 
 def load_agents(agents_data: dict) -> AgentConfig:
     """Parse the "agents" section into an AgentConfig."""
-    _refuse_unknown_keys("agents", agents_data, AGENT_KEYS)
+    refuse_unknown_keys("agents", agents_data, AGENT_KEYS)
     try:
         return AgentConfig(
             count=json_integer(agents_data["count"]),
@@ -98,19 +99,9 @@ def load_exploration(source):
     return net, agents, base, extras.get("initially_known")
 
 
-def _refuse_unknown_keys(section: str, data, accepted: frozenset):
-    """A key this format does not define would otherwise be ignored, and the
-    file solved as another problem than its author meant."""
-    if not isinstance(data, dict):
-        raise InstanceError(f"the {section!r} section must be an object")
-    unknown = sorted(set(data) - accepted)
-    if unknown:
-        raise InstanceError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
-
-
 def _parse_spec(net: MobilityCommNetwork, agents_data: dict, problem: dict) -> ProblemSpec:
     agents = load_agents(agents_data)
-    _refuse_unknown_keys("problem", problem, PROBLEM_KEYS)
+    refuse_unknown_keys("problem", problem, PROBLEM_KEYS)
     try:
         rewards = {(rec["state"], json_integer(rec["k"])): float(rec["value"])
                    for rec in problem.get("rewards", [])}

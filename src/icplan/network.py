@@ -24,6 +24,7 @@ from .errors import InstanceError
 
 MOBILITY = "mobility"
 COMM = "comm"
+NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,7 @@ def build_network(states, mobility_edges, comm_edges,
 def load_network(source) -> MobilityCommNetwork:
     """Load a network from an instance dict or a file path."""
     data = read_json_object(source)
+    refuse_unknown_keys("network", data, NETWORK_KEYS)
     if "states" not in data:
         raise InstanceError("instance missing 'states'")
     states = data["states"]
@@ -209,6 +211,16 @@ def json_flag(data: dict, key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise InstanceError(f"{key!r} must be true or false, got {value!r}")
     return value
+
+
+def refuse_unknown_keys(section: str, data, accepted: frozenset):
+    """A key this format does not define would otherwise be ignored, and the
+    file solved as another problem than its author meant."""
+    if not isinstance(data, dict):
+        raise InstanceError(f"the {section!r} section must be an object")
+    unknown = sorted(set(data) - accepted)
+    if unknown:
+        raise InstanceError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
 
 
 def read_json_object(source) -> dict:

@@ -22,8 +22,7 @@ interact.  One list of the plan's admissible time-extended arcs
 (`_te_arcs`) feeds both the compiled Dijkstra and the residual LP.  It
 bounds every joint plan at once (reward ceiling minus movement cost, one
 numpy array in `itertools.product` order), scores plans best bound first,
-stops at the first bound more than 2*TOL below the best value, and replays
-its first-maximiser tie rule over the scored plans in product order.
+and stops at the first bound more than 2*TOL below the best value.
 """
 
 from __future__ import annotations
@@ -469,7 +468,6 @@ def load_solution(path: str) -> PlanSolution:
 class OracleResult:
     status: str                     # optimal | infeasible
     objective: float | None
-    paths: dict[int, tuple[str, ...]] | None
     candidates: int = 0             # joint path combinations enumerated
 
 
@@ -497,11 +495,9 @@ def _claimable(reward_items, finals):
 def brute_force_solve(spec: ProblemSpec) -> OracleResult:
     """Exhaustive optimum over joint mobility paths.
 
-    Refuses when the joint path count exceeds ORACLE_GUARD.  Under the
-    strict rule (a later plan replaces the incumbent only when it is better
-    by more than 1e-12, in `itertools.product` order over each agent's
-    paths) the first maximiser wins.  A plan that breaks the collision or
-    return-to-base rule of `check_dynamics` is infeasible.
+    Refuses when the joint path count exceeds ORACLE_GUARD.  A plan that
+    breaks the collision or return-to-base rule of `check_dynamics` is
+    infeasible.
 
     Every joint plan gets a bound, its reward ceiling (`_plan_bounds`) minus
     its movement cost g1, in one array.  The ceiling bounds every evaluated
@@ -512,10 +508,8 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
     first, product order breaking ties, and scoring stops at the first
     bound below the best value by more than 2*TOL.  Every unscored plan is
     then worth less than the optimum by more than TOL (TOL covers LP
-    round-off), so none can displace a plan within TOL of it.  The strict
-    rule is replayed over the scored plans in product order, which picks
-    the same first maximiser as scoring every plan.  `candidates` still
-    counts every joint plan.
+    round-off), so the best scored value is the optimum.  `candidates`
+    still counts every joint plan.
     """
     spec.validate()
     net, T, agents = spec.net, spec.T, spec.agents
@@ -523,7 +517,7 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
     for r in range(agents.count):
         n = 1 if r in agents.static else count_walks(net, agents.initial[r], T)
         if n == 0:
-            return OracleResult("infeasible", None, None)
+            return OracleResult("infeasible", None)
         total *= n
         if total > ORACLE_GUARD:
             raise GuardExceeded(f"joint path count {total} exceeds guard {ORACLE_GUARD}")
@@ -541,7 +535,7 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
     comm_costed = T >= 1 and any(w > 0 for w in net.comm.values())
     reward_items = spec.sorted_rewards()
 
-    scored, top = [], None
+    top = None
     for flat in np.argsort(-bounds, axis=None, kind="stable"):
         if top is not None and bounds.flat[flat] < top - 2 * TOL:
             break
@@ -555,17 +549,10 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
         if value is None:
             continue
         g1 = sum(move_cost[r][combo[r]] for r in range(agents.count))
-        total_value = value - g1
-        scored.append((flat, total_value, paths))
-        top = total_value if top is None else max(top, total_value)
-
-    best, best_paths = None, None
-    for _, total_value, paths in sorted(scored, key=lambda plan: plan[0]):
-        if best is None or total_value > best + 1e-12:
-            best, best_paths = total_value, paths
-    if best is None:
-        return OracleResult("infeasible", None, None, total)
-    return OracleResult("optimal", best, best_paths, total)
+        top = value - g1 if top is None else max(top, value - g1)
+    if top is None:
+        return OracleResult("infeasible", None, total)
+    return OracleResult("optimal", top, total)
 
 
 def _plan_bounds(spec: ProblemSpec, per_agent, move_cost):

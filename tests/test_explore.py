@@ -20,6 +20,7 @@ from icplan.explore import (_cluster_rewards, _CyclePlan, _delivery_corridor,
 from icplan.ilp import AgentConfig
 from icplan.instances import exploration_world
 from icplan.network import build_network
+from icplan.solver import SolveResult
 
 from _helpers import line_network
 
@@ -88,10 +89,16 @@ def test_reach_radius_is_the_farthest_hop():
 
 def test_delivery_corridor_routes_each_source_home():
     net = line_network(6)
-    corridor = _delivery_corridor(net, net.states, {0: "s0", 1: "s5"},
-                                  ["s2"], "s0")
+    corridor, hops = _delivery_corridor(net, net.states, {0: "s0", 1: "s5"},
+                                        ["s2", "s0"], "s0")
     # submaster, all agent positions, and the s2 -> s0 shortest path
     assert corridor == {"s0", "s1", "s2", "s5"}
+    assert hops == [2, 0]
+    # a source outside the allowed states has no path: |corridor| + 1 hops
+    corridor, hops = _delivery_corridor(net, {"s0", "s1", "s2"},
+                                        {0: "s0", 1: "s5"}, ["s2", "s5"], "s0")
+    assert corridor == {"s0", "s1", "s2", "s5"}
+    assert hops == [2, 5]
 
 
 def test_delivery_corridor_takes_the_lower_index_parent_on_ties():
@@ -99,9 +106,10 @@ def test_delivery_corridor_takes_the_lower_index_parent_on_ties():
     # precedes "a" in state order though not in name order
     net = _bidirectional(["hub", "z", "a", "src"],
                          [("hub", "z"), ("hub", "a"), ("z", "src"), ("a", "src")])
-    corridor = _delivery_corridor(net, net.states, {0: "hub", 1: "src"},
-                                  ["src"], "hub")
+    corridor, hops = _delivery_corridor(net, net.states, {0: "hub", 1: "src"},
+                                        ["src"], "hub")
     assert corridor == {"hub", "z", "src"}
+    assert hops == [2]
 
 
 # -- reward shaping --------------------------------------------------------------
@@ -112,11 +120,19 @@ def _solo_clustering(states):
                       submasters={1: 0}, parents={1: None}, activation_edges={})
 
 
+def _reward_plan(net, clustering, frontiers=(), frontier_dist=None,
+                 centrality=None, children=(), subtree_value=None):
+    """A _CyclePlan holding what _cluster_rewards reads for cluster 1."""
+    return _CyclePlan(net, 1, clustering, frozenset(frontiers), frontier_dist or {},
+                      centrality or {}, frozenset(), [1], {1: list(children)},
+                      subtree_value or {}, {})
+
+
 def test_frontier_rewards_decay_per_tier_and_per_hop():
     net = line_network(3)
-    clustering = _solo_clustering(net.states)
-    rewards = _cluster_rewards(net, clustering, 1, {"s2"},
-                               _hop_distances(net, ["s2"]), {}, [], {}, {}, set())
+    plan = _reward_plan(net, _solo_clustering(net.states), {"s2"},
+                        _hop_distances(net, ["s2"]))
+    rewards = _cluster_rewards(plan, 1, {}, set())
     assert rewards[("s2", 1)] == pytest.approx(100.0)
     assert rewards[("s2", 2)] == pytest.approx(50.0)
     assert rewards[("s1", 1)] == pytest.approx(60.0)
@@ -126,9 +142,9 @@ def test_frontier_rewards_decay_per_tier_and_per_hop():
 
 def test_faint_gradients_are_dropped():
     net = line_network(13)
-    clustering = _solo_clustering(net.states)
-    rewards = _cluster_rewards(net, clustering, 1, {"s12"},
-                               _hop_distances(net, ["s12"]), {}, [], {}, {}, set())
+    plan = _reward_plan(net, _solo_clustering(net.states), {"s12"},
+                        _hop_distances(net, ["s12"]))
+    rewards = _cluster_rewards(plan, 1, {}, set())
     assert ("s0", 1) not in rewards      # 100 * 0.6^12 < 0.5
     assert ("s1", 1) not in rewards
     assert rewards[("s2", 1)] == pytest.approx(100.0 * 0.6 ** 10)
@@ -136,9 +152,9 @@ def test_faint_gradients_are_dropped():
 
 def test_central_frontiers_get_a_tiebreak_bonus():
     net = line_network(3)
-    clustering = _solo_clustering(net.states)
-    rewards = _cluster_rewards(net, clustering, 1, {"s2"}, {"s2": 0},
-                               {"s2": 7.5}, [], {}, {}, set())
+    plan = _reward_plan(net, _solo_clustering(net.states), {"s2"}, {"s2": 0},
+                        {"s2": 7.5})
+    rewards = _cluster_rewards(plan, 1, {}, set())
     assert rewards[("s2", 1)] == pytest.approx(107.5)
     assert rewards[("s2", 2)] == pytest.approx(50.0)
 
@@ -150,25 +166,23 @@ def test_child_stations_earn_subtree_value_and_news_bonus():
                             submasters={1: 0, 2: 1},
                             parents={1: None, 2: 1},
                             activation_edges={2: ("s1", "s2")})
+    plan = _reward_plan(net, clustering, children=[2], subtree_value={2: 200.0})
     positions = {0: "s0", 1: "s1"}
-    quiet = _cluster_rewards(net, clustering, 1, set(), {}, {}, [2],
-                             {2: 200.0}, positions, set())
+    quiet = _cluster_rewards(plan, 1, positions, set())
     assert quiet == {("s1", 1): pytest.approx(100.0)}
-    noisy = _cluster_rewards(net, clustering, 1, set(), {}, {}, [2],
-                             {2: 200.0}, positions, {2})
+    noisy = _cluster_rewards(plan, 1, positions, {2})
     assert noisy == {("s1", 1): pytest.approx(125.0)}
 
 
 def test_spent_clusters_fall_back_to_border_rewards():
     net = line_network(5)
-    clustering = _solo_clustering(["s1", "s2"])
-    rewards = _cluster_rewards(net, clustering, 1, set(), {}, {}, [], {}, {}, set())
+    plan = _reward_plan(net, _solo_clustering(["s1", "s2"]))
+    rewards = _cluster_rewards(plan, 1, {}, set())
     assert rewards == {("s1", 1): 50.0, ("s1", 2): 25.0,
                        ("s2", 1): 50.0, ("s2", 2): 25.0}
     # a territory with no outside neighbours has nowhere to evacuate to
-    whole = _cluster_rewards(net, _solo_clustering(net.states), 1,
-                             set(), {}, {}, [], {}, {}, set())
-    assert whole == {}
+    whole = _reward_plan(net, _solo_clustering(net.states))
+    assert _cluster_rewards(whole, 1, {}, set()) == {}
 
 
 # -- cycle stages ------------------------------------------------------------------
@@ -222,6 +236,33 @@ def test_pre_phase_endows_covered_stations_and_freezes_unreached_members():
             for r in records] == [
         (1, "pre", (0, 1, ("station", 2), ("station", 3)), 3, True),
         (2, "pre", (2,), 2, True)]
+
+
+def test_a_reward_problem_without_a_plan_moves_nobody(monkeypatch):
+    # a solve stopped at the time limit with no incumbent rejects no plan:
+    # it is not recorded, moves nobody, endows no child and fails no run
+    def no_plan(spec, **kwargs):
+        return None, SolveResult("limit", None, message="time limit reached"), None
+
+    monkeypatch.setattr(explore, "solve_problem", no_plan)
+    net = _bidirectional(["b", "c", "d"], [("b", "c"), ("c", "d")])
+    clustering = Clustering(groups={1: (0, 1), 2: (2,)},
+                            state_sets={1: ("b", "d"), 2: ("c",)},
+                            submasters={1: 0, 2: 2}, parents={1: None, 2: 1},
+                            activation_edges={2: ("b", "c")})
+    plan = _CyclePlan(net, 2, clustering, frozenset({"d"}), {}, {}, frozenset({0}),
+                      [1, 2], {1: [2], 2: []}, {1: 100.0, 2: 0.0},
+                      {1: {0, 1, 2}, 2: {2}})
+    positions = {0: "b", 1: "d", 2: "c"}
+    reveals = {r: set() for r in range(3)}
+    records = []
+    assert _pre_phase(net, plan, 1, positions, {r: set() for r in range(3)},
+                      reveals, records) == ({1}, {}, False)
+    assert positions == {0: "b", 1: "d", 2: "c"}
+    assert reveals == {0: set(), 1: set(), 2: set()} and records == []
+    truth, agents, base = exploration_world(seed=0, n_states=20, n_agents=4)
+    log = run_exploration(truth, agents, base, max_cycles=1)
+    assert log.status == "stalled" and log.subproblems == []
 
 
 def _spy_solves(monkeypatch):

@@ -98,3 +98,15 @@ def test_no_module_imports_heapq():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                  if "heapq" in modules(ast.parse(p.read_text()))]
     assert importers == []
+
+
+def test_exploration_solves_at_one_site():
+    # both phases solve through explore._solve_cluster, so their no-plan
+    # rule, records and plan execution cannot drift apart again
+    def callee(node):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    tree = ast.parse((PACKAGE / "explore.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and callee(node) == "solve_problem"]
+    assert len(calls) == 1

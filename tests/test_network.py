@@ -1,5 +1,6 @@
 """Network construction, graph primitives, metrics, and export."""
 
+import json
 import math
 
 import numpy as np
@@ -380,4 +381,16 @@ def test_load_network_rejects_malformed_input(tmp_path):
         load_network(path)
     path.write_text("[1, 2]")
     with pytest.raises(InstanceError, match="root must be an object"):
+        load_network(path)
+
+
+def test_load_network_refuses_unknown_keys(tmp_path):
+    # a misspelt "comm_edges" would otherwise load a network with no comm
+    data = {"states": ["a", "b"], "mobility_edges": [{"from": "a", "to": "b"}],
+            "comm_edge": [{"from": "a", "to": "b"}]}
+    with pytest.raises(InstanceError, match="unknown key.*'network'.*comm_edge"):
+        load_network(data)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceError, match="unknown key.*'network'.*comm_edge"):
         load_network(path)
