@@ -1,7 +1,7 @@
 """HiGHS solves of the solver-neutral model, and its LP-format export.
 
 `solve` builds a `MilpModel`'s CSC matrix (`MilpModel.matrix()`) and hands it
-to HiGHS through scipy.optimize.milp; `export_lp` writes the same model as
+to HiGHS through `highs.minimize`; `export_lp` writes the same model as
 CPLEX-LP text for inspection or for an external solver.
 """
 
@@ -11,14 +11,12 @@ import os
 import re
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import SolverError
+from .highs import HighsResult, minimize
 from .ilp import MilpModel, ProblemSpec, assemble
 
 INT_TOL = 1e-6
@@ -26,11 +24,8 @@ INT_TOL = 1e-6
 # HiGHS's feasibility-jump primal heuristic costs a fixed ~7 ms per call,
 # most of the time of a small model closed at the root node (a 10-variable
 # knapsack on a 2-vCPU host, scipy 1.17.1: 8.5 ms with it, 1.5 ms without).
-# scipy's `milp` passes the key to HiGHS verbatim and warns that it does not
-# know it.
-_HIGHS_OPTIONS = {"disp": False, "mip_heuristic_run_feasibility_jump": False}
-_VERBATIM_WARNING = (r"Unrecognized options detected: "
-                     r"\{'mip_heuristic_run_feasibility_jump'\}")
+_HIGHS_OPTIONS = {"log_to_console": False,
+                  "mip_heuristic_run_feasibility_jump": False}
 
 
 @dataclass
@@ -49,7 +44,7 @@ class SolveResult:
     n_variables: int = 0              # size of the model HiGHS was given
     n_constraints: int = 0
     nonzeros: int = 0
-    highs_s: float = 0.0              # seconds inside scipy's milp
+    highs_s: float = 0.0              # seconds inside `highs.minimize`
 
     @property
     def ok(self) -> bool:
@@ -67,7 +62,7 @@ def _round_assignment(model: MilpModel, x, binary) -> dict[tuple, float]:
 @contextmanager
 def _quiet_fd1():
     """Null file descriptor 1 for the block: HiGHS writes some lines there
-    even with disp=False, which would corrupt a CSV on stdout."""
+    even with log_to_console off, which would corrupt a CSV on stdout."""
     if sys.stdout is None:                   # started without fd 1
         yield
         return
@@ -91,54 +86,39 @@ def solve(model: MilpModel, time_limit: float | None = None,
     binary = model.binary()
     cols, vals = model.objective_terms()
     c = np.zeros(model.n_variables)
-    c[cols] = -vals                          # milp minimizes
-    bounds = Bounds(np.zeros(model.n_variables), np.where(binary, 1.0, np.inf))
+    c[cols] = -vals                          # HiGHS minimizes
     options = dict(_HIGHS_OPTIONS)
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if gap is not None:
         options["mip_rel_gap"] = float(gap)
-    try:
-        with _quiet_fd1(), warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
-            highs_start = time.perf_counter()
-            res = milp(c=c, constraints=LinearConstraint(A, lb, ub),
-                       integrality=binary.astype(np.uint8), bounds=bounds,
-                       options=options)
-            highs_s = time.perf_counter() - highs_start
-    except Exception as exc:                 # pragma: no cover - defensive
-        raise SolverError(f"scipy/HiGHS failed: {exc}") from exc
+    with _quiet_fd1():
+        highs_start = time.perf_counter()
+        res = minimize(c, A, lb, ub, np.zeros(model.n_variables),
+                       np.where(binary, 1.0, np.inf), options, binary)
+        highs_s = time.perf_counter() - highs_start
     result = _classify(model, res, binary)
-    bound = res.get("mip_dual_bound")
-    result.nodes = res.get("mip_node_count")
-    result.dual_bound = None if bound is None else -float(bound)
-    result.gap = res.get("mip_gap")
+    result.nodes = res.nodes
+    result.dual_bound = None if res.dual_bound is None else -res.dual_bound
+    result.gap = res.gap
     result.n_variables, result.n_constraints = A.shape[1], A.shape[0]
     result.nonzeros, result.highs_s = A.nnz, highs_s
     result.wall_time = time.perf_counter() - start
     return result
 
 
-def _classify(model: MilpModel, res, binary) -> SolveResult:
-    """The status, objective and rounded assignment of a `milp` result."""
-    if res.status == 0:
-        return SolveResult("optimal", -float(res.fun),
-                           _round_assignment(model, res.x, binary))
-    if res.status == 1 and res.x is not None:
+def _classify(model: MilpModel, res: HighsResult, binary) -> SolveResult:
+    """The status, objective and rounded assignment of a HiGHS result."""
+    if res.x is None:
+        return SolveResult(res.status, None, message=res.message)
+    if res.status == "limit":
         # keep a time-limit incumbent only if it is integer-feasible
         ints = res.x[binary]
-        if np.abs(ints - np.round(ints)).max(initial=0.0) <= 1e-4:
-            return SolveResult("limit", -float(res.fun),
-                               _round_assignment(model, res.x, binary),
-                               message=res.message)
-        return SolveResult("limit", None, message="fractional incumbent")
-    if res.status == 1:
-        return SolveResult("limit", None, message=res.message)
-    if res.status == 2:
-        return SolveResult("infeasible", None, message=res.message)
-    if res.status == 3:
-        return SolveResult("unbounded", None, message=res.message)
-    return SolveResult("error", None, message=res.message)
+        if np.abs(ints - np.round(ints)).max(initial=0.0) > 1e-4:
+            return SolveResult("limit", None, message="fractional incumbent")
+    return SolveResult(res.status, -res.objective,
+                       _round_assignment(model, res.x, binary),
+                       message=res.message)
 
 
 # -- LP text ------------------------------------------------------------

@@ -32,16 +32,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import GuardExceeded, InstanceError
+from .errors import GuardExceeded, InstanceError, SolverError
+from .highs import minimize
 from .ilp import MASTER_FLOW, ProblemSpec
 from .network import (COMM, MOBILITY, count_walks, json_integer, json_key_integer,
                       read_json_object, write_json)
 
 TOL = 1e-6
 ORACLE_GUARD = 1_000_000     # most joint plans the oracle enumerates
+# the options scipy's linprog(method="highs") gives HiGHS (simplex_strategy
+# 1: dual simplex)
+_LP_OPTIONS = {"presolve": "on", "output_flag": False, "log_to_console": False,
+               "simplex_strategy": 1}
 
 
 @dataclass(frozen=True)
@@ -735,9 +739,13 @@ def _residual_lp_value(spec, paths, traversed, comm_ok, claimable):
 
     c_vec = np.concatenate([np.tile(cost, len(flow_ids)),
                             [-v for _, _, v in lp_claims]])
-    bounds = [(0, None)] * (n - len(lp_claims)) + [(0, 1)] * len(lp_claims)
-    res = linprog(c_vec, A_ub=np.vstack(A_ub), b_ub=np.concatenate(b_ub),
-                  A_eq=np.vstack(A_eq) if A_eq else None,
-                  b_eq=np.concatenate(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
-    return None if res.status != 0 else const_claims - float(res.fun)
+    b_ub = np.concatenate(b_ub)
+    b_eq = np.concatenate(b_eq) if b_eq else np.zeros(0)
+    A = sparse.csc_array(np.vstack(A_ub + A_eq))
+    res = minimize(c_vec, A, np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+                   np.concatenate([b_ub, b_eq]), np.zeros(n),
+                   np.concatenate([np.full(n - len(lp_claims), np.inf),
+                                   np.ones(len(lp_claims))]), _LP_OPTIONS)
+    if res.status == "error":
+        raise SolverError(f"HiGHS failed on the residual LP: {res.message}")
+    return None if res.status != "optimal" else const_claims - res.objective

@@ -3,17 +3,18 @@ and the arrays HiGHS is given."""
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult
-from scipy.sparse import csc_array
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from icplan import explore, solver
 from icplan.baselines import solve_powerset
 from icplan.errors import ConfigurationError
 from icplan.explore import run_exploration
+from icplan.highs import HighsResult
 from icplan.ilp import MASTER_FLOW, AgentConfig, MilpModel, ProblemSpec, assemble
 from icplan.instances import (ORACLE_CLASSES, exploration_world, line_instance,
                               random_oracle_instance)
@@ -256,10 +257,13 @@ def test_model_blocks_start_at_their_first_index():
 
 # -- the arrays HiGHS is given ---------------------------------------------------
 
-# SHA-256 over every array of every `milp` call on the corpus below,
-# captured from the model code that kept one dict per row and made the matrix
-# from COO triples.  A change to how models are stored must give HiGHS the
-# same bytes.
+_MILP_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+
+# SHA-256 over every array of every HiGHS call on the corpus below (the nine
+# arrays `solver.solve` hands to `highs.minimize`, in the order and dtypes
+# they had as `milp`'s arguments), captured from the model code that kept one
+# dict per row and made the matrix from COO triples.  A change to how models
+# are stored or passed must give HiGHS the same bytes.
 HIGHS_INPUT_SHA256 = "941024f0e5e7952665773e18e28ffcf8052919fd5e8c87847b5ddc7c75f8cbce"
 
 
@@ -278,23 +282,22 @@ def _pinned_corpus():
 
 def test_highs_input_is_pinned(monkeypatch):
     digest, calls = hashlib.sha256(), []
-    real_milp = solver.milp
+    real_minimize = solver.minimize
 
-    def recording_milp(c, *, integrality, bounds, constraints, options):
-        A = csc_array(constraints.A)
-        for array, dtype in ((c, float), (integrality, np.uint8),
-                             (bounds.lb, float), (bounds.ub, float),
-                             (A.indptr, np.int64), (A.indices, np.int64),
-                             (A.data, float), (constraints.lb, float),
-                             (constraints.ub, float)):
+    def recording_minimize(c, A, row_lower, row_upper, col_lower, col_upper,
+                           options, binary):
+        for array, dtype in ((c, float), (binary, np.uint8), (col_lower, float),
+                             (col_upper, float), (A.indptr, np.int64),
+                             (A.indices, np.int64), (A.data, float),
+                             (row_lower, float), (row_upper, float)):
             digest.update(np.asarray(array, dtype=dtype).tobytes())
         calls.append(A.shape)
         if solving:
-            return real_milp(c, integrality=integrality, bounds=bounds,
-                             constraints=constraints, options=options)
-        return OptimizeResult(status=2, x=None, fun=None, message="recorded")
+            return real_minimize(c, A, row_lower, row_upper, col_lower,
+                                 col_upper, options, binary)
+        return HighsResult("infeasible", "recorded")
 
-    monkeypatch.setattr(solver, "milp", recording_milp)
+    monkeypatch.setattr(solver, "minimize", recording_minimize)
     solving, corpus = False, _pinned_corpus()
     for spec in corpus:
         solver.solve(assemble(spec))
@@ -307,6 +310,36 @@ def test_highs_input_is_pinned(monkeypatch):
     assert log.status == "complete"
     assert len(calls) == len(corpus) + 1 + len(log.subproblems)
     assert digest.hexdigest() == HIGHS_INPUT_SHA256
+
+
+def test_the_highs_call_agrees_with_scipy_milp(monkeypatch):
+    # `highs.minimize` drives scipy's private HiGHS binding; scipy's public
+    # `milp`, given the same arrays and options, must return the same solve
+    real_minimize, seen = solver.minimize, []
+
+    def both(c, A, row_lower, row_upper, col_lower, col_upper, options, binary):
+        res = real_minimize(c, A, row_lower, row_upper, col_lower, col_upper,
+                            options, binary)
+        milp_options = {"disp": options["log_to_console"]} | {
+            k: v for k, v in options.items() if k != "log_to_console"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # passed verbatim
+            ref = milp(c, integrality=binary.astype(np.uint8),
+                       bounds=Bounds(col_lower, col_upper),
+                       constraints=LinearConstraint(A, row_lower, row_upper),
+                       options=milp_options)
+        seen.append(((res.status, res.objective, res.nodes, res.dual_bound,
+                      res.gap), (_MILP_STATUS[ref.status], ref.fun,
+                      ref.mip_node_count, ref.mip_dual_bound, ref.mip_gap)))
+        assert (res.x is None) == (ref.x is None)
+        assert res.x is None or np.array_equal(res.x, ref.x)
+        return res
+
+    monkeypatch.setattr(solver, "minimize", both)
+    for spec in _pinned_corpus():
+        solver.solve(assemble(spec))
+    assert [ours for ours, _ in seen] == [theirs for _, theirs in seen]
+    assert {ours[0] for ours, _ in seen} == {"optimal", "infeasible"}
 
 
 def test_the_rows_view_matches_the_matrix():

@@ -301,20 +301,20 @@ def test_cli_solve_writes_every_artifact(tmp_path, capsys):
 _CHATTY_SOLVE = """
 import os, sys
 from icplan import cli, solver
-milp = solver.milp
+minimize = solver.minimize
 
-def chatty(*args, **kwargs):
+def chatty(*args):
     os.write(1, b"solver chatter\\n")       # past sys.stdout, as a C printf
-    return milp(*args, **kwargs)
+    return minimize(*args)
 
-solver.milp = chatty
+solver.minimize = chatty
 sys.exit(cli.main(["solve", sys.argv[1]]))
 """
 
 
 def test_cli_solve_stdout_carries_no_solver_chatter(tmp_path):
-    # HiGHS can write a line straight to fd 1, disp=False or not; here every
-    # solve writes one, and none may reach stdout
+    # HiGHS can write a line straight to fd 1, log_to_console off or not;
+    # here every solve writes one, and none may reach stdout
     path = tmp_path / "c1.json"
     save_instance(path, *random_oracle_instance(6, "p2_awareness"))
     src = str(Path(icplan.__file__).resolve().parents[1])

@@ -86,18 +86,34 @@ def test_every_class_member_has_a_reader_outside_the_tests():
     assert [f"{cls}.{name}" for cls, name in members if name not in read] == []
 
 
+def _imports(tree):
+    """(module, name) of every import; name is None for `import module`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
 def test_no_module_imports_heapq():
     # shortest paths have one engine, scipy's compiled Dijkstra; the heap
     # references in the tests' _helpers stay as the check against it
-    def modules(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                yield from (alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                yield node.module
     importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
-                 if "heapq" in modules(ast.parse(p.read_text()))]
+                 if any(module == "heapq" for module, _ in
+                        _imports(ast.parse(p.read_text())))]
     assert importers == []
+
+
+def test_only_the_highs_module_talks_to_highs():
+    # one module fills HiGHS's model and options; scipy's milp and linprog
+    # wrappers stay in the tests, as the check against it
+    def talks(module, name):
+        dotted = f"{module}.{name}" if name else module
+        return (dotted.startswith("scipy.optimize._highspy")
+                or (module == "scipy.optimize" and name in ("milp", "linprog")))
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if any(talks(*imp) for imp in _imports(ast.parse(p.read_text())))]
+    assert importers == ["highs.py"]
 
 
 def test_exploration_solves_at_one_site():

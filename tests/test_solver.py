@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from icplan import solver, verify
 from icplan.errors import InstanceError
-from icplan.ilp import AgentConfig, ProblemSpec, assemble
+from icplan.highs import HighsResult
+from icplan.ilp import AgentConfig, MilpModel, ProblemSpec, assemble
 from icplan.instances import line_instance
 from icplan.network import build_network
 from icplan.solver import export_lp, solve, solve_problem
@@ -103,10 +103,9 @@ def test_optimal_solve_reports_nodes_bound_and_gap(line4_solution):
 
 def test_time_limited_solve_keeps_the_statistics(line4, monkeypatch):
     model = assemble(line4[1])
-    x = np.zeros(model.n_variables)
-    limit = OptimizeResult(status=1, x=x, fun=3.0, message="Time limit reached.",
-                           mip_node_count=17, mip_dual_bound=1.5, mip_gap=0.5)
-    monkeypatch.setattr(solver, "milp", lambda **kw: limit)
+    limit = HighsResult("limit", "Time limit reached", np.zeros(model.n_variables),
+                        3.0, 17, 1.5, 0.5)
+    monkeypatch.setattr(solver, "minimize", lambda *args: limit)
     result = solve(model, time_limit=1.0)
     assert result.status == "limit" and result.objective == -3.0
     assert (result.nodes, result.dual_bound, result.gap) == (17, -1.5, 0.5)
@@ -115,19 +114,40 @@ def test_time_limited_solve_keeps_the_statistics(line4, monkeypatch):
 def test_feasibility_jump_heuristic_is_off(line4, monkeypatch):
     # its fixed per-call cost outweighs the solve itself on small models
     seen = []
-    real = solver.milp
-    monkeypatch.setattr(solver, "milp",
-                        lambda **kw: seen.append(kw["options"]) or real(**kw))
+    real = solver.minimize
+
+    def spy(*args):
+        seen.append(args[6])                 # the options
+        return real(*args)
+
+    monkeypatch.setattr(solver, "minimize", spy)
     for kwargs in ({}, {"time_limit": 60.0, "gap": 0.1}):
         assert solve(assemble(line4[1]), **kwargs).ok
     assert [o["mip_heuristic_run_feasibility_jump"] for o in seen] == [False, False]
+    assert seen[1]["time_limit"] == 60.0 and seen[1]["mip_rel_gap"] == 0.1
 
 
 def test_solve_raises_no_warning(line4):
-    # scipy warns that it passes the heuristic switch to HiGHS verbatim
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert solve(assemble(line4[1])).ok
+
+
+def _model_error_model():
+    """max x0 + x1 s.t. 1e30 x0 + x1 <= 1: HiGHS refuses the coefficient."""
+    model = MilpModel()
+    model.add_vars("x", [("x", 0), ("x", 1)], "B")
+    model.add_rows(1, [(0, np.arange(2), np.array([1e30, 1.0]))], "<=", 1.0, "big")
+    model.add_objective(np.arange(2), 1.0)
+    return model
+
+
+def test_a_model_error_is_an_error_not_an_infeasibility():
+    # scipy's milp reports HiGHS's model error as status 2, infeasible
+    result = solve(_model_error_model())
+    assert result.status == "error" and not result.ok
+    assert result.objective is None and not result.assignment
+    assert "load" in result.message
 
 
 # -- LP text -------------------------------------------------------------------

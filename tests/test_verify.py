@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import icplan
 from icplan import verify
-from icplan.errors import ConfigurationError, GuardExceeded
+from icplan.errors import ConfigurationError, GuardExceeded, SolverError
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec, base_reachable_states
 from icplan.instances import ORACLE_CLASSES, line_instance, random_oracle_instance
 from icplan.network import build_network
@@ -580,3 +582,42 @@ def test_oracle_prices_negative_rewards_and_costed_comm(consistent, T, optimum):
     oracle = _assert_oracle_is_exhaustive(spec)
     assert oracle.objective == pytest.approx(optimum)
     assert solve_problem(spec)[1].objective == pytest.approx(optimum, abs=1e-6)
+
+
+def test_the_residual_lp_agrees_with_scipy_linprog(monkeypatch):
+    # the LP goes to scipy's private HiGHS binding; scipy's public linprog,
+    # given the same rows split back into A_ub and A_eq, must price it alike
+    real_minimize, seen = verify.minimize, []
+
+    def both(c, A, row_lower, row_upper, col_lower, col_upper, options):
+        res = real_minimize(c, A, row_lower, row_upper, col_lower, col_upper,
+                            options)
+        dense, ub = A.toarray(), np.isinf(row_lower)
+        ref = linprog(c, A_ub=dense[ub], b_ub=row_upper[ub], A_eq=dense[~ub],
+                      b_eq=row_upper[~ub],
+                      bounds=np.column_stack([col_lower, col_upper]),
+                      method="highs")
+        seen.append(((res.status == "optimal", res.objective),
+                     (ref.status == 0, ref.fun)))
+        return res
+
+    monkeypatch.setattr(verify, "minimize", both)
+    for seed in range(50):
+        for klass in ORACLE_CLASSES:
+            brute_force_solve(random_oracle_instance(seed, klass)[1])
+    assert len(seen) > 50
+    assert [ours for ours, _ in seen] == [theirs for _, theirs in seen]
+
+
+def test_a_residual_lp_model_error_raises(monkeypatch):
+    # a coefficient HiGHS refuses must not read as an infeasible candidate
+    real_minimize = verify.minimize
+    monkeypatch.setattr(verify, "minimize",
+                        lambda c, A, *rest: real_minimize(c, A * 1e30, *rest))
+    net = line_network(3, comm_cost=1.0)
+    agents = AgentConfig(count=2, initial={0: "s0", 1: "s2"},
+                         masters=frozenset({0}))
+    spec = ProblemSpec(net=net, agents=agents, T=2, src=(0,), snk=(1,),
+                       information_consistent=True)
+    with pytest.raises(SolverError, match="residual LP"):
+        brute_force_solve(spec)
