@@ -7,6 +7,8 @@ a hierarchy is built by activating clusters that can be reached over a
 communication edge from an already-active cluster's territory.  Each
 activated cluster designates a submaster: the receiving agent closest to
 its parent, which acts as the cluster's local plan source and report sink.
+Every travel distance the decomposition reads ends at an agent start, so it
+asks the network only for those rows (`distances_to`).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def similarity_matrix(net: MobilityCommNetwork, initial_states) -> np.ndarray:
     finite entry so they are pulled into the same cluster.
     """
     at = [net.index(s) for s in initial_states]
-    dist = net.mobility_distance_matrix("pred")[np.ix_(at, at)]
+    dist = net.distances_to(at)[:, at]
     m = np.minimum(dist, dist.T)
     np.fill_diagonal(m, np.inf)
     finite = (0.0 < m) & (m < np.inf)
@@ -165,8 +167,7 @@ def grow_state_clusters(net: MobilityCommNetwork,
     what lets split-and-restart terminate.  States no territory can reach
     stay unassigned.
     """
-    to_state = net.mobility_distance_matrix("pred")
-    pull = {cid: to_state[[net.index(initial[r]) for r in g]].min(axis=0).tolist()
+    pull = {cid: net.distances_to([net.index(initial[r]) for r in g]).min(axis=0).tolist()
             for cid, g in groups.items()}     # distance to the nearest start
     rows = net.undirected_mobility()
     owner: dict[int, int] = {}                # state index -> cluster
@@ -260,11 +261,12 @@ def build_hierarchy(net: MobilityCommNetwork, agents: AgentConfig,
     submasters = {root: anchor if anchor in groups[root] else min(groups[root])}
     activation_edges: dict[int, tuple[str, str]] = {}
 
-    to_state = net.mobility_distance_matrix("pred")
+    territory = {cid: [net.index(u) for u in states]
+                 for cid, states in state_sets.items()}
 
     def parent_dist(pid, s):
-        row = to_state[net.index(s)]
-        return min((float(row[net.index(u)]) for u in state_sets[pid]), default=math.inf)
+        row = net.distances_to([net.index(s)])[0]
+        return float(np.min(row[territory[pid]], initial=math.inf))
 
     grew = True
     while grew:
@@ -348,20 +350,23 @@ def cluster_instance(net: MobilityCommNetwork, agents: AgentConfig,
 
 def prune_dead_states(net: MobilityCommNetwork, states=None,
                       protected=frozenset()) -> frozenset[str]:
-    """Iteratively strip unprotected leaf states (undirected degree <= 1)."""
-    kept = set(net.states if states is None else states)
+    """Strip unprotected leaf states (undirected degree <= 1) until none is
+    left.  A removal only lowers degrees, so the kept set does not depend on
+    the order: each leaf is queued once, when its degree falls to 1."""
+    kept = {net.index(s) for s in (net.states if states is None else states)}
     protected = set(protected)
     rows = net.undirected_mobility()
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(kept, key=net.index):
-            if s in protected:
-                continue
-            if sum(net.states[v] in kept for v in rows[net.index(s)]) <= 1:
-                kept.remove(s)
-                changed = True
-    return frozenset(kept)
+    degree = {i: sum(v in kept for v in rows[i]) for i in kept}
+    strip = {i for i in kept if net.states[i] not in protected}
+    queue = [i for i in strip if degree[i] <= 1]
+    for i in queue:                 # the loop also visits states appended below
+        kept.remove(i)
+        for v in rows[i]:
+            if v in kept:
+                degree[v] -= 1
+                if degree[v] == 1 and v in strip:
+                    queue.append(v)
+    return frozenset(net.states[i] for i in kept)
 
 
 def clusters_to_dot(net: MobilityCommNetwork, clustering: Clustering,

@@ -152,6 +152,9 @@ class CycleOutcome:
     new_states: tuple[str, ...]
     base_gain: int
     max_solve_time: float
+    plan_s: float                    # seconds in _plan_cycle
+    pre_s: float                     # seconds in _pre_phase
+    post_s: float                    # seconds in _post_phase, 0 when it did not run
 
 
 @dataclass
@@ -201,6 +204,7 @@ class ExplorationLog:
                 "endowed": list(o.endowed), "frontiers": o.frontiers_before,
                 "new_states": len(o.new_states), "base_gain": o.base_gain,
                 "max_solve_time": o.max_solve_time,
+                "plan_s": o.plan_s, "pre_s": o.pre_s, "post_s": o.post_s,
             } for o in self.outcomes],
             "failures": [{
                 "cycle": rec.cycle, "cluster": rec.cluster, "phase": rec.phase,
@@ -464,20 +468,26 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
             log.status = "complete"
             break
         base_before, positions_before = len(knowledge[master]), dict(positions)
+        t0 = time.perf_counter()
         plan = _plan_cycle(truth, known, positions, frontiers, base, master,
                            static)
+        plan_s = time.perf_counter() - t0
         if trace_dir is not None:
             _write_trace(trace_dir, cycle, plan.net, plan.clustering, positions,
                          known)
         reveals = {r: set() for r in range(R)}
         records: list[SubproblemRecord] = []
+        t0 = time.perf_counter()
         endowed, frozen, failed = _pre_phase(truth, plan, cycle, positions,
                                              knowledge, reveals, records)
+        pre_s, post_s = time.perf_counter() - t0, 0.0
         if not failed:
             for r in range(R):      # knowledge gained while exploring
                 knowledge[r] |= reveals[r]
+            t0 = time.perf_counter()
             failed = _post_phase(truth, plan, cycle, endowed, frozen, positions,
                                  knowledge, reveals, records)
+            post_s = time.perf_counter() - t0
 
         log.subproblems.extend(records)
         new_states = set().union(*reveals.values()) - known
@@ -492,7 +502,8 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
             new_states=tuple(sorted(new_states,
                                     key=lambda s: truth.index(s))),
             base_gain=base_gain,
-            max_solve_time=max((rec.wall_time for rec in records), default=0.0)))
+            max_solve_time=max((rec.wall_time for rec in records), default=0.0),
+            plan_s=plan_s, pre_s=pre_s, post_s=post_s))
         log.cycles = cycle
 
         if failed:

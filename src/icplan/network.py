@@ -6,6 +6,11 @@ over which co-located or adjacent agents exchange information within a time
 step.  Edge weights are costs; both edge sets may be asymmetric.  Mobility
 self-loops (waiting) are inserted automatically at zero cost unless the
 instance disables them.  Each edge has one cost, the same at every layer.
+
+Derived tables are built on first use and cached on the network: adjacency,
+the mobility arcs, the forward all-pairs distance matrix (betweenness reads
+every source) and distance rows to single states (the clustering reads only
+those to agent starts).
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ class MobilityCommNetwork:
         object.__setattr__(self, "_succ", _adjacency(self.states, self.mobility, 0))
         object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
         object.__setattr__(self, "_comm_tables", None)  # (succ, pred), on first use
-        object.__setattr__(self, "_distances", {})  # direction -> matrix
+        object.__setattr__(self, "_arcs", None)       # (tails, heads, costs), on first use
+        object.__setattr__(self, "_distances", None)  # forward matrix, on first use
+        object.__setattr__(self, "_to", {})           # state index -> distances to it
         object.__setattr__(self, "_undirected", None)
 
     # -- basic queries -------------------------------------------------
@@ -82,26 +89,54 @@ class MobilityCommNetwork:
         self.index(s)
         return tuple(table.get(s, ()))
 
-    def mobility_distance_matrix(self, direction: str = "succ"):
+    def mobility_distance_matrix(self):
         """All-pairs mobility distances, inf where unreachable.
 
-        Row i holds the distances from ("succ") or to ("pred") state i; one
-        compiled Dijkstra builds it on first use per direction, "pred" on
-        the reversed graph so that each path's costs are summed from i
-        outward.  The matrix is read-only.
+        Row i holds the distances from state i; one compiled Dijkstra builds
+        the matrix on first use.  It is read-only.
         """
-        if direction not in ("succ", "pred"):
-            raise ValueError(f"direction must be succ or pred, got {direction!r}")
-        dist = self._distances.get(direction)
-        if dist is None:
-            tails, heads, w = _mobility_arcs(self)
-            if direction == "pred":
-                tails, heads = heads, tails
+        if self._distances is None:
+            tails, heads, w = self._mobility_arcs()
             n = len(self.states)
-            graph = sparse.csr_matrix((w, (tails, heads)), shape=(n, n))
-            dist = self._distances[direction] = dijkstra(graph)
+            dist = dijkstra(sparse.csr_matrix((w, (tails, heads)), shape=(n, n)))
             dist.setflags(write=False)
-        return dist
+            object.__setattr__(self, "_distances", dist)
+        return self._distances
+
+    def distances_to(self, indices):
+        """Mobility distances to each state index in `indices`, one row each:
+        entry [k, j] is d(j -> indices[k]), inf where unreachable.
+
+        Rows are cached per state; one compiled Dijkstra on the reversed
+        graph fills the missing ones, so that each path's costs are summed
+        from the target outward.  The returned array is read-only.
+        """
+        missing = [i for i in dict.fromkeys(indices) if i not in self._to]
+        if missing:
+            tails, heads, w = self._mobility_arcs()
+            n = len(self.states)
+            graph = sparse.csr_matrix((w, (heads, tails)), shape=(n, n))
+            for i, row in zip(missing, dijkstra(graph, indices=missing)):
+                row.setflags(write=False)
+                self._to[i] = row
+        rows = np.array([self._to[i] for i in indices]).reshape(-1, len(self.states))
+        rows.setflags(write=False)
+        return rows
+
+    def _mobility_arcs(self):
+        """(tail, head, cost) arrays of the mobility edges, self-loops
+        dropped; built on first use and read-only."""
+        if self._arcs is None:
+            index = self._index
+            arcs = [(index[a], index[b], w) for (a, b), w in self.mobility.items()
+                    if a != b]
+            tails, heads, w = zip(*arcs) if arcs else ((), (), ())
+            arrays = (np.array(tails, dtype=np.intp), np.array(heads, dtype=np.intp),
+                      np.array(w, dtype=float))
+            for a in arrays:
+                a.setflags(write=False)
+            object.__setattr__(self, "_arcs", arrays)
+        return self._arcs
 
     def undirected_mobility(self):
         """Per state index, the indices of its mobility neighbours either way.
@@ -303,15 +338,6 @@ def hop_bfs(net: MobilityCommNetwork, sources, within=None) -> dict[str, str]:
     return parent
 
 
-def _mobility_arcs(net: MobilityCommNetwork):
-    """(tail, head, cost) arrays of the mobility edges, self-loops dropped."""
-    index = net._index
-    arcs = [(index[a], index[b], w) for (a, b), w in net.mobility.items() if a != b]
-    tails, heads, w = zip(*arcs) if arcs else ((), (), ())
-    return (np.array(tails, dtype=np.intp), np.array(heads, dtype=np.intp),
-            np.array(w, dtype=float))
-
-
 def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     """Exact weighted betweenness over directed mobility edges (Brandes).
 
@@ -329,8 +355,8 @@ def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     the order is re-derived until the labels agree with it.
     """
     n = len(net.states)
-    tails, heads, w = _mobility_arcs(net)
-    dist = net.mobility_distance_matrix("succ")
+    tails, heads, w = net._mobility_arcs()
+    dist = net.mobility_distance_matrix()
     ids = np.arange(n)
     for _ in range(n):                           # n rounds settle every label
         with np.errstate(invalid="ignore"):      # inf - inf off the reach
@@ -373,9 +399,7 @@ def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     for p, u in reversed(spans):
         delta[p] += sigma[p] / paths[u] * (1.0 + delta[u])
     delta[ids * (n + 1)] = 0.0                   # endpoints excluded
-    scores = np.zeros(n)
-    for row in delta.reshape(n, n):              # sources in order
-        scores += row
+    scores = delta.reshape(n, n).sum(axis=0)     # row by row, sources in order
     return dict(zip(net.states, scores.tolist()))
 
 

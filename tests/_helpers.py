@@ -148,3 +148,22 @@ def heap_betweenness(net):
             if u != source:
                 scores[u] += delta[u]
     return dict(zip(net.states, scores))
+
+
+def rescan_prune(net, states=None, protected=frozenset()):
+    """Reference leaf stripping: rescan every kept state in state order and
+    remove unprotected ones with at most one kept neighbour, until a whole
+    scan removes nothing."""
+    kept = set(net.states if states is None else states)
+    protected = set(protected)
+    rows = net.undirected_mobility()
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(kept, key=net.index):
+            if s in protected:
+                continue
+            if sum(net.states[v] in kept for v in rows[net.index(s)]) <= 1:
+                kept.remove(s)
+                changed = True
+    return frozenset(kept)

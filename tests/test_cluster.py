@@ -1,5 +1,6 @@
 """Agent clustering, territory growth, and the activation hierarchy."""
 
+import hashlib
 import json
 import random
 
@@ -12,11 +13,12 @@ from icplan.cluster import (Clustering, _farthest_first_kmeans,
                             clusters_to_dot, grow_state_clusters, prune_dead_states,
                             similarity_matrix, spectral_cluster_agents,
                             weak_components)
+from icplan.explore import induced_network
 from icplan.ilp import AgentConfig
 from icplan.instances import random_cluster_graph
-from icplan.network import build_network
+from icplan.network import betweenness_centrality, build_network
 
-from _helpers import line_network
+from _helpers import line_network, random_net, rescan_prune
 
 
 def _line_agents(n, positions, masters=(0,), static=(0,)):
@@ -56,8 +58,9 @@ def test_directed_similarity_uses_the_cheaper_direction():
 def _loop_similarity(net, initial_states):
     """Reference: the pairwise loop over min(d(i->j), d(j->i))."""
     n = len(initial_states)
-    dist = net.mobility_distance_matrix("pred")
     at = [net.index(s) for s in initial_states]
+    dist = np.full((len(net.states),) * 2, np.inf)     # rows at the starts
+    dist[at] = net.distances_to(at)
     sim = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -284,6 +287,63 @@ def test_prune_keeps_cycles():
     net = build_network(["a", "b", "c"],
                         [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)], [])
     assert prune_dead_states(net) == frozenset({"a", "b", "c"})
+
+
+def test_one_removal_exposes_a_chain_of_leaves():
+    # the tail d1 - d2 - d3 hangs off the triangle at c; stripping d1 makes
+    # d2 a leaf and then d3, unless a protected state holds the chain
+    states = ["d1", "d2", "d3", "a", "b", "c"]
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d3"), ("d3", "d2"),
+             ("d2", "d1")]
+    net = build_network(states, [(u, v, 1.0) for u, v in edges], [])
+    assert prune_dead_states(net) == frozenset({"a", "b", "c"})
+    assert prune_dead_states(net, protected={"d2"}) == frozenset(
+        {"a", "b", "c", "d3", "d2"})
+    # within the tail alone, c is a leaf too, and the chain runs back to d1
+    assert prune_dead_states(net, states=["d1", "d2", "d3", "c"],
+                             protected={"d1"}) == frozenset({"d1"})
+
+
+def test_prune_equals_the_rescanning_loop():
+    for seed in range(100):
+        net, agents = random_cluster_graph(seed)
+        starts = set(agents.initial.values())
+        assert prune_dead_states(net, protected=starts) == rescan_prune(
+            net, protected=starts), seed
+    for seed in range(200):
+        rng = random.Random(f"prune:{seed}")
+        net = random_net(seed, n=rng.randint(1, 30), extra=rng.choice([0.0, 0.2, 0.5]))
+        states = rng.sample(net.states, rng.randint(0, len(net.states)))
+        protected = set(rng.sample(net.states, rng.randint(0, min(3, len(net.states)))))
+        for within in (None, states):
+            assert prune_dead_states(net, within, protected) == rescan_prune(
+                net, within, protected), seed
+
+
+def _c6_digest():
+    """sha256 over the C6 corpus of what the cluster stage outputs: the
+    pruned set, the clustering, its split rounds and the betweenness of
+    the pruned network, floats as repr."""
+    digest = hashlib.sha256()
+    for seed in range(100):
+        net, agents = random_cluster_graph(seed)
+        k = random.Random(f"acc6:{seed}").randint(1, agents.count)
+        kept = prune_dead_states(net, protected=set(agents.initial.values()))
+        plan_net = induced_network(net, kept)
+        clustering = cluster_instance(plan_net, agents, k=k)
+        scores = betweenness_centrality(plan_net)
+        digest.update(json.dumps({
+            "seed": seed, "kept": sorted(kept, key=net.index),
+            "clustering": clustering.to_dict(),
+            "split_rounds": clustering.split_rounds,
+            "betweenness": [[s, repr(v)] for s, v in scores.items()],
+        }, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_the_cluster_stage_outputs_are_pinned():
+    assert _c6_digest() == (
+        "580464c6d8d1d5d2b8cfb2840afe485f3a47bab23986223d43e65eb729c52cf8")
 
 
 def test_clusters_to_dot_shows_territories_and_activations():

@@ -418,6 +418,9 @@ def test_log_serialisation_matches_the_run():
     assert data["coverage"] == log.coverage
     for outcome in data["outcomes"]:
         assert outcome["max_solve_time"] <= data["max_solve_time"]
+        assert min(outcome["plan_s"], outcome["pre_s"], outcome["post_s"]) >= 0.0
+    assert sum(o["plan_s"] + o["pre_s"] + o["post_s"]
+               for o in data["outcomes"]) <= data["wall_time"]
     for phase, split in data["phases"].items():
         records = [r for r in log.subproblems if r.phase == phase]
         assert records and split["solves"] == len(records)

@@ -458,6 +458,7 @@ def test_cli_explore_runs_synthetic_and_file_worlds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status=complete" in out
     assert out.startswith("cycle 1: clusters=") and " slowest_solve=" in out
+    assert " plan=" in out and " pre=" in out and " post=" in out
     log = json.loads(log_path.read_text())
     assert log["status"] == "complete"
     assert log["coverage"] == 1.0

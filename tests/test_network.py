@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+from icplan import network
 from icplan.errors import InstanceError
 from icplan.io import load_instance, network_to_dict
 from icplan.explore import induced_network
@@ -178,7 +180,7 @@ def test_induced_network_builds_its_own_undirected_rows():
 def test_shortest_distance_matches_bellman_ford(seed):
     net = random_net(seed, n=9, extra=0.7)
     ref = bellman_ford(net, net.states[0])
-    row = net.mobility_distance_matrix("succ")[0]
+    row = net.mobility_distance_matrix()[0]
     for b in net.states:
         got = row[net.index(b)]
         assert got == pytest.approx(ref[b]) or (math.isinf(got) and math.isinf(ref[b]))
@@ -186,7 +188,8 @@ def test_shortest_distance_matches_bellman_ford(seed):
 
 def test_shortest_distance_unreachable_is_inf():
     net = build_network(["a", "b"], [], [])
-    assert math.isinf(net.mobility_distance_matrix("succ")[net.index("a")][net.index("b")])
+    assert math.isinf(net.mobility_distance_matrix()[net.index("a")][net.index("b")])
+    assert math.isinf(net.distances_to([net.index("b")])[0][net.index("a")])
 
 
 @settings(max_examples=15, deadline=None)
@@ -195,8 +198,8 @@ def test_dijkstra_matches_bellman_ford_in_both_directions(seed, extra):
     net = random_net(seed, n=7, extra=extra)
     from_src = {a: bellman_ford(net, a) for a in net.states}
     for b in net.states:
-        succ = net.mobility_distance_matrix("succ")[net.index(b)]
-        pred = net.mobility_distance_matrix("pred")[net.index(b)]
+        succ = net.mobility_distance_matrix()[net.index(b)]
+        pred = net.distances_to([net.index(b)])[0]
         for a in net.states:
             # integer weights: exact sums
             assert succ[net.index(a)] == from_src[b][a]
@@ -211,16 +214,17 @@ def test_induced_network_builds_its_own_adjacency():
     fresh = build_network(
         keep, [(a, b, w) for (a, b), w in net.mobility.items()
                if a in keep and b in keep], [], self_loops=False)
-    for direction in ("succ", "pred"):
-        assert np.array_equal(sub.mobility_distance_matrix(direction),
-                              fresh.mobility_distance_matrix(direction))
+    assert np.array_equal(sub.mobility_distance_matrix(),
+                          fresh.mobility_distance_matrix())
+    every = range(len(keep))
+    assert np.array_equal(sub.distances_to(every), fresh.distances_to(every))
     assert betweenness_centrality(sub) == betweenness_centrality(fresh)
 
 
 def test_cache_does_not_change_equality():
     net, twin = random_net(4), random_net(4)
     betweenness_centrality(net)
-    net.mobility_distance_matrix("pred")
+    net.distances_to([0, 2])
     net.undirected_mobility()
     for s in net.states:
         net.neighbors(s, "succ", COMM)
@@ -263,10 +267,11 @@ def _float_nets(draw):
 @given(_float_nets())
 def test_distances_and_betweenness_equal_the_heap_references(net):
     assert betweenness_centrality(net) == heap_betweenness(net)
-    for direction in ("succ", "pred"):
-        for s in net.states:
-            assert (net.mobility_distance_matrix(direction)[net.index(s)].tolist()
-                    == heap_dijkstra(net, s, direction))
+    for s in net.states:
+        assert (net.mobility_distance_matrix()[net.index(s)].tolist()
+                == heap_dijkstra(net, s, "succ"))
+        assert (net.distances_to([net.index(s)])[0].tolist()
+                == heap_dijkstra(net, s, "pred"))
 
 
 def test_rounding_split_ties_settle_by_first_label():
@@ -295,16 +300,31 @@ def test_zero_cost_ties_follow_the_settle_order():
     assert betweenness_centrality(chain) == {"x": 2.0, "b": 2.0, "c": 0.0, "y": 0.0}
 
 
-def test_distance_matrix_is_cached_and_read_only():
+def test_distance_matrix_is_cached_and_read_only(monkeypatch):
     net = build_network(["a", "b", "c"],
                         [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 0.5)], [])
-    dist = net.mobility_distance_matrix("pred")
-    assert net.mobility_distance_matrix("pred") is dist
-    assert dist[net.index("c")].tolist() == [0.5, 1.0, 0.0]
+    dist = net.mobility_distance_matrix()
+    assert net.mobility_distance_matrix() is dist
+    assert dist[net.index("a")].tolist() == [0.0, 1.0, 0.5]
     with pytest.raises(ValueError):
         dist[0, 0] = 1.0
+    calls = []
+
+    def counting(graph, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(network, "dijkstra", counting)
+    c, a = net.index("c"), net.index("a")
+    to = net.distances_to([c, c])
+    assert to.tolist() == [[0.5, 1.0, 0.0]] * 2
+    assert net.distances_to([a, c]).tolist() == [[0.0, math.inf, math.inf],
+                                                 [0.5, 1.0, 0.0]]
+    assert net.distances_to([c]).tolist() == [[0.5, 1.0, 0.0]]
+    assert net.distances_to([]).shape == (0, 3)
+    assert calls == [[c], [a]]                  # each row computed once
     with pytest.raises(ValueError):
-        net.mobility_distance_matrix("both")
+        to[0, 0] = 1.0
 
 
 def test_betweenness_on_a_line_is_hand_computable():
