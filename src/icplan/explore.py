@@ -47,6 +47,8 @@ from . import verify
 from .cluster import Clustering, cluster_instance, clusters_to_dot, prune_dead_states
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
+# build_network is unused here but stays an attribute: perfbench's traced
+# runs wrap explore.build_network in their network.build span
 from .network import (MobilityCommNetwork, betweenness_centrality, build_network,
                       hop_bfs, write_json, write_text)
 from .solver import solve_problem
@@ -88,13 +90,10 @@ def detect_frontiers(truth: MobilityCommNetwork, known: set[str]) -> tuple[str, 
 
 
 def induced_network(net: MobilityCommNetwork, states) -> MobilityCommNetwork:
-    """Subnetwork on `states` keeping every edge inside it."""
-    keep = set(states)
-    ordered = [s for s in net.states if s in keep]
-    mobility = [(a, b, w) for (a, b), w in net.mobility.items()
-                if a in keep and b in keep]
-    comm = [(a, b, w) for (a, b), w in net.comm.items() if a in keep and b in keep]
-    return build_network(ordered, mobility, comm, self_loops=False)
+    """Subnetwork on `states` keeping every edge inside it, in `net`'s state
+    and edge order (`MobilityCommNetwork.induced`): no edge is checked
+    again and no adjacency list re-sorted."""
+    return net.induced(states)
 
 
 def _hop_distances(net: MobilityCommNetwork, sources, within=None) -> dict[str, int]:
@@ -141,6 +140,10 @@ class SubproblemRecord:
     wall_time: float
     verified: bool
     violations: tuple[str, ...] = ()
+    n_variables: int = 0             # size of the model HiGHS was given
+    nodes: int | None = None         # branch-and-bound nodes, None without a plan
+    gap: float | None = None         # HiGHS's relative MIP gap at exit
+    highs_s: float = 0.0             # seconds inside HiGHS
 
 
 @dataclass
@@ -206,6 +209,12 @@ class ExplorationLog:
                 "max_solve_time": o.max_solve_time,
                 "plan_s": o.plan_s, "pre_s": o.pre_s, "post_s": o.post_s,
             } for o in self.outcomes],
+            "subproblem_stats": [{
+                "cycle": rec.cycle, "cluster": rec.cluster, "phase": rec.phase,
+                "horizon": rec.horizon, "status": rec.status,
+                "wall_time": rec.wall_time, "n_variables": rec.n_variables,
+                "nodes": rec.nodes, "gap": rec.gap, "highs_s": rec.highs_s,
+            } for rec in self.subproblems],
             "failures": [{
                 "cycle": rec.cycle, "cluster": rec.cluster, "phase": rec.phase,
                 "horizon": rec.horizon, "status": rec.status,
@@ -255,6 +264,14 @@ def _horizon(hops, slack: int) -> int:
     return max(1, min(T_MAX, max(hops) + slack))
 
 
+def _solve_summary(T, result) -> str:
+    """One solve for the run log: "T=8, 2,436 vars, 1 node, gap 0.17, 10.2 s"."""
+    nodes = "no" if result.nodes is None else f"{result.nodes:,}"
+    gap = "none" if result.gap is None else f"{result.gap:.2f}"
+    return (f"T={T}, {result.n_variables:,} vars, {nodes} node"
+            f"{'' if result.nodes == 1 else 's'}, gap {gap}, {result.wall_time:.1f} s")
+
+
 def _solve_cluster(truth, plan, phase, cycle, cid, roster, spec, positions,
                    reveals, records):
     """Solve one cluster's subproblem at the phase's gap and execute its plan.
@@ -267,9 +284,9 @@ def _solve_cluster(truth, plan, phase, cycle, cid, roster, spec, positions,
     """
     _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
                                    gap=PRE_GAP if phase == "pre" else POST_GAP)
-    logger.debug("%s c%d depth=%d roster=%s T=%d status=%s obj=%s", phase, cid,
-                 plan.clustering.depth(cid), roster, spec.T, result.status,
-                 result.objective)
+    logger.debug("%s c%d depth=%d roster=%s status=%s obj=%s: %s", phase, cid,
+                 plan.clustering.depth(cid), roster, result.status,
+                 result.objective, _solve_summary(spec.T, result))
     if sol is None and result.status in ("infeasible", "limit"):
         return None, False
     if sol is None:
@@ -279,7 +296,8 @@ def _solve_cluster(truth, plan, phase, cycle, cid, roster, spec, positions,
     records.append(SubproblemRecord(cycle, cid, phase, tuple(roster), spec.T,
                                     result.status, result.objective,
                                     result.wall_time, not violations,
-                                    tuple(violations)))
+                                    tuple(violations), result.n_variables,
+                                    result.nodes, result.gap, result.highs_s))
     if violations:
         return None, True
     for i, entry in enumerate(roster):

@@ -7,10 +7,14 @@ step.  Edge weights are costs; both edge sets may be asymmetric.  Mobility
 self-loops (waiting) are inserted automatically at zero cost unless the
 instance disables them.  Each edge has one cost, the same at every layer.
 
-Derived tables are built on first use and cached on the network: adjacency,
-the mobility arcs, the forward all-pairs distance matrix (betweenness reads
-every source) and distance rows to single states (the clustering reads only
-those to agent starts).
+Derived tables are built on first use and cached on the network: comm
+adjacency, the mobility arcs, the forward all-pairs distance matrix
+(betweenness reads every source) and distance rows to single states (the
+clustering reads only those to agent starts).  Mobility adjacency is built
+with the network.  An induced subnetwork (`MobilityCommNetwork.induced`, on
+every exploration cycle's pruned states) filters its parent's checked
+edges and sorted mobility adjacency instead of checking and sorting again,
+and builds its own caches.
 """
 
 from __future__ import annotations
@@ -52,14 +56,42 @@ class MobilityCommNetwork:
                     raise InstanceError(f"dangling {name} edge ({a!r}, {b!r})")
                 if not 0 <= w < math.inf:    # also false for NaN
                     raise InstanceError(f"{_bad_weight(w)} on {name} edge ({a!r}, {b!r})")
+        self._derive(index, _adjacency(self.states, self.mobility, 0),
+                     _adjacency(self.states, self.mobility, 1))
+
+    def _derive(self, index, succ, pred):
+        """Set the state index and mobility adjacency, and empty every cache."""
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_succ", _adjacency(self.states, self.mobility, 0))
-        object.__setattr__(self, "_pred", _adjacency(self.states, self.mobility, 1))
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
         object.__setattr__(self, "_comm_tables", None)  # (succ, pred), on first use
         object.__setattr__(self, "_arcs", None)       # (tails, heads, costs), on first use
         object.__setattr__(self, "_distances", None)  # forward matrix, on first use
         object.__setattr__(self, "_to", {})           # state index -> distances to it
         object.__setattr__(self, "_undirected", None)
+
+    def induced(self, states) -> MobilityCommNetwork:
+        """Subnetwork on `states` keeping every edge inside it.
+
+        States keep this network's order and edges its insertion order.  The
+        edges were checked when this network was built, so they are not
+        checked again, and the adjacency lists are this network's sorted
+        lists, filtered.  Caches start empty; states not in this network
+        are ignored.
+        """
+        keep = set(states)
+        ordered = tuple(s for s in self.states if s in keep)
+        if not ordered:
+            raise InstanceError("empty state set")
+        sub = object.__new__(MobilityCommNetwork)
+        object.__setattr__(sub, "states", ordered)
+        for name in (MOBILITY, COMM):
+            object.__setattr__(sub, name, {e: w for e, w in getattr(self, name).items()
+                                           if e[0] in keep and e[1] in keep})
+        sub._derive({s: i for i, s in enumerate(ordered)},
+                    {s: [v for v in self._succ[s] if v in keep] for s in ordered},
+                    {s: [v for v in self._pred[s] if v in keep] for s in ordered})
+        return sub
 
     # -- basic queries -------------------------------------------------
 
@@ -358,46 +390,67 @@ def betweenness_centrality(net: MobilityCommNetwork) -> dict[str, float]:
     tails, heads, w = net._mobility_arcs()
     dist = net.mobility_distance_matrix()
     ids = np.arange(n)
+    # an arc joins two states at one distance d only when its cost vanishes
+    # in d + w: at most 1e-12 plus a few ulps of d, and no d exceeds the
+    # sum of all costs; only those arcs enter the zero-cost tie search
+    free = np.flatnonzero(w <= 2e-12 + w.sum() * 2.0 ** -50)
+    rank = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
     for _ in range(n):                           # n rounds settle every label
         with np.errstate(invalid="ignore"):      # inf - inf off the reach
             d_tail, d_head = dist[:, tails], dist[:, heads]
-            tight = np.abs(d_tail + w - d_head) <= 1e-12
-        level = tight & (d_tail == d_head)
-        depth = np.zeros((n, n))                 # zero-cost depth
+            gap = d_tail + w
+            gap -= d_head
+            tight = np.abs(gap, out=gap) <= 1e-12
+        level = tight[:, free] & (d_tail[:, free] == d_head[:, free])
         if level.any():
             src, arc = np.nonzero(level)
-            depth = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
+            arc = free[arc]
+            depth = np.where(np.eye(n, dtype=bool), 0.0, np.inf)   # zero-cost depth
             up, up_arc = np.nonzero(tight & (d_tail < d_head))
             depth[up, heads[up_arc]] = 0.0
             before = None
             while not np.array_equal(depth, before):
                 before = depth.copy()
                 np.minimum.at(depth, (src, heads[arc]), depth[src, tails[arc]] + 1.0)
-        rank = np.empty((n, n), dtype=np.intp)
-        rank[ids[:, None], np.lexsort((depth, dist))] = ids
-        src, arc = np.nonzero(tight)
-        head_rank, tail_rank = rank[src, heads[arc]], rank[src, tails[arc]]
-        pairs = np.argsort((head_rank * n + src) * n + tail_rank)
-        src, arc = src[pairs], arc[pairs]            # by head rank, source, tail rank
-        head_rank, tail_rank = head_rank[pairs], tail_rank[pairs]
-        tail_at, head_at = src * n + tails[arc], src * n + heads[arc]   # flat n x n
-        first = np.diff(head_at, prepend=-1) != 0    # each head's first predecessor
+            order = np.lexsort((depth, dist))
+        else:                                    # the same order when all depths are 0
+            order = np.argsort(dist, axis=1, kind="stable")
+        rank[ids[:, None], order] = ids
+        at = np.flatnonzero(tight)                # source-major, as np.nonzero
+        src = at // len(w)
+        arc = at - src * len(w)
+        src *= n
+        tail_at, head_at = src + tails[arc], src + heads[arc]   # flat n x n
+        tail_rank, head_rank = rank.ravel()[tail_at], rank.ravel()[head_at]
+        least = np.full(n * n, n - 1, dtype=rank.dtype)
+        np.minimum.at(least, head_at, tail_rank)
+        first = tail_rank == least[head_at]      # each head's first predecessor
         label = dist.ravel()[tail_at[first]] + w[arc[first]]
         if np.array_equal(label, dist.ravel()[head_at[first]]):
             break
         dist = dist.copy()
         dist.ravel()[head_at[first]] = label
+    # by head rank, then tail rank: stable radix sorts, least significant first
+    pairs = np.argsort(tail_rank, kind="stable")
+    pairs = pairs[np.argsort(head_rank[pairs], kind="stable")]
+    tail_at, head_at = tail_at[pairs], head_at[pairs]
+    head_rank, tail_rank = head_rank[pairs], tail_rank[pairs]
     on_paths = tail_rank < head_rank
     tail_at, head_at, head_rank = tail_at[on_paths], head_at[on_paths], head_rank[on_paths]
     cuts = np.searchsorted(head_rank, ids + 1).tolist()   # one span per head rank
-    spans = [(tail_at[a:b], head_at[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+    spans = [(tail_at[a:b], head_at[a:b], slice(a, b))
+             for a, b in zip(cuts, cuts[1:]) if a < b]
     sigma = np.eye(n).ravel()                    # path counts, flat n x n
-    for p, u in spans:
+    for p, u, _ in spans:
         np.add.at(sigma, u, sigma[p])
     paths = np.where(sigma > 0, sigma, 1.0)      # a chain-less state adds 0
+    share = sigma[tail_at] / paths[head_at]
     delta = np.zeros(n * n)
-    for p, u in reversed(spans):
-        delta[p] += sigma[p] / paths[u] * (1.0 + delta[u])
+    for p, u, part in reversed(spans):
+        term = delta[u]                          # share * (1 + delta[u]), in place
+        term += 1.0
+        term *= share[part]
+        delta[p] += term
     delta[ids * (n + 1)] = 0.0                   # endpoints excluded
     scores = delta.reshape(n, n).sum(axis=0)     # row by row, sources in order
     return dict(zip(net.states, scores.tolist()))

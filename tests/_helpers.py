@@ -3,6 +3,8 @@
 import heapq
 import random
 
+import numpy as np
+
 from icplan.ilp import AgentConfig, ProblemSpec
 from icplan.network import build_network
 
@@ -148,6 +150,60 @@ def heap_betweenness(net):
             if u != source:
                 scores[u] += delta[u]
     return dict(zip(net.states, scores))
+
+
+def composite_betweenness(net):
+    """Reference betweenness with the package's tie rules, in its earlier
+    form: the zero-cost tie search over every arc, the settle order from one
+    lexsort, and the tight pairs grouped by one int64 argsort of the
+    composite key (head rank * n + source) * n + tail rank."""
+    n = len(net.states)
+    tails, heads, w = net._mobility_arcs()
+    dist = net.mobility_distance_matrix()
+    ids = np.arange(n)
+    for _ in range(n):                           # n rounds settle every label
+        with np.errstate(invalid="ignore"):      # inf - inf off the reach
+            d_tail, d_head = dist[:, tails], dist[:, heads]
+            tight = np.abs(d_tail + w - d_head) <= 1e-12
+        level = tight & (d_tail == d_head)
+        depth = np.zeros((n, n))                 # zero-cost depth
+        if level.any():
+            src, arc = np.nonzero(level)
+            depth = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
+            up, up_arc = np.nonzero(tight & (d_tail < d_head))
+            depth[up, heads[up_arc]] = 0.0
+            before = None
+            while not np.array_equal(depth, before):
+                before = depth.copy()
+                np.minimum.at(depth, (src, heads[arc]), depth[src, tails[arc]] + 1.0)
+        rank = np.empty((n, n), dtype=np.intp)
+        rank[ids[:, None], np.lexsort((depth, dist))] = ids
+        src, arc = np.nonzero(tight)
+        head_rank, tail_rank = rank[src, heads[arc]], rank[src, tails[arc]]
+        pairs = np.argsort((head_rank * n + src) * n + tail_rank)
+        src, arc = src[pairs], arc[pairs]            # by head rank, source, tail rank
+        head_rank, tail_rank = head_rank[pairs], tail_rank[pairs]
+        tail_at, head_at = src * n + tails[arc], src * n + heads[arc]   # flat n x n
+        first = np.diff(head_at, prepend=-1) != 0    # each head's first predecessor
+        label = dist.ravel()[tail_at[first]] + w[arc[first]]
+        if np.array_equal(label, dist.ravel()[head_at[first]]):
+            break
+        dist = dist.copy()
+        dist.ravel()[head_at[first]] = label
+    on_paths = tail_rank < head_rank
+    tail_at, head_at, head_rank = tail_at[on_paths], head_at[on_paths], head_rank[on_paths]
+    cuts = np.searchsorted(head_rank, ids + 1).tolist()   # one span per head rank
+    spans = [(tail_at[a:b], head_at[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+    sigma = np.eye(n).ravel()                    # path counts, flat n x n
+    for p, u in spans:
+        np.add.at(sigma, u, sigma[p])
+    paths = np.where(sigma > 0, sigma, 1.0)      # a chain-less state adds 0
+    delta = np.zeros(n * n)
+    for p, u in reversed(spans):
+        delta[p] += sigma[p] / paths[u] * (1.0 + delta[u])
+    delta[ids * (n + 1)] = 0.0                   # endpoints excluded
+    scores = delta.reshape(n, n).sum(axis=0)     # row by row, sources in order
+    return dict(zip(net.states, scores.tolist()))
 
 
 def rescan_prune(net, states=None, protected=frozenset()):

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import logging
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,8 @@ from icplan.cluster import Clustering
 from icplan import cli, explore
 from icplan.explore import (_cluster_rewards, _CyclePlan, _delivery_corridor,
                             _hop_distances, _plan_cycle, _post_phase,
-                            _pre_phase, detect_frontiers, induced_network,
-                            reveal_neighborhood, run_exploration)
+                            _pre_phase, _solve_summary, detect_frontiers,
+                            induced_network, reveal_neighborhood, run_exploration)
 from icplan.ilp import AgentConfig
 from icplan.instances import exploration_world
 from icplan.network import build_network
@@ -368,6 +370,16 @@ def test_debug_log_describes_each_pre_solve(caplog):
     messages = [rec.getMessage() for rec in caplog.records]   # formats every record
     assert messages[0].startswith("cycle 1: k=")
     assert any(m.startswith("pre c1 depth=0 ") for m in messages)
+    summary = r": T=\d+, [\d,]+ vars, [\d,]+ nodes?, gap \d+\.\d\d, \d+\.\d s$"
+    assert any(re.search(summary, m) for m in messages if m.startswith("pre c1 "))
+
+
+def test_solve_summary_reads_like_the_run_log():
+    result = SolveResult("optimal", -3.0, wall_time=10.24, nodes=1, gap=0.171,
+                         n_variables=2436)
+    assert _solve_summary(8, result) == "T=8, 2,436 vars, 1 node, gap 0.17, 10.2 s"
+    result = SolveResult("error", None, wall_time=0.01, n_variables=12)
+    assert _solve_summary(2, result) == "T=2, 12 vars, no nodes, gap none, 0.0 s"
 
 
 def test_unreachable_islands_do_not_block_completion():
@@ -427,6 +439,14 @@ def test_log_serialisation_matches_the_run():
         assert split["solve_time"] == pytest.approx(sum(r.wall_time for r in records))
     assert set(data["phases"]) == {"pre", "post"}
     assert data["failures"] == []
+    assert data["subproblem_stats"] == [{
+        "cycle": r.cycle, "cluster": r.cluster, "phase": r.phase,
+        "horizon": r.horizon, "status": r.status, "wall_time": r.wall_time,
+        "n_variables": r.n_variables, "nodes": r.nodes, "gap": r.gap,
+        "highs_s": r.highs_s} for r in log.subproblems]
+    for r in log.subproblems:       # every recorded solve here found a plan
+        assert r.n_variables > 0 and r.nodes >= 1 and 0.0 <= r.gap < math.inf
+        assert 0.0 < r.highs_s <= r.wall_time
 
 
 def test_a_failed_run_says_which_plan_failed_and_why(monkeypatch, tmp_path, capsys):
@@ -463,7 +483,7 @@ from icplan.instances import exploration_world
 truth, agents, base = exploration_world(seed=5, n_states=15, n_agents=3)
 log = run_exploration(truth, agents, base)
 print(log.status)
-print([dataclasses.replace(r, wall_time=0.0) for r in log.subproblems])
+print([dataclasses.replace(r, wall_time=0.0, highs_s=0.0) for r in log.subproblems])
 """
 
 

@@ -2,21 +2,22 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
-from icplan import network
+from icplan import cluster, instances, network
 from icplan.errors import InstanceError
 from icplan.io import load_instance, network_to_dict
 from icplan.explore import induced_network
 from icplan.network import (COMM, betweenness_centrality, build_network, hop_bfs,
                             load_network, to_dot)
 
-from _helpers import (bellman_ford, heap_betweenness, heap_dijkstra, line_network,
-                      random_net)
+from _helpers import (bellman_ford, composite_betweenness, heap_betweenness,
+                      heap_dijkstra, line_network, random_net)
 
 
 # -- construction -----------------------------------------------------------
@@ -206,6 +207,52 @@ def test_dijkstra_matches_bellman_ford_in_both_directions(seed, extra):
             assert pred[net.index(a)] == from_src[a][b]
 
 
+def _assert_same_network(sub, fresh):
+    assert sub == fresh and sub.states == fresh.states
+    assert list(sub.mobility) == list(fresh.mobility)
+    assert list(sub.comm) == list(fresh.comm)
+    for s in sub.states:
+        for direction in ("succ", "pred"):
+            for relation in ("mobility", COMM):
+                assert (sub.neighbors(s, direction, relation)
+                        == fresh.neighbors(s, direction, relation))
+    assert sub.undirected_mobility() == fresh.undirected_mobility()
+
+
+def _rebuilt(net, states):
+    """The subnetwork on `states` built and checked from its edge triples."""
+    keep = set(states)
+    return build_network(
+        [s for s in net.states if s in keep],
+        [(a, b, w) for (a, b), w in net.mobility.items() if a in keep and b in keep],
+        [(a, b, w) for (a, b), w in net.comm.items() if a in keep and b in keep],
+        self_loops=False)
+
+
+def test_induced_networks_equal_rebuilt_ones_on_the_c6_worlds():
+    for seed in range(100):
+        net, agents = instances.random_cluster_graph(seed)
+        kept = cluster.prune_dead_states(net, None,
+                                         protected=set(agents.initial.values()))
+        _assert_same_network(induced_network(net, kept), _rebuilt(net, kept))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_induced_networks_equal_rebuilt_ones_on_random_subsets(seed, data):
+    net = random_net(seed, n=10, comm_cost=(0, 2), mirror=False)
+    keep = data.draw(st.lists(st.sampled_from(net.states), min_size=1, max_size=12))
+    _assert_same_network(net.induced(keep), _rebuilt(net, keep))
+
+
+def test_an_empty_induced_network_is_refused():
+    net = random_net(1)
+    with pytest.raises(InstanceError, match="empty state set"):
+        net.induced([])
+    with pytest.raises(InstanceError, match="empty state set"):
+        induced_network(net, ["not a state"])
+
+
 def test_induced_network_builds_its_own_adjacency():
     net = random_net(3, n=8)
     betweenness_centrality(net)                       # fill the parent's cache
@@ -241,15 +288,15 @@ def _hash_or_error(obj):
 
 
 @st.composite
-def _float_nets(draw):
+def _float_nets(draw, least=1):
     """Three-decimal weights that are small multiples of one unit, so that
     distances tie and rounding splits some ties (0.1 + 0.2 against 0.3); a
     random tree with one-way and two-way edges plus chords, and states no
-    edge touches."""
+    edge touches.  The multiples start at `least`: 0 draws free edges."""
     n = draw(st.integers(1, 40))
     states = [f"s{i}" for i in range(n)]
     unit = draw(st.integers(1, 2000))
-    multiple = st.integers(1, draw(st.sampled_from([1, 1, 2, 4])))
+    multiple = st.integers(least, draw(st.sampled_from([1, 1, 2, 4])))
     cost = multiple.map(lambda k: k * unit / 1000)
     linked = n - draw(st.integers(0, min(3, n - 1)))   # the rest stay isolated
     pairs = set(draw(st.lists(st.tuples(st.integers(0, linked - 1),
@@ -272,6 +319,43 @@ def test_distances_and_betweenness_equal_the_heap_references(net):
                 == heap_dijkstra(net, s, "succ"))
         assert (net.distances_to([net.index(s)])[0].tolist()
                 == heap_dijkstra(net, s, "pred"))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_betweenness_with_free_edges_equals_the_composite_reference(seed):
+    # the heap reference breaks ties on free edges by another rule, so free
+    # edges are checked against the composite-key formulation
+    net = random_net(seed, mobility_cost=(0, 2))
+    assert betweenness_centrality(net) == composite_betweenness(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_nets(least=0))
+def test_float_betweenness_with_free_edges_equals_the_composite_reference(net):
+    assert betweenness_centrality(net) == composite_betweenness(net)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_path_counts_past_two_to_the_53_keep_their_addition_order(seed):
+    # 100 layers of 3 states, each fed by 1-3 states of the layer before:
+    # path counts reach ~2^100, so summing a state's predecessors in
+    # another order rounds differently; 301 states also need 16-bit ranks
+    rng = random.Random(f"layers:{seed}")
+    layers = [["s"]] + [[f"l{i}_{j}" for j in range(3)] for i in range(100)]
+    states = [s for layer in layers for s in layer]
+    rng.shuffle(states)
+    edges = [(a, b, 1.0) for up, down in zip(layers, layers[1:]) for b in down
+             for a in rng.sample(up, rng.randint(1, len(up)))]
+    net = build_network(states, edges, [])
+    assert betweenness_centrality(net) == composite_betweenness(net)
+
+
+def test_an_edge_that_rounds_away_is_searched_as_free():
+    # 1e6 + 1e-11 == 1e6: the edge b -> c joins equal distances though its
+    # cost is above the 1e-12 tie tolerance, so c settles after b by depth
+    net = build_network(["a", "c", "b"], [("a", "b", 1e6), ("b", "c", 1e-11)], [])
+    assert betweenness_centrality(net) == composite_betweenness(net)
+    assert betweenness_centrality(net) == {"a": 0.0, "c": 0.0, "b": 1.0}
 
 
 def test_rounding_split_ties_settle_by_first_label():
