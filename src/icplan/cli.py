@@ -77,7 +77,9 @@ def _cmd_solve(args) -> int:
     if args.method != "flow":
         print(f"rounds={run.rounds} cuts={run.cuts_added}")
     print(f"status={result.status} objective={_num(result.objective)} "
-          f"wall={result.wall_time:.2f}s highs={result.highs_s:.2f}s "
+          f"wall={result.wall_time:.2f}s assemble={result.assemble_s:.2f}s "
+          f"matrix={result.matrix_s:.2f}s highs={result.highs_s:.2f}s "
+          f"extract={result.extract_s:.2f}s "
           f"vars={result.n_variables} rows={result.n_constraints} "
           f"nonzeros={result.nonzeros} nodes={_num(result.nodes)} "
           f"dual_bound={_num(result.dual_bound)} gap={_num(result.gap)}")

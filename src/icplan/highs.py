@@ -1,11 +1,19 @@
 """The one call into HiGHS, the solver bundled with scipy.
 
-`minimize` fills a HiGHS model from a CSC matrix and its bounds, sets the
-given HiGHS options, runs the solver and reads back only the primal column
-values and the MIP statistics.  scipy's `milp` and `linprog` wrap the same
-solver, but their Python around it (input broadcasts, an options manager
-per option, a per-column loop over the basis for bound duals) costs about
-1 ms a call, most of a small model's solve.  This module imports nothing
+`minimize` loads a model from a CSC matrix and its bounds into HiGHS, sets
+the given HiGHS options, runs the solver and reads back only the primal
+column values and the MIP statistics.  scipy's `milp` and `linprog` wrap the
+same solver, but their Python around it (input broadcasts, an options
+manager per option, a per-column loop over the basis for bound duals) costs
+about 1 ms a call, most of a small model's solve.
+
+Every call reuses one HiGHS instance per process, since building an
+instance and its options costs ~0.2 ms a call.  `clear()` resets it before
+each model, which also restores HiGHS's default options, so no option,
+model or solution carries over from one call to the next.  The model goes
+in as numpy buffers, which HiGHS copies directly, not element by element
+through Python lists as a `HighsLp` is filled.  The instance is not
+reentrant: one solve at a time per process.  This module imports nothing
 from the package, so the verifier's LP and the MILP solves share it.
 """
 
@@ -21,7 +29,7 @@ _M = _core.HighsModelStatus
 _STATUS = {_M.kOptimal: "optimal", _M.kTimeLimit: "limit",
            _M.kIterationLimit: "limit", _M.kInfeasible: "infeasible",
            _M.kUnbounded: "unbounded"}      # every other model status: error
-_VAR_TYPE = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
+_HIGHS = _core._Highs()
 
 
 @dataclass(frozen=True)
@@ -42,30 +50,31 @@ def minimize(c, A, row_lower, row_upper, col_lower, col_upper, options,
     col_lower <= x <= col_upper, integer where the `binary` mask is set.
 
     `A` is a scipy CSC matrix.  `options` maps HiGHS option names to
-    values; an unknown name raises AttributeError.
+    values; a name HiGHS does not know, or a value it refuses (wrong type,
+    out of range), raises AttributeError.
     """
     n_rows, n_cols = A.shape
-    lp = _core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = col_lower, col_upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    mip = binary is not None and bool(binary.any())
-    if mip:
-        lp.integrality_ = [_VAR_TYPE[b] for b in binary.tolist()]
-    highs_options = _core.HighsOptions()
+    # HiGHS reads each buffer at the length the sizes give
+    if not len(c) == len(col_lower) == len(col_upper) == n_cols \
+            or not len(row_lower) == len(row_upper) == n_rows \
+            or (binary is not None and len(binary) != n_cols):
+        raise ValueError(f"arrays do not fit a {n_rows} x {n_cols} matrix")
+    # HiGHS reads an empty integrality array as malformed, so an LP passes
+    # every column as continuous (0)
+    integrality = (np.zeros(n_cols, dtype=np.int32) if binary is None
+                   else binary.astype(np.int32))
+    mip = bool(integrality.any())
+    highs = _HIGHS
+    highs.clear()
     for key, value in options.items():
-        setattr(highs_options, key, value)
-
-    highs = _core._Highs()
-    if highs.passOptions(highs_options) == _ERROR:
-        return HighsResult("error", "HiGHS rejected the options")
-    if highs.passModel(lp) == _ERROR:
+        if highs.setOptionValue(key, value) == _ERROR:
+            raise AttributeError(f"HiGHS refused the option {key}={value!r}")
+    if highs.passModel(n_cols, n_rows, A.nnz, _core.MatrixFormat.kColwise,
+                       _core.ObjSense.kMinimize, 0.0, c, col_lower, col_upper,
+                       row_lower, row_upper,
+                       A.indptr.astype(np.int32, copy=False),
+                       A.indices.astype(np.int32, copy=False), A.data,
+                       integrality) == _ERROR:
         return HighsResult("error", "HiGHS could not load the model")
     failed = highs.run() == _ERROR
     model_status = highs.getModelStatus()

@@ -31,9 +31,10 @@ _HIGHS_OPTIONS = {"log_to_console": False,
 @dataclass
 class SolveResult:
     status: str                       # optimal | infeasible | unbounded | limit | error
-    # HiGHS's -res.fun, not re-priced from the plan: when a flow falls short
-    # by the feasibility tolerance it can read ~1e-6 above the plan's exact
-    # value (5.749001 against 5.749 on C1 p1 seed 20 re-posed many_to_one)
+    # minus HiGHS's objective, not re-priced from the plan: when a flow falls
+    # short by the feasibility tolerance it can read ~1e-6 above the plan's
+    # exact value (5.749001 against 5.749 on C1 p1 seed 20 re-posed
+    # many_to_one)
     objective: float | None
     assignment: dict[tuple, float] = field(default_factory=dict)
     wall_time: float = 0.0
@@ -44,7 +45,12 @@ class SolveResult:
     n_variables: int = 0              # size of the model HiGHS was given
     n_constraints: int = 0
     nonzeros: int = 0
-    highs_s: float = 0.0              # seconds inside `highs.minimize`
+    # seconds per stage: `solve_problem` times assembly and plan
+    # extraction, `solve` the CSC matrix and `highs.minimize`
+    assemble_s: float = 0.0
+    matrix_s: float = 0.0
+    highs_s: float = 0.0
+    extract_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -83,6 +89,7 @@ def solve(model: MilpModel, time_limit: float | None = None,
     """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap."""
     start = time.perf_counter()
     A, lb, ub = model.matrix()
+    matrix_s = time.perf_counter() - start
     binary = model.binary()
     cols, vals = model.objective_terms()
     c = np.zeros(model.n_variables)
@@ -102,7 +109,8 @@ def solve(model: MilpModel, time_limit: float | None = None,
     result.dual_bound = None if res.dual_bound is None else -res.dual_bound
     result.gap = res.gap
     result.n_variables, result.n_constraints = A.shape[1], A.shape[0]
-    result.nonzeros, result.highs_s = A.nnz, highs_s
+    result.nonzeros = A.nnz
+    result.matrix_s, result.highs_s = matrix_s, highs_s
     result.wall_time = time.perf_counter() - start
     return result
 
@@ -181,9 +189,14 @@ def solve_problem(spec: ProblemSpec, time_limit: float | None = None,
     """Assemble, solve, and extract a plan. Returns (model, result, plan)."""
     from . import verify
 
+    start = time.perf_counter()
     model = assemble(spec)
+    assemble_s = time.perf_counter() - start
     result = solve(model, time_limit=time_limit, gap=gap)
+    result.assemble_s = assemble_s
     plan = None
     if result.assignment and result.status in ("optimal", "limit"):
+        start = time.perf_counter()
         plan = verify.extract_solution(spec, result.assignment, result.objective)
+        result.extract_s = time.perf_counter() - start
     return model, result, plan

@@ -1,11 +1,13 @@
 """Hand-built networks and instances shared across test modules."""
 
+import dataclasses
 import heapq
 import random
 
 import numpy as np
 
 from icplan.ilp import AgentConfig, ProblemSpec
+from icplan.instances import ORACLE_CLASSES, line_instance, random_oracle_instance
 from icplan.network import build_network
 
 
@@ -26,6 +28,19 @@ def relay_spec(green_at="s1", T=2, n=4, masters=(), static=(), **kw):
                          masters=frozenset(masters), static=frozenset(static))
     spec = ProblemSpec(net=net, agents=agents, T=T, src=(0, 2), snk=(0, 2), **kw)
     return net, spec
+
+
+def pinned_corpus():
+    """C1's 200 specs, line_instance(3..10), C1 p2 seeds 0-49 re-posed
+    many_to_one onto agent 0."""
+    specs = [random_oracle_instance(seed, klass)[1]
+             for seed in range(50) for klass in ORACLE_CLASSES]
+    specs += [line_instance(n)[1] for n in range(3, 11)]
+    for seed in range(50):
+        spec = random_oracle_instance(seed, "p2")[1]
+        specs.append(dataclasses.replace(
+            spec, src=tuple(range(spec.agents.count)), snk=(0,)))
+    return specs
 
 
 def random_net(seed, n=8, extra=0.5, mobility_cost=(1, 3), comm_cost=(0, 0),

@@ -1,7 +1,6 @@
 """Model shape: variable/constraint counts, validation, flow orientation,
 and the arrays HiGHS is given."""
 
-import dataclasses
 import hashlib
 import warnings
 
@@ -20,7 +19,7 @@ from icplan.instances import (ORACLE_CLASSES, exploration_world, line_instance,
                               random_oracle_instance)
 from icplan.network import build_network
 
-from _helpers import line_network, relay_spec
+from _helpers import line_network, pinned_corpus, relay_spec
 
 
 def expected_tag_counts(spec):
@@ -267,19 +266,6 @@ _MILP_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
 HIGHS_INPUT_SHA256 = "941024f0e5e7952665773e18e28ffcf8052919fd5e8c87847b5ddc7c75f8cbce"
 
 
-def _pinned_corpus():
-    """C1's 200 specs, line_instance(3..10), C1 p2 seeds 0-49 re-posed
-    many_to_one onto agent 0."""
-    specs = [random_oracle_instance(seed, klass)[1]
-             for seed in range(50) for klass in ORACLE_CLASSES]
-    specs += [line_instance(n)[1] for n in range(3, 11)]
-    for seed in range(50):
-        spec = random_oracle_instance(seed, "p2")[1]
-        specs.append(dataclasses.replace(
-            spec, src=tuple(range(spec.agents.count)), snk=(0,)))
-    return specs
-
-
 def test_highs_input_is_pinned(monkeypatch):
     digest, calls = hashlib.sha256(), []
     real_minimize = solver.minimize
@@ -298,7 +284,7 @@ def test_highs_input_is_pinned(monkeypatch):
         return HighsResult("infeasible", "recorded")
 
     monkeypatch.setattr(solver, "minimize", recording_minimize)
-    solving, corpus = False, _pinned_corpus()
+    solving, corpus = False, pinned_corpus()
     for spec in corpus:
         solver.solve(assemble(spec))
     solve_powerset(line_instance(4)[1])     # one build_powerset_model model
@@ -336,7 +322,7 @@ def test_the_highs_call_agrees_with_scipy_milp(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "minimize", both)
-    for spec in _pinned_corpus():
+    for spec in pinned_corpus():
         solver.solve(assemble(spec))
     assert [ours for ours, _ in seen] == [theirs for _, theirs in seen]
     assert {ours[0] for ours, _ in seen} == {"optimal", "infeasible"}

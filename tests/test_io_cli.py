@@ -283,13 +283,17 @@ def test_cli_solve_writes_every_artifact(tmp_path, capsys):
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "status=optimal" in out
-    # the size HiGHS was given and the seconds it took, next to nodes=
+    # the seconds of each stage, and the size HiGHS was given, next to nodes=
     model = assemble(spec)
     A, _, _ = model.matrix()
-    sizes = re.search(r" highs=(\S+)s vars=(\d+) rows=(\d+) nonzeros=(\d+) nodes=", out)
+    sizes = re.search(r" wall=(\S+)s assemble=(\S+)s matrix=(\S+)s highs=(\S+)s "
+                      r"extract=(\S+)s vars=(\d+) rows=(\d+) nonzeros=(\d+) nodes=",
+                      out)
     assert sizes is not None, out
-    assert 0.0 <= float(sizes[1]) <= float(re.search(r" wall=(\S+)s", out)[1])
-    assert [int(n) for n in sizes.groups()[1:]] == \
+    wall, assemble_s, matrix_s, highs_s, extract_s = map(float, sizes.groups()[:5])
+    assert 0.0 <= matrix_s + highs_s <= wall + 0.02     # each rounded to 0.01
+    assert assemble_s >= 0.0 and extract_s >= 0.0
+    assert [int(n) for n in sizes.groups()[5:]] == \
         [model.n_variables, model.n_constraints, A.nnz]
     assert lp.read_text().startswith("\\")
     assert dot.read_text().startswith("digraph")

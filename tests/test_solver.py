@@ -5,16 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from icplan import solver, verify
+from icplan import highs, solver, verify
 from icplan.errors import InstanceError
+from icplan.explore import run_exploration
 from icplan.highs import HighsResult
 from icplan.ilp import AgentConfig, MilpModel, ProblemSpec, assemble
-from icplan.instances import line_instance
+from icplan.instances import exploration_world, line_instance
 from icplan.network import build_network
 from icplan.solver import export_lp, solve, solve_problem
 
-from _helpers import relay_spec
+from _helpers import line_network, pinned_corpus, relay_spec
 
 
 def test_scipy_solves_the_relay_line(line4_solution):
@@ -148,6 +150,114 @@ def test_a_model_error_is_an_error_not_an_infeasibility():
     assert result.status == "error" and not result.ok
     assert result.objective is None and not result.assignment
     assert "load" in result.message
+
+
+def test_solve_problem_times_each_stage(line4):
+    _, result, plan = solve_problem(line4[1])
+    assert plan is not None
+    assert min(result.assemble_s, result.matrix_s, result.highs_s,
+               result.extract_s) > 0.0
+    assert result.matrix_s + result.highs_s <= result.wall_time
+
+
+# -- the one HiGHS instance ----------------------------------------------------
+
+
+def _knapsack_args(options):
+    """min -4 x0 - 5 x1 - 6 x2 s.t. 3 x0 + 4 x1 + 5 x2 <= 8, x binary: -10."""
+    return (np.array([-4.0, -5.0, -6.0]), sparse.csc_array([[3.0, 4.0, 5.0]]),
+            np.array([-np.inf]), np.array([8.0]), np.zeros(3), np.ones(3),
+            options, np.ones(3, dtype=bool))
+
+
+def test_an_unknown_highs_option_raises():
+    with pytest.raises(AttributeError, match="no_such_option"):
+        highs.minimize(*_knapsack_args({"no_such_option": 1}))
+    assert highs.minimize(*_knapsack_args({})).objective == -10.0
+
+
+@pytest.mark.parametrize("option", [{"presolve": 1}, {"log_to_console": 1},
+                                    {"simplex_strategy": 1.5},
+                                    {"time_limit": "soon"},
+                                    {"mip_rel_gap": -1.0}])
+def test_a_highs_option_value_it_refuses_raises(option):
+    # a wrong type, or a value out of the option's range
+    with pytest.raises(AttributeError, match=next(iter(option))):
+        highs.minimize(*_knapsack_args(option))
+
+
+def test_arrays_that_do_not_fit_the_matrix_are_refused():
+    # HiGHS would read past the end of a short buffer
+    for short in (0, 2, 3, 4, 5):
+        args = list(_knapsack_args({}))
+        args[short] = args[short][:-1]
+        with pytest.raises(ValueError, match="1 x 3"):
+            highs.minimize(*args)
+    with pytest.raises(ValueError, match="1 x 3"):
+        highs.minimize(*_knapsack_args({})[:7], np.ones(2, dtype=bool))
+
+
+def _recorded_calls(monkeypatch, module, run, solving=True):
+    """The argument tuples of every `minimize` call `run()` makes through
+    `module`, each solved as usual or, with `solving` off, read as
+    infeasible."""
+    calls, real = [], module.minimize
+
+    def record(*args):
+        calls.append(args)
+        return real(*args) if solving else HighsResult("infeasible", "recorded")
+
+    monkeypatch.setattr(module, "minimize", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _outcome(args):
+    try:
+        res = highs.minimize(*args)
+    except AttributeError as exc:
+        return str(exc)
+    return (res.status, res.message, res.objective, res.nodes, res.dual_bound,
+            res.gap, None if res.x is None else res.x.tobytes())
+
+
+def test_the_highs_instance_carries_nothing_from_call_to_call(monkeypatch):
+    # every call reuses one HiGHS instance; no model, solution or option of
+    # one call may reach the next, so each model solves alike whatever ran
+    # before it
+    corpus = _recorded_calls(monkeypatch, solver, lambda: [
+        solve(assemble(spec)) for spec in pinned_corpus()], solving=False)
+    explored = _recorded_calls(monkeypatch, solver, lambda: run_exploration(
+        *exploration_world(0, 15, 3)))
+    # a gap-stopped solve under the time limit, with explore's options
+    gapped = max(explored, key=lambda args: highs.minimize(*args).gap)
+    assert highs.minimize(*gapped).gap > 0.0
+    assert {"time_limit", "mip_rel_gap"} <= gapped[6].keys()
+    [refused] = _recorded_calls(monkeypatch, solver,
+                                lambda: solve(_model_error_model()))
+    net = line_network(3, comm_cost=1.0)
+    agents = AgentConfig(count=2, initial={0: "s0", 1: "s2"},
+                         masters=frozenset({0}))
+    spec = ProblemSpec(net=net, agents=agents, T=2, src=(0,), snk=(1,),
+                       information_consistent=True)
+    residual_lp = _recorded_calls(monkeypatch, verify,
+                                  lambda: verify.brute_force_solve(spec))[0]
+    assert {"presolve", "simplex_strategy", "output_flag"} <= residual_lp[6].keys()
+    # options set before HiGHS refuses the last one must not outlive the call
+    half_set = _knapsack_args({"mip_rel_gap": 0.5, "presolve": "off",
+                               "simplex_strategy": 4, "time_limit": 1e-3,
+                               "no_such_option": 1})
+    specials = [gapped, refused, residual_lp, half_set]
+    calls = []
+    for i, args in enumerate(corpus):
+        calls += [args, specials[i % len(specials)]]
+    forward = [_outcome(args) for args in calls]
+    backward = [_outcome(args) for args in reversed(calls)][::-1]
+    assert forward == backward
+    assert _outcome(refused)[0] == "error"
+    assert "no_such_option" in _outcome(half_set)
+    assert {outcome[0] for outcome in forward[::2]} == {"optimal", "infeasible"}
 
 
 # -- LP text -------------------------------------------------------------------
