@@ -77,7 +77,7 @@ def _cmd_solve(args) -> int:
     if args.method != "flow":
         print(f"rounds={run.rounds} cuts={run.cuts_added}")
     print(f"status={result.status} objective={_num(result.objective)} "
-          f"wall={result.wall_time:.2f}s assemble={result.assemble_s:.2f}s "
+          f"wall={run.wall_time:.2f}s assemble={result.assemble_s:.2f}s "
           f"matrix={result.matrix_s:.2f}s highs={result.highs_s:.2f}s "
           f"extract={result.extract_s:.2f}s "
           f"vars={result.n_variables} rows={result.n_constraints} "

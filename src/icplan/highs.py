@@ -15,15 +15,48 @@ in as numpy buffers, which HiGHS copies directly, not element by element
 through Python lists as a `HighsLp` is filled.  The instance is not
 reentrant: one solve at a time per process.  This module imports nothing
 from the package, so the verifier's LP and the MILP solves share it.
+
+HiGHS's Python bindings, the compiled `scipy.optimize._highspy._core`, are
+loaded from their file in scipy's `optimize/_highspy` folder, not imported
+by name: an import would first run `scipy/optimize/__init__` (linprog,
+minimize, parts of `scipy.linalg` and `scipy.fft`), about 0.2 s of every
+process's start, none of which this package calls.  The module goes into
+`sys.modules` under its own name, so a later `scipy.optimize` import uses
+it, and one that scipy loaded first is used here; it is never loaded
+twice.  If a scipy release moves or renames that file, importing this
+module raises ImportError naming the folder it searched.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy import _core
+import scipy
 
+
+def _load_core():
+    """scipy's compiled HiGHS bindings, loaded from their file, so that
+    neither `scipy.optimize` nor its `_highspy` package runs."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:         # scipy.optimize came first: share it
+        return sys.modules[name]
+    folder = str(Path(scipy.__file__).parent / "optimize" / "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [folder])
+    if spec is None:
+        raise ImportError(f"no HiGHS bindings {name} in {folder}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    # under its own name, so scipy's later imports reuse this one
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_core()
 _ERROR = _core.HighsStatus.kError
 _M = _core.HighsModelStatus
 _STATUS = {_M.kOptimal: "optimal", _M.kTimeLimit: "limit",
@@ -66,6 +99,9 @@ def minimize(c, A, row_lower, row_upper, col_lower, col_upper, options,
     mip = bool(integrality.any())
     highs = _HIGHS
     highs.clear()
+    # clear() turns console logging back on, and HiGHS logs a refused
+    # option on stdout before the caller's options could turn it off
+    highs.setOptionValue("log_to_console", False)
     for key, value in options.items():
         if highs.setOptionValue(key, value) == _ERROR:
             raise AttributeError(f"HiGHS refused the option {key}={value!r}")

@@ -2,13 +2,24 @@
 
 import dataclasses
 import heapq
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 
+import icplan
 from icplan.ilp import AgentConfig, ProblemSpec
 from icplan.instances import ORACLE_CLASSES, line_instance, random_oracle_instance
 from icplan.network import build_network
+
+
+def package_env(**extra):
+    """This process's environment, with the package under test first on
+    PYTHONPATH for a fresh interpreter, and `extra` set."""
+    src = str(Path(icplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def line_network(n, comm_cost=0.0, mobility_cost=1.0):

@@ -4,15 +4,12 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import icplan
 from icplan.cluster import Clustering
 from icplan import cli, explore
 from icplan.explore import (_cluster_rewards, _CyclePlan, _delivery_corridor,
@@ -24,7 +21,7 @@ from icplan.instances import exploration_world
 from icplan.network import build_network
 from icplan.solver import SolveResult
 
-from _helpers import line_network
+from _helpers import line_network, package_env
 
 
 def _bidirectional(states, pairs):
@@ -489,12 +486,9 @@ print([dataclasses.replace(r, wall_time=0.0, highs_s=0.0) for r in log.subproble
 
 def test_exploration_records_do_not_follow_the_hash_seed():
     # on this world, taking BFS neighbours in set order changes the records
-    src = str(Path(icplan.__file__).resolve().parents[1])
     outs = []
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = package_env(PYTHONHASHSEED=hash_seed)
         outs.append(subprocess.run([sys.executable, "-c", _RECORDS], env=env,
                                    capture_output=True, text=True,
                                    check=True).stdout)

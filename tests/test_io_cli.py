@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 import re
 import subprocess
 import sys
@@ -10,9 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import icplan
-
-from icplan import cli, verify
+from icplan import baselines, cli, verify
 from icplan.errors import ConfigurationError, InstanceError
 from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import (exploration_world, line_instance,
@@ -21,7 +18,7 @@ from icplan.io import (instance_to_dict, load_exploration, load_instance,
                        save_instance)
 from icplan.network import build_network
 
-from _helpers import relay_spec
+from _helpers import package_env, relay_spec
 
 
 def _island_instance():
@@ -321,11 +318,8 @@ def test_cli_solve_stdout_carries_no_solver_chatter(tmp_path):
     # here every solve writes one, and none may reach stdout
     path = tmp_path / "c1.json"
     save_instance(path, *random_oracle_instance(6, "p2_awareness"))
-    src = str(Path(icplan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run([sys.executable, "-c", _CHATTY_SOLVE, str(path)],
-                         env=env, capture_output=True, text=True)
+                         env=package_env(), capture_output=True, text=True)
     assert run.returncode == cli.EXIT_OK
     assert run.stdout.startswith("status=optimal ")
     assert len(run.stdout.splitlines()) == 1
@@ -349,6 +343,26 @@ def test_cli_solve_supports_the_baseline_methods(tmp_path, capsys):
             assert "rounds=" in capsys.readouterr().out
             assert cli.main(["verify", str(instance), str(sol)]) == cli.EXIT_OK
             assert capsys.readouterr().out.endswith("verification: ok\n")
+
+
+def test_adaptive_solve_prints_the_wall_time_of_every_round(tmp_path, capsys,
+                                                            monkeypatch):
+    # the stage fields are the last round's, wall= is the whole run's
+    instance = tmp_path / "line5.json"
+    save_instance(instance, *line_instance(5))
+    real_solve, rounds = baselines.solve, []
+
+    def timed_solve(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        rounds.append(result.wall_time)
+        return result
+
+    monkeypatch.setattr(baselines, "solve", timed_solve)
+    assert cli.main(["solve", str(instance), "--method", "adaptive"]) == \
+        cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert len(rounds) > 1 and f"rounds={len(rounds)} " in out
+    assert f" wall={sum(rounds):.2f}s " in out
 
 
 def test_cli_solve_errors_cleanly_on_guard_refusal(tmp_path, capsys):
@@ -480,12 +494,10 @@ def test_cli_explore_signals_cut_short_runs(tmp_path):
 
 
 def test_cli_explore_log_level_debug_describes_each_pre_solve():
-    src = str(Path(icplan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = [sys.executable, "-m", "icplan.cli", "explore", "--seed", "0",
             "--n-states", "20", "--n-agents", "4", "--max-cycles", "1"]
-    runs = [subprocess.run(argv + extra, env=env, capture_output=True, text=True)
+    runs = [subprocess.run(argv + extra, env=package_env(),
+                           capture_output=True, text=True)
             for extra in ([], ["--log-level", "DEBUG"])]
     assert [run.returncode for run in runs] == [cli.EXIT_STALL] * 2
     assert runs[0].stderr == ""

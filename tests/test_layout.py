@@ -2,9 +2,13 @@
 imports the package must not make."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import icplan
+
+from _helpers import package_env
 
 PACKAGE = Path(icplan.__file__).resolve().parent
 BENCHMARK = PACKAGE.parents[1] / "perfbench"
@@ -105,15 +109,29 @@ def test_no_module_imports_heapq():
 
 
 def test_only_the_highs_module_talks_to_highs():
-    # one module fills HiGHS's model and options; scipy's milp and linprog
+    # one module loads HiGHS's bindings, by path, and fills its model and
+    # options; no module imports scipy.optimize, whose milp and linprog
     # wrappers stay in the tests, as the check against it
-    def talks(module, name):
+    def optimize(module, name):
         dotted = f"{module}.{name}" if name else module
-        return (dotted.startswith("scipy.optimize._highspy")
-                or (module == "scipy.optimize" and name in ("milp", "linprog")))
-    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
-                 if any(talks(*imp) for imp in _imports(ast.parse(p.read_text())))]
-    assert importers == ["highs.py"]
+        return dotted == "scipy.optimize" or dotted.startswith("scipy.optimize.")
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in sources.items()
+            if any(optimize(*imp) for imp in _imports(ast.parse(text)))] == []
+    assert [name for name, text in sources.items() if "_highspy" in text] == \
+        ["highs.py"]
+
+
+def test_importing_the_package_leaves_scipy_optimize_out():
+    # importing scipy.optimize costs ~0.2 s of every process's start, and
+    # the package calls none of it
+    code = ("import sys, icplan.cli, icplan.explore\n"
+            "for name in ('scipy.optimize', 'scipy.optimize._highspy',\n"
+            "             'scipy.optimize._highspy._core'):\n"
+            "    print(name in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "False", "True"]
 
 
 def test_exploration_solves_at_one_site():

@@ -1,10 +1,13 @@
 """HiGHS solves, LP export, and plan extraction."""
 
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 
 from icplan import highs, solver, verify
@@ -16,7 +19,7 @@ from icplan.instances import exploration_world, line_instance
 from icplan.network import build_network
 from icplan.solver import export_lp, solve, solve_problem
 
-from _helpers import line_network, pinned_corpus, relay_spec
+from _helpers import line_network, package_env, pinned_corpus, relay_spec
 
 
 def test_scipy_solves_the_relay_line(line4_solution):
@@ -184,6 +187,52 @@ def test_a_highs_option_value_it_refuses_raises(option):
     # a wrong type, or a value out of the option's range
     with pytest.raises(AttributeError, match=next(iter(option))):
         highs.minimize(*_knapsack_args(option))
+
+
+def test_a_refused_option_prints_nothing(capfd):
+    # HiGHS logs a refused option on fd 1 while console logging is on, as
+    # clear() leaves it, and the verifier's LP runs outside solver._quiet_fd1
+    for option in ({"no_such_option": 1}, {"presolve": 1}):
+        with pytest.raises(AttributeError, match=next(iter(option))):
+            highs.minimize(*_knapsack_args(option))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_missing_highs_bindings_name_the_folder_searched(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(
+            str(tmp_path / "optimize" / "_highspy"))):
+        highs._load_core()
+
+
+_BOTH_SOLVERS = """
+import sys
+import numpy as np
+from scipy import sparse
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+from icplan import highs
+from scipy.optimize import Bounds, LinearConstraint, milp
+c, A = np.array([-4.0, -5.0, -6.0]), sparse.csc_array([[3.0, 4.0, 5.0]])
+ours = highs.minimize(c, A, np.array([-np.inf]), np.array([8.0]), np.zeros(3),
+                      np.ones(3), {}, np.ones(3, dtype=bool))
+theirs = milp(c, integrality=np.ones(3), bounds=Bounds(0, 1),
+              constraints=LinearConstraint(A, -np.inf, 8.0))
+print(highs._core is sys.modules["scipy.optimize._highspy._core"],
+      ours.objective, theirs.fun)
+"""
+
+
+@pytest.mark.parametrize("first", ["icplan-first", "scipy-first"])
+def test_scipy_milp_and_the_highs_module_share_one_binding(first):
+    # highs.py loads HiGHS's bindings by path; whichever side loads them
+    # first, both solve through that one module
+    run = subprocess.run([sys.executable, "-c", _BOTH_SOLVERS, first],
+                         env=package_env(), capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.split() == ["True", "-10.0", "-10.0"]
 
 
 def test_arrays_that_do_not_fit_the_matrix_are_refused():

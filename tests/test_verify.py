@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import itertools
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-import icplan
 from icplan import verify
 from icplan.errors import ConfigurationError, GuardExceeded, SolverError
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec, base_reachable_states
@@ -26,7 +24,7 @@ from icplan.verify import (TOL, PlanSolution, _agent_paths, _claimable,
                            master_token_layers, save_solution,
                            solution_from_dict, solution_to_dict)
 
-from _helpers import line_network, relay_spec
+from _helpers import line_network, package_env, relay_spec
 
 
 def _mutate_path(plan, r, path):
@@ -252,11 +250,8 @@ print(information_reachability(plan, spec).witnesses[(0, 2)])
 def test_witnesses_follow_the_first_discoverer_not_the_hash_seed():
     # b is reachable at t=1 from a (carried by agent 0) and from c (agent 1);
     # the carried states are taken in agent order, so a discovers b first
-    src = str(Path(icplan.__file__).resolve().parents[1])
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = package_env(PYTHONHASHSEED=hash_seed)
         out = subprocess.run([sys.executable, "-c", _WITNESSES], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.splitlines() == ["[(0, 'a'), (1, 'a'), (1, 'b')]"]
