@@ -13,14 +13,14 @@ exploration loop for unknown environments.
 from .errors import (ConfigurationError, GuardExceeded, IcplanError,
                      InstanceError, SolverError)
 from .ilp import MASTER_FLOW, AgentConfig, MilpModel, ProblemSpec, assemble
+from .io import load_network, load_solution, save_solution
 from .network import (MobilityCommNetwork, betweenness_centrality,
-                      build_network, load_network, to_dot)
+                      build_network, to_dot)
 from .solver import SolveResult, export_lp, solve, solve_problem
 from .verify import (OracleResult, PlanSolution, ReachabilityReport,
                      brute_force_solve, check_consistency, check_dynamics,
                      check_flows, extract_solution,
-                     information_reachability, load_solution, plan_violations,
-                     save_solution)
+                     information_reachability, plan_violations)
 
 __version__ = "0.1.0"
 

@@ -26,9 +26,9 @@ from .errors import GuardExceeded, IcplanError
 from .explore import MAX_CYCLES, run_exploration
 from .ilp import assemble
 from .instances import exploration_world, line_instance
-from .io import load_agents, load_exploration, load_instance
-from .network import (check_writable, read_json_object, to_dot, write_json,
-                      write_text)
+from .io import (check_writable, load_exploration, load_instance, load_solution,
+                 save_solution, write_json, write_text)
+from .network import to_dot
 from .solver import export_lp, solve_problem
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ EXIT_STALL = 4
 
 
 def _load_spec(path: str):
-    net, spec, _ = load_instance(path)
+    net, _, spec, _ = load_instance(path)
     if spec is None:
         raise IcplanError(f"{path} has no 'problem' section to solve")
     return net, spec
@@ -84,7 +84,7 @@ def _cmd_solve(args) -> int:
           f"nonzeros={result.nonzeros} nodes={_num(result.nodes)} "
           f"dual_bound={_num(result.dual_bound)} gap={_num(result.gap)}")
     if plan is not None and args.out:
-        verify.save_solution(plan, args.out)
+        save_solution(plan, args.out)
         print(f"wrote {args.out}")
     if plan is not None:
         return EXIT_OK
@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     _, spec = _load_spec(args.instance)
-    plan = verify.load_solution(args.solution)
+    plan = load_solution(args.solution)
     violations = verify.plan_violations(plan, spec)
     for line in violations:
         print(f"violation: {line}")
@@ -103,11 +103,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    data = read_json_object(args.instance)
-    net, _, _ = load_instance(data)
-    if "agents" not in data:
+    net, agents, _, _ = load_instance(args.instance)
+    if agents is None:
         raise IcplanError(f"{args.instance} has no 'agents' section")
-    agents = load_agents(data["agents"])
     clustering = cluster_instance(net, agents, k=args.k)
     print(f"clusters={len(clustering.groups)} "
           f"active={clustering.cluster_ids()} "

@@ -47,10 +47,10 @@ from . import verify
 from .cluster import Clustering, cluster_instance, clusters_to_dot, prune_dead_states
 from .errors import InstanceError
 from .ilp import AgentConfig, ProblemSpec
+from .io import write_json, write_text
 # build_network is unused here but stays an attribute: perfbench's traced
 # runs wrap explore.build_network in their network.build span
-from .network import (MobilityCommNetwork, betweenness_centrality, build_network,
-                      hop_bfs, write_json, write_text)
+from .network import MobilityCommNetwork, betweenness_centrality, build_network, hop_bfs
 from .solver import solve_problem
 
 FRONTIER_REWARD = 100.0     # base value of reaching a frontier state

@@ -1,4 +1,4 @@
-"""Mobility-communication networks, their graph primitives and JSON loading.
+"""Mobility-communication networks and their graph primitives.
 
 A network couples two directed edge sets over one state set: mobility edges,
 which agents traverse between consecutive time steps, and communication edges,
@@ -19,11 +19,8 @@ and builds its own caches.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -33,7 +30,6 @@ from .errors import InstanceError
 
 MOBILITY = "mobility"
 COMM = "comm"
-NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 
 
 @dataclass(frozen=True)
@@ -218,120 +214,6 @@ def build_network(states, mobility_edges, comm_edges,
         for s in states:
             mobility.setdefault((s, s), 0.0)
     return MobilityCommNetwork(states=tuple(states), mobility=mobility, comm=comm)
-
-
-def load_network(source) -> MobilityCommNetwork:
-    """Load a network from an instance dict or a file path."""
-    data = read_json_object(source)
-    refuse_unknown_keys("network", data, NETWORK_KEYS)
-    if "states" not in data:
-        raise InstanceError("instance missing 'states'")
-    states = data["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise InstanceError("states must be a JSON array of strings")
-
-    def read_edges(key):
-        records = data.get(key, [])
-        if not isinstance(records, list):
-            raise InstanceError(f"{key} must be a JSON array of edge records")
-        out = []
-        for rec in records:
-            try:
-                edge = (rec["from"], rec["to"], float(rec.get("weight", 0.0)))
-                named = isinstance(edge[0], str) and isinstance(edge[1], str)
-            except (KeyError, TypeError, ValueError):
-                named = False
-            if not named:           # endpoints are state names
-                raise InstanceError(f"malformed edge record in {key}: {rec!r}")
-            out.append(edge)
-        return out
-
-    return build_network(
-        states,
-        read_edges("mobility_edges"),
-        read_edges("comm_edges"),
-        self_loops=json_flag(data, "self_loops", True),
-    )
-
-
-def json_integer(value) -> int:
-    """`value`, a JSON number with no fractional part, as an int.  Anything
-    else is refused rather than converted, so that "T": 2.7 does not solve a
-    T=2 problem, nor "T": "2" or "T": true a T=2 or T=1 one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise InstanceError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def json_key_integer(key: str) -> int:
-    """An object key, which JSON makes a string, that names an integer
-    (an agent id): "0" is 0, "0.5" and "a" are refused."""
-    if not isinstance(key, str) or not re.fullmatch(r"-?[0-9]+", key):
-        raise InstanceError(f"expected an integer key, got {key!r}")
-    return int(key)
-
-
-def json_flag(data: dict, key: str, default: bool) -> bool:
-    """data[key], which must be a JSON boolean: bool("false") is True."""
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise InstanceError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def refuse_unknown_keys(section: str, data, accepted: frozenset):
-    """A key this format does not define would otherwise be ignored, and the
-    file solved as another problem than its author meant."""
-    if not isinstance(data, dict):
-        raise InstanceError(f"the {section!r} section must be an object")
-    unknown = sorted(set(data) - accepted)
-    if unknown:
-        raise InstanceError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
-
-
-def read_json_object(source) -> dict:
-    """The JSON object in a dict, or in the file at a str or Path path."""
-    if isinstance(source, dict):
-        return source
-    if not isinstance(source, (str, Path)):
-        raise InstanceError(f"cannot load JSON from {type(source).__name__}")
-    try:
-        text = Path(source).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InstanceError(f"cannot read file {str(source)!r}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InstanceError("JSON root must be an object")
-    return data
-
-
-def write_text(path, text: str):
-    """Write `text` to the file at `path` as given, line ends included; a
-    failed write is an InstanceError."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InstanceError(f"cannot write {str(path)!r}: {exc}") from None
-
-
-def check_writable(path):
-    """Fail now, as `write_text` would after the work, when `path` cannot be
-    opened for writing; an existing file keeps its contents."""
-    try:
-        with open(path, "a"):
-            pass
-    except OSError as exc:
-        raise InstanceError(f"cannot write {str(path)!r}: {exc}") from None
-
-
-def write_json(path, data):
-    """Write `data` as indented, key-sorted JSON and a final newline."""
-    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # -- walk counting, hop BFS, shortest paths and centrality -------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import verify
 from .highs import HighsResult, minimize
 from .ilp import MilpModel, ProblemSpec, assemble
 
@@ -24,8 +25,7 @@ INT_TOL = 1e-6
 # HiGHS's feasibility-jump primal heuristic costs a fixed ~7 ms per call,
 # most of the time of a small model closed at the root node (a 10-variable
 # knapsack on a 2-vCPU host, scipy 1.17.1: 8.5 ms with it, 1.5 ms without).
-_HIGHS_OPTIONS = {"log_to_console": False,
-                  "mip_heuristic_run_feasibility_jump": False}
+_HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
 
 
 @dataclass
@@ -187,8 +187,6 @@ def export_lp(model: MilpModel) -> str:
 def solve_problem(spec: ProblemSpec, time_limit: float | None = None,
                   gap: float | None = None):
     """Assemble, solve, and extract a plan. Returns (model, result, plan)."""
-    from . import verify
-
     start = time.perf_counter()
     model = assemble(spec)
     assemble_s = time.perf_counter() - start

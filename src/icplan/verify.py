@@ -22,7 +22,8 @@ interact.  One list of the plan's admissible time-extended arcs
 (`_te_arcs`) feeds both the compiled Dijkstra and the residual LP.  It
 bounds every joint plan at once (reward ceiling minus movement cost, one
 numpy array in `itertools.product` order), scores plans best bound first,
-and stops at the first bound more than 2*TOL below the best value.
+and stops at the first bound more than 2*TOL below the best value.  Plan
+files are read and written by `io`.
 """
 
 from __future__ import annotations
@@ -37,15 +38,13 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import GuardExceeded, InstanceError, SolverError
 from .highs import minimize
 from .ilp import MASTER_FLOW, ProblemSpec
-from .network import (COMM, MOBILITY, count_walks, json_integer, json_key_integer,
-                      read_json_object, write_json)
+from .network import COMM, MOBILITY, count_walks
 
 TOL = 1e-6
 ORACLE_GUARD = 1_000_000     # most joint plans the oracle enumerates
 # the options scipy's linprog(method="highs") gives HiGHS (simplex_strategy
-# 1: dual simplex)
-_LP_OPTIONS = {"presolve": "on", "output_flag": False, "log_to_console": False,
-               "simplex_strategy": 1}
+# 1: dual simplex), but log_to_console, which `minimize` sets itself
+_LP_OPTIONS = {"presolve": "on", "output_flag": False, "simplex_strategy": 1}
 
 
 @dataclass(frozen=True)
@@ -378,7 +377,7 @@ def plan_violations(plan: PlanSolution, spec: ProblemSpec) -> list[str]:
     return bad
 
 
-# -- solution extraction and JSON I/O --------------------------------------
+# -- solution extraction ---------------------------------------------------
 
 
 def extract_solution(spec: ProblemSpec, assignment: dict[tuple, float],
@@ -412,57 +411,6 @@ def extract_solution(spec: ProblemSpec, assignment: dict[tuple, float],
                         flow_moves=tuple(sorted(flow_moves, key=key)),
                         objective=float(objective),
                         reward_flags=reward_flags)
-
-
-def solution_to_dict(plan: PlanSolution) -> dict:
-    return {
-        "paths": {str(r): list(path) for r, path in sorted(plan.paths.items())},
-        "comm_events": [list(ev) for ev in plan.comm_events],
-        "flow_moves": [list(ev) for ev in plan.flow_moves],
-        "objective": plan.objective,
-        "reward_flags": [{"state": s, "k": k, "value": v}
-                         for (s, k), v in sorted(plan.reward_flags.items())],
-    }
-
-
-def solution_from_dict(data: dict) -> PlanSolution:
-    try:
-        paths = {json_key_integer(r): _path(path) for r, path in data["paths"].items()}
-        comm = tuple(map(_event, data.get("comm_events", [])))
-        moves = tuple(map(_event, data.get("flow_moves", [])))
-        rewards = {(rec["state"], json_integer(rec["k"])): json_integer(rec["value"])
-                   for rec in data.get("reward_flags", [])}
-        return PlanSolution(paths=paths, comm_events=comm, flow_moves=moves,
-                            objective=float(data.get("objective", 0.0)),
-                            reward_flags=rewards)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"malformed solution: {exc}") from None
-
-
-def _path(path) -> tuple[str, ...]:
-    if not isinstance(path, list) or not all(isinstance(s, str) for s in path):
-        raise InstanceError(f"a path must be an array of state names, got {path!r}")
-    return tuple(path)
-
-
-def _event(event) -> tuple:
-    """(t, from, to, flow_id, amount); a flow id is an agent index or a tag."""
-    t, a, b, fid, amount = event
-    if not (isinstance(a, str) and isinstance(b, str)):
-        raise InstanceError(f"event endpoints must be state names, got {event!r}")
-    if not isinstance(fid, str):
-        fid = json_integer(fid)
-    elif fid.lstrip("-").isdigit():
-        fid = json_key_integer(fid)
-    return json_integer(t), a, b, fid, float(amount)
-
-
-def save_solution(plan: PlanSolution, path: str):
-    write_json(path, solution_to_dict(plan))
-
-
-def load_solution(path: str) -> PlanSolution:
-    return solution_from_dict(read_json_object(path))
 
 
 # -- brute-force oracle -----------------------------------------------------

@@ -306,8 +306,7 @@ def test_the_highs_call_agrees_with_scipy_milp(monkeypatch):
     def both(c, A, row_lower, row_upper, col_lower, col_upper, options, binary):
         res = real_minimize(c, A, row_lower, row_upper, col_lower, col_upper,
                             options, binary)
-        milp_options = {"disp": options["log_to_console"]} | {
-            k: v for k, v in options.items() if k != "log_to_console"}
+        milp_options = {"disp": False} | options
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)   # passed verbatim
             ref = milp(c, integrality=binary.astype(np.uint8),

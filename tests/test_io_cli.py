@@ -15,7 +15,7 @@ from icplan.ilp import AgentConfig, ProblemSpec, assemble
 from icplan.instances import (exploration_world, line_instance,
                                random_oracle_instance)
 from icplan.io import (instance_to_dict, load_exploration, load_instance,
-                       save_instance)
+                       load_solution, save_instance)
 from icplan.network import build_network
 
 from _helpers import package_env, relay_spec
@@ -40,7 +40,7 @@ def test_instance_round_trip_preserves_the_spec(tmp_path):
                            rewards={("s3", 1): 4.0, ("s1", 2): 1.5})
     path = tmp_path / "relay.json"
     save_instance(path, net, spec, extras={"base": "s0"})
-    net2, spec2, extras = load_instance(path)
+    net2, agents2, spec2, extras = load_instance(path)
 
     assert net2.states == net.states
     assert net2.mobility == net.mobility
@@ -48,7 +48,7 @@ def test_instance_round_trip_preserves_the_spec(tmp_path):
     for field in ("T", "src", "snk", "rewards", "information_consistent",
                   "collision_avoidance", "awareness_reward", "return_to_base"):
         assert getattr(spec2, field) == getattr(spec, field), field
-    assert spec2.agents == spec.agents
+    assert spec2.agents == agents2 == spec.agents
     assert extras == {"base": "s0"}
 
 
@@ -57,8 +57,8 @@ def test_asymmetric_comm_edges_survive_the_round_trip(tmp_path):
                         [("a", "b", 1.5)])
     path = tmp_path / "net.json"
     save_instance(path, net)
-    net2, spec, extras = load_instance(path)
-    assert spec is None and extras == {}
+    net2, agents, spec, extras = load_instance(path)
+    assert agents is None and spec is None and extras == {}
     assert net2.comm == {("a", "b"): 1.5}
     assert net2.mobility == net.mobility
 
@@ -86,6 +86,19 @@ def test_exploration_files_reject_bad_bases_and_missing_agents(tmp_path):
         load_exploration(data)
     with pytest.raises(InstanceError, match="agents"):
         load_exploration(instance_to_dict(truth))
+
+
+def test_an_agents_section_without_a_problem_is_still_checked():
+    # exploration worlds carry agents but no problem; their agents section
+    # refuses what a problem's would
+    truth, agents, _ = exploration_world(seed=2, n_states=10, n_agents=3)
+    data = instance_to_dict(truth, agents=agents)
+    data["agents"]["bogus"] = 1
+    with pytest.raises(InstanceError, match="unknown key.*'agents'.*bogus"):
+        load_instance(data)
+    data["agents"] = "not a section"
+    with pytest.raises(InstanceError, match="'agents' section must be an object"):
+        load_instance(data)
 
 
 _MALFORMED_EXPLORATION = [
@@ -185,7 +198,7 @@ def test_load_instance_rejects_malformed_sources(tmp_path):
         load_instance(data)
     data["problem"]["rewards"][0]["k"] = 1.0          # integral: accepted
     data["problem"]["T"] = 2.0
-    assert load_instance(data)[1].T == 2
+    assert load_instance(data)[2].T == 2
     data = instance_to_dict(net, spec)
     data["network"]["mobility_edge"] = data["network"].pop("mobility_edges")
     with pytest.raises(InstanceError, match="unknown key.*'network'.*mobility_edge"):
@@ -253,7 +266,7 @@ def test_load_instance_accepts_dicts_and_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_instance("{relay}.json", net, spec)   # a name that opens like JSON text
     for source in (data, Path("{relay}.json"), "{relay}.json"):
-        net2, spec2, _ = load_instance(source)
+        net2, _, spec2, _ = load_instance(source)
         assert net2.states == net.states
         assert spec2.T == spec.T
 
@@ -294,7 +307,7 @@ def test_cli_solve_writes_every_artifact(tmp_path, capsys):
         [model.n_variables, model.n_constraints, A.nnz]
     assert lp.read_text().startswith("\\")
     assert dot.read_text().startswith("digraph")
-    plan = verify.load_solution(sol)
+    plan = load_solution(sol)
     assert not verify.check_dynamics(plan, spec)
     assert not verify.check_flows(plan, spec)
 

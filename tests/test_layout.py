@@ -108,6 +108,15 @@ def test_no_module_imports_heapq():
     assert importers == []
 
 
+def test_only_io_knows_the_file_formats():
+    # instance, network and plan files are read and written in io.py alone,
+    # so no two modules can disagree on a format
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if any(module == "json" for module, _ in
+                        _imports(ast.parse(p.read_text())))]
+    assert importers == ["io.py"]
+
+
 def test_only_the_highs_module_talks_to_highs():
     # one module loads HiGHS's bindings, by path, and fills its model and
     # options; no module imports scipy.optimize, whose milp and linprog

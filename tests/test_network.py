@@ -11,10 +11,10 @@ from scipy.sparse.csgraph import dijkstra
 
 from icplan import cluster, instances, network
 from icplan.errors import InstanceError
-from icplan.io import load_instance, network_to_dict
+from icplan.io import load_instance, load_network, network_to_dict
 from icplan.explore import induced_network
 from icplan.network import (COMM, betweenness_centrality, build_network, hop_bfs,
-                            load_network, to_dot)
+                            to_dot)
 
 from _helpers import (bellman_ford, composite_betweenness, heap_betweenness,
                       heap_dijkstra, line_network, random_net)
@@ -479,13 +479,18 @@ def test_load_network_rejects_malformed_input(tmp_path):
         load_network({"mobility_edges": []})                      # no states
     with pytest.raises(InstanceError):
         load_network({"states": ["a"], "mobility_edges": [{"to": "a"}]})
+    # a network is a section of an instance; a path names no section, and
+    # the instance loader reads the file
     path = tmp_path / "net.json"
     path.write_text("{not json")
+    for source in (path, str(path), ["a"]):
+        with pytest.raises(InstanceError, match="'network' section must be an object"):
+            load_network(source)
     with pytest.raises(InstanceError, match="invalid JSON"):
-        load_network(path)
+        load_instance(path)
     path.write_text("[1, 2]")
     with pytest.raises(InstanceError, match="root must be an object"):
-        load_network(path)
+        load_instance(path)
 
 
 def test_load_network_refuses_unknown_keys(tmp_path):
@@ -495,6 +500,6 @@ def test_load_network_refuses_unknown_keys(tmp_path):
     with pytest.raises(InstanceError, match="unknown key.*'network'.*comm_edge"):
         load_network(data)
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps({"network": data}))
     with pytest.raises(InstanceError, match="unknown key.*'network'.*comm_edge"):
-        load_network(path)
+        load_instance(path)

@@ -15,14 +15,14 @@ from icplan import verify
 from icplan.errors import ConfigurationError, GuardExceeded, SolverError
 from icplan.ilp import MASTER_FLOW, AgentConfig, ProblemSpec, base_reachable_states
 from icplan.instances import ORACLE_CLASSES, line_instance, random_oracle_instance
+from icplan.io import (load_solution, save_solution, solution_from_dict,
+                       solution_to_dict)
 from icplan.network import build_network
 from icplan.solver import solve_problem
 from icplan.verify import (TOL, PlanSolution, _agent_paths, _claimable,
                            _evaluate_candidate, _plan_bounds, brute_force_solve,
                            check_consistency, check_dynamics, check_flows,
-                           information_reachability, load_solution,
-                           master_token_layers, save_solution,
-                           solution_from_dict, solution_to_dict)
+                           information_reachability, master_token_layers)
 
 from _helpers import line_network, package_env, relay_spec
 
