@@ -25,9 +25,11 @@ every activated cluster solves up to two small problems on its territory.
   reward plan gets + 2, PRE_SLACK), since HiGHS's root work grows with the
   horizon.
 
-Both phases solve each cluster's problem once (`_solve_cluster`).  One that
-ends infeasible, or at the time limit without a plan, is not recorded and
-moves nobody; a rejected plan or a HiGHS error ends the run.
+Both phases solve each cluster's problem once (`_solve_cluster`); a reward
+plan is solved without HiGHS's probing presolve, which costs those models
+more than it removes (`solver._NO_PROBING`).  One that ends infeasible, or
+at the time limit without a plan, is not recorded and moves nobody; a
+rejected plan or a HiGHS error ends the run.
 
 Movement reveals the one-hop mobility neighbourhood of every visited state.
 The loop ends when no frontiers remain and the base knows every revealed
@@ -274,7 +276,8 @@ def _solve_summary(T, result) -> str:
 
 def _solve_cluster(truth, plan, phase, cycle, cid, roster, spec, positions,
                    reveals, records):
-    """Solve one cluster's subproblem at the phase's gap and execute its plan.
+    """Solve one cluster's subproblem at the phase's gap, a reward plan
+    without probing, and execute its plan.
 
     Returns (solution, failed).  A solve with no plan (infeasible, or
     stopped at the time limit) is not recorded and moves nobody.  Any other
@@ -283,7 +286,8 @@ def _solve_cluster(truth, plan, phase, cycle, cid, roster, spec, positions,
     reveal to `reveals`.
     """
     _, result, sol = solve_problem(spec, time_limit=SOLVE_TIME_LIMIT,
-                                   gap=PRE_GAP if phase == "pre" else POST_GAP)
+                                   gap=PRE_GAP if phase == "pre" else POST_GAP,
+                                   probing=phase != "pre")
     logger.debug("%s c%d depth=%d roster=%s status=%s obj=%s: %s", phase, cid,
                  plan.clustering.depth(cid), roster, result.status,
                  result.objective, _solve_summary(spec.T, result))

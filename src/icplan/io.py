@@ -28,8 +28,9 @@ An instance is one JSON document holding network, agents, problem::
 
 "problem" requires "agents"; "agents" may stand alone (exploration worlds
 carry agents and an "exploration" section but no problem). "exploration" is
-optional everywhere.  Every section refuses a key this layout does not name.
-A plan file holds a `PlanSolution`'s paths, events and reward flags.
+optional everywhere.  The document and every section refuse a key this
+layout does not name.  A plan file holds a `PlanSolution`'s paths, events,
+objective and reward flags, and refuses any other key.
 """
 
 from __future__ import annotations
@@ -43,18 +44,22 @@ from .ilp import AgentConfig, ProblemSpec
 from .network import MobilityCommNetwork, build_network
 from .verify import PlanSolution
 
+INSTANCE_KEYS = frozenset({"network", "agents", "problem", "exploration"})
 NETWORK_KEYS = frozenset({"states", "mobility_edges", "comm_edges", "self_loops"})
 AGENT_KEYS = frozenset({"count", "initial", "static", "masters"})
 PROBLEM_KEYS = frozenset({"T", "src", "snk", "rewards", "information_consistent",
                           "collision_avoidance", "awareness_reward",
                           "return_to_base"})
 EXPLORATION_KEYS = frozenset({"base", "initially_known"})
+PLAN_KEYS = frozenset({"paths", "comm_events", "flow_moves", "objective",
+                       "reward_flags"})
 
 
 def load_instance(source):
     """Read (net, agents, spec, extras) from a dict or a file path, each
     section once; agents or spec is None when its section is absent."""
     data = _read_json_object(source)
+    _refuse_unknown_keys("instance", data, INSTANCE_KEYS)
     if "network" not in data:
         raise InstanceError("instance is missing the 'network' section")
     net = load_network(data["network"])
@@ -218,6 +223,7 @@ def solution_to_dict(plan: PlanSolution) -> dict:
 
 
 def solution_from_dict(data: dict) -> PlanSolution:
+    _refuse_unknown_keys("plan", data, PLAN_KEYS)
     try:
         paths = {_json_key_integer(r): _path(path) for r, path in data["paths"].items()}
         comm = tuple(map(_event, data.get("comm_events", [])))

@@ -27,6 +27,15 @@ INT_TOL = 1e-6
 # knapsack on a 2-vCPU host, scipy 1.17.1: 8.5 ms with it, 1.5 ms without).
 _HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
 
+# Bit 15 of HiGHS 1.12's `presolve_rule_off` switches off its probing
+# presolve rule.  On exploration's reward plans probing costs more than it
+# removes (perfbench explore's 52 reward models, 2 vCPU: presolve 0.86 s
+# with it, 0.22 s without, leaving 9,856 against 10,213 columns), so
+# `solve(..., probing=False)` sets it.  Collection plans and the line relay
+# keep it: there it pays (line_instance(8) solves in 0.41 s with it, 1.01 s
+# without).
+_NO_PROBING = {"presolve_rule_off": 1 << 15}
+
 
 @dataclass
 class SolveResult:
@@ -85,8 +94,9 @@ def _quiet_fd1():
 
 
 def solve(model: MilpModel, time_limit: float | None = None,
-          gap: float | None = None) -> SolveResult:
-    """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap."""
+          gap: float | None = None, probing: bool = True) -> SolveResult:
+    """Maximize `model` with HiGHS; `gap` is HiGHS's relative MIP gap and
+    `probing=False` turns off HiGHS's probing presolve rule."""
     start = time.perf_counter()
     A, lb, ub = model.matrix()
     matrix_s = time.perf_counter() - start
@@ -95,6 +105,8 @@ def solve(model: MilpModel, time_limit: float | None = None,
     c = np.zeros(model.n_variables)
     c[cols] = -vals                          # HiGHS minimizes
     options = dict(_HIGHS_OPTIONS)
+    if not probing:
+        options.update(_NO_PROBING)
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if gap is not None:
@@ -185,12 +197,12 @@ def export_lp(model: MilpModel) -> str:
 
 
 def solve_problem(spec: ProblemSpec, time_limit: float | None = None,
-                  gap: float | None = None):
+                  gap: float | None = None, probing: bool = True):
     """Assemble, solve, and extract a plan. Returns (model, result, plan)."""
     start = time.perf_counter()
     model = assemble(spec)
     assemble_s = time.perf_counter() - start
-    result = solve(model, time_limit=time_limit, gap=gap)
+    result = solve(model, time_limit=time_limit, gap=gap, probing=probing)
     result.assemble_s = assemble_s
     plan = None
     if result.assignment and result.status in ("optimal", "limit"):

@@ -11,13 +11,14 @@ import sys
 import pytest
 
 from icplan.cluster import Clustering
-from icplan import cli, explore
+from icplan import cli, explore, solver
 from icplan.explore import (_cluster_rewards, _CyclePlan, _delivery_corridor,
                             _hop_distances, _plan_cycle, _post_phase,
                             _pre_phase, _solve_summary, detect_frontiers,
                             induced_network, reveal_neighborhood, run_exploration)
-from icplan.ilp import AgentConfig
-from icplan.instances import exploration_world
+from icplan.ilp import AgentConfig, assemble
+from icplan.instances import exploration_world, line_instance
+from icplan.io import save_instance
 from icplan.network import build_network
 from icplan.solver import SolveResult
 
@@ -323,6 +324,37 @@ def test_a_collection_problem_is_posed_at_its_farthest_source_plus_one(
     assert knowledge[0] == set(states)
 
 
+def test_only_reward_plans_skip_probing(monkeypatch, tmp_path, capsys):
+    # probing pays on collection plans and the line relay, so the options
+    # and bytes of every solve but a reward plan's stay as they were
+    phase, calls = [None], []
+    real_cluster, real_minimize = explore._solve_cluster, solver.minimize
+
+    def in_phase(truth, plan, cluster_phase, *args):
+        phase[0] = cluster_phase
+        return real_cluster(truth, plan, cluster_phase, *args)
+
+    def record(*args):
+        calls.append((phase[0], args[6]))
+        return real_minimize(*args)
+
+    monkeypatch.setattr(explore, "_solve_cluster", in_phase)
+    monkeypatch.setattr(solver, "minimize", record)
+    assert run_exploration(*exploration_world(0, 15, 3)).status == "complete"
+    phase[0] = "solve"
+    assert solver.solve(assemble(line_instance(4)[1])).ok
+    phase[0] = "cli"
+    instance = tmp_path / "line4.json"
+    save_instance(instance, *line_instance(4))
+    assert cli.main(["solve", str(instance), "--gap", "0.1"]) == cli.EXIT_OK
+    capsys.readouterr()
+    rule_off = {}
+    for p, options in calls:
+        rule_off.setdefault(p, set()).add(options.get("presolve_rule_off"))
+    assert rule_off == {"pre": {solver._NO_PROBING["presolve_rule_off"]},
+                        "post": {None}, "solve": {None}, "cli": {None}}
+
+
 # -- the loop ---------------------------------------------------------------------
 
 
@@ -508,7 +540,9 @@ def test_exploration_records_do_not_follow_the_hash_seed():
 # cycle-3 collection plan left the agents elsewhere).  Every post row's T fell
 # by one when collection problems went from hops + 2 to hops + 1, and world
 # 0's cycle-4 pre row moved with it (T 5 -> 4, objective 205.96 -> 207.96),
-# as its cycle-3 collection plan left the agents elsewhere.
+# as its cycle-3 collection plan left the agents elsewhere.  World 2's rows
+# from its cycle-3 pre row on moved when reward plans stopped probing: HiGHS
+# stopped at another plan within the 5% gap (268.67, not 266.67).
 _PINNED_ROWS = {
     (0, 15, 3): [
         (1, 1, "pre", 3, "optimal", 256.0),
@@ -525,10 +559,10 @@ _PINNED_ROWS = {
         (1, 1, "post", 2, "optimal", -0.0),
         (2, 1, "pre", 3, "optimal", 258.0),
         (2, 1, "post", 3, "optimal", -2.0),
-        (3, 1, "pre", 4, "optimal", 266.666667),
-        (3, 1, "post", 4, "optimal", -4.0),
-        (4, 1, "pre", 5, "optimal", 206.0),
-        (4, 1, "post", 2, "optimal", -0.0),
+        (3, 1, "pre", 4, "optimal", 268.666667),
+        (3, 1, "post", 4, "optimal", -3.0),
+        (4, 1, "pre", 5, "optimal", 265.666667),
+        (4, 1, "post", 4, "optimal", -2.0),
     ],
     (0, 20, 5): [
         (1, 1, "pre", 3, "optimal", 356.0),

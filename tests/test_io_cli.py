@@ -12,10 +12,12 @@ import pytest
 from icplan import baselines, cli, verify
 from icplan.errors import ConfigurationError, InstanceError
 from icplan.ilp import AgentConfig, ProblemSpec, assemble
-from icplan.instances import (exploration_world, line_instance,
+from icplan.instances import (ORACLE_CLASSES, exploration_world, line_instance,
                                random_oracle_instance)
-from icplan.io import (instance_to_dict, load_exploration, load_instance,
-                       load_solution, save_instance)
+from icplan.io import (PLAN_KEYS, instance_to_dict, load_exploration,
+                       load_instance, load_solution, save_instance,
+                       save_solution, solution_to_dict)
+from icplan.solver import solve_problem
 from icplan.network import build_network
 
 from _helpers import package_env, relay_spec
@@ -99,6 +101,22 @@ def test_an_agents_section_without_a_problem_is_still_checked():
     data["agents"] = "not a section"
     with pytest.raises(InstanceError, match="'agents' section must be an object"):
         load_instance(data)
+
+
+def test_a_key_that_names_no_section_is_refused(tmp_path, capsys):
+    # a misspelt section was dropped: this world loaded with base s0
+    truth, agents, _ = exploration_world(seed=2, n_states=10, n_agents=3)
+    data = instance_to_dict(truth, agents=agents, extras={"base": "s3"})
+    data["exploraton"] = data.pop("exploration")
+    for load in (load_instance, load_exploration):
+        with pytest.raises(InstanceError,
+                           match="unknown key.*'instance'.*exploraton"):
+            load(data)
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(data))
+    assert cli.main(["explore", "--instance", str(world)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key") and "exploraton" in err
 
 
 _MALFORMED_EXPLORATION = [
@@ -427,6 +445,35 @@ def test_cli_verify_reports_unreadable_plan_files(tmp_path, capsys, content):
     assert cli.main(["verify", str(instance), str(sol)]) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_plan_key_that_names_nothing_is_refused(tmp_path, capsys):
+    # a misspelt "comm_events" once loaded as a plan with no comm events,
+    # and the verifier reported the flow imbalances that followed
+    net, spec = relay_spec()
+    instance, sol = tmp_path / "relay.json", tmp_path / "plan.json"
+    save_instance(instance, net, spec)
+    sol.write_text(json.dumps({"paths": {"0": ["s0"]},
+                               "comm_event": [[0, "s0", "s1", 0, 1.0]]}))
+    assert cli.main(["verify", str(instance), str(sol)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key") and "comm_event" in err
+
+
+def test_every_saved_plan_loads_as_it_was(tmp_path):
+    # the plan keys a loader accepts are exactly those a plan file is saved
+    # with, for MILP, baseline and reward-flagged plans alike
+    specs = [line_instance(n)[1] for n in (3, 4, 5)] + [
+        random_oracle_instance(seed, klass)[1] for seed in range(3)
+        for klass in ORACLE_CLASSES]
+    plans = [solve_problem(spec)[2] for spec in specs]
+    plans.append(baselines.solve_powerset(line_instance(4)[1]).plan)
+    assert all(plans) and any(plan.reward_flags for plan in plans)
+    path = tmp_path / "plan.json"
+    for plan in plans:
+        assert solution_to_dict(plan).keys() == PLAN_KEYS
+        save_solution(plan, path)
+        assert load_solution(path) == plan
 
 
 def _cut_path(data, T):

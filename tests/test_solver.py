@@ -10,7 +10,7 @@ import pytest
 import scipy
 from scipy import sparse
 
-from icplan import highs, solver, verify
+from icplan import explore, highs, solver, verify
 from icplan.errors import InstanceError
 from icplan.explore import run_exploration
 from icplan.highs import HighsResult
@@ -130,6 +130,46 @@ def test_feasibility_jump_heuristic_is_off(line4, monkeypatch):
         assert solve(assemble(line4[1]), **kwargs).ok
     assert [o["mip_heuristic_run_feasibility_jump"] for o in seen] == [False, False]
     assert seen[1]["time_limit"] == 60.0 and seen[1]["mip_rel_gap"] == 0.1
+
+
+def _first_reward_spec(monkeypatch):
+    """The first reward (pre) plan that exploration poses on a small world."""
+    specs, real = [], explore.solve_problem
+
+    def capture(spec, **kwargs):
+        specs.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(explore, "solve_problem", capture)
+    run_exploration(*exploration_world(0, 15, 3))
+    monkeypatch.undo()
+    assert not specs[0].src                 # a reward plan routes no findings
+    return specs[0]
+
+
+def test_the_presolve_rule_bit_names_probing(tmp_path, monkeypatch):
+    # solver._NO_PROBING sets one bit of HiGHS's presolve_rule_off; a HiGHS
+    # that numbered its presolve rules otherwise would switch off another
+    # rule and leave probing on, without an error
+    model = assemble(_first_reward_spec(monkeypatch))
+    real, logs = solver.minimize, {}
+    for probing in (True, False):
+        log_file = tmp_path / f"probing-{probing}.log"
+
+        def logged(*args, log_file=log_file):
+            # log_dev_level 1 adds presolve's per-rule lines to the log
+            options = {**args[6], "log_file": str(log_file), "log_dev_level": 1}
+            return real(*args[:6], options, *args[7:])
+
+        monkeypatch.setattr(solver, "minimize", logged)
+        assert solve(model, probing=probing).ok
+        logs[probing] = log_file.read_text()
+    message = ("presolve_rule_off's bit in solver._NO_PROBING no longer "
+               "names HiGHS's Probing rule")
+    bit = solver._NO_PROBING["presolve_rule_off"]
+    assert "probing evaluations" in logs[True], message
+    assert "probing evaluations" not in logs[False], message
+    assert f"(bit {bit}): Probing" in logs[False], message
 
 
 def test_solve_raises_no_warning(line4):
