@@ -139,7 +139,8 @@ def _cmd_explore(args) -> int:
         print(f"cycle {o.cycle}: clusters={o.n_clusters} "
               f"frontiers={o.frontiers_before} new={len(o.new_states)} "
               f"base+={o.base_gain} slowest_solve={o.max_solve_time:.1f}s "
-              f"plan={o.plan_s:.2f}s pre={o.pre_s:.1f}s post={o.post_s:.1f}s")
+              f"plan={o.plan_s:.2f}s pre={o.pre_s:.1f}s post={o.post_s:.1f}s "
+              f"end={o.end}")
     data = log.to_dict()
     for f in data["failures"]:
         print(f"violation: cycle {f['cycle']} cluster {f['cluster']} "

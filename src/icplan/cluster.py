@@ -7,8 +7,9 @@ a hierarchy is built by activating clusters that can be reached over a
 communication edge from an already-active cluster's territory.  Each
 activated cluster designates a submaster: the receiving agent closest to
 its parent, which acts as the cluster's local plan source and report sink.
-Every travel distance the decomposition reads ends at an agent start, so it
-asks the network only for those rows (`distances_to`).
+Every travel distance the decomposition reads ends at an agent start; it
+reads them as columns of the network's cached all-pairs matrix
+(`distances_to`).
 """
 
 from __future__ import annotations

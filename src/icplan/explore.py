@@ -67,8 +67,15 @@ T_MAX = 8                   # horizon cap per subproblem
 TERRITORY_SPAN = 2.0        # target territory size, in states per horizon step
 MAX_CYCLES = 40
 SOLVE_TIME_LIMIT = 55.0
-PRE_GAP = 0.05              # relative MIP gap: reward plans near-optimal
-POST_GAP = 0.25             # collection plans only need to be feasible
+# Relative MIP gaps at which HiGHS stops.  Collection plans only need to
+# be feasible.  On reward models a tighter stop pays for proof, not for a
+# better plan: perfbench explore's 52 reward models (2 vCPU, median of 3)
+# take 0.96 s in HiGHS at a 5% gap, 0.89 s at 10%, 0.78 s at 15%, 0.72 s
+# at 20% and 0.69 s at 25%, and all 52 end at the 5% objective up to 15%,
+# 51 beyond.  Past 15% the runs themselves change course (perfbench
+# explore's world 0 from 20% on).
+PRE_GAP = 0.15              # reward plans: near-optimal
+POST_GAP = 0.25             # collection plans
 PRE_SLACK = 2               # reward-plan horizon: farthest member's hops + 2
 POST_SLACK = 1              # collection horizon: farthest source's hops + 1
 
@@ -160,6 +167,7 @@ class CycleOutcome:
     plan_s: float                    # seconds in _plan_cycle
     pre_s: float                     # seconds in _pre_phase
     post_s: float                    # seconds in _post_phase, 0 when it did not run
+    end: str = "continue"            # on the run's last cycle, its status
 
 
 @dataclass
@@ -210,6 +218,7 @@ class ExplorationLog:
                 "new_states": len(o.new_states), "base_gain": o.base_gain,
                 "max_solve_time": o.max_solve_time,
                 "plan_s": o.plan_s, "pre_s": o.pre_s, "post_s": o.post_s,
+                "end": o.end,
             } for o in self.outcomes],
             "subproblem_stats": [{
                 "cycle": rec.cycle, "cluster": rec.cluster, "phase": rec.phase,
@@ -537,6 +546,8 @@ def run_exploration(truth: MobilityCommNetwork, agents: AgentConfig, base: str,
     else:
         log.status = "cycle_limit"
 
+    if log.outcomes:
+        log.outcomes[-1].end = log.status
     log.known = frozenset(known)
     log.base_knowledge = frozenset(knowledge[master])
     log.wall_time = time.perf_counter() - start

@@ -8,13 +8,12 @@ self-loops (waiting) are inserted automatically at zero cost unless the
 instance disables them.  Each edge has one cost, the same at every layer.
 
 Derived tables are built on first use and cached on the network: comm
-adjacency, the mobility arcs, the forward all-pairs distance matrix
-(betweenness reads every source) and distance rows to single states (the
-clustering reads only those to agent starts).  Mobility adjacency is built
-with the network.  An induced subnetwork (`MobilityCommNetwork.induced`, on
-every exploration cycle's pruned states) filters its parent's checked
-edges and sorted mobility adjacency instead of checking and sorting again,
-and builds its own caches.
+adjacency, the mobility arcs and the forward all-pairs distance matrix
+(betweenness reads every row, the clustering the columns of agent starts).
+Mobility adjacency is built with the network.  An induced subnetwork
+(`MobilityCommNetwork.induced`, on every exploration cycle's pruned states)
+filters its parent's checked edges and sorted mobility adjacency instead of
+checking and sorting again, and builds its own caches.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class MobilityCommNetwork:
         object.__setattr__(self, "_comm_tables", None)  # (succ, pred), on first use
         object.__setattr__(self, "_arcs", None)       # (tails, heads, costs), on first use
         object.__setattr__(self, "_distances", None)  # forward matrix, on first use
-        object.__setattr__(self, "_to", {})           # state index -> distances to it
         object.__setattr__(self, "_undirected", None)
 
     def induced(self, states) -> MobilityCommNetwork:
@@ -135,19 +133,11 @@ class MobilityCommNetwork:
         """Mobility distances to each state index in `indices`, one row each:
         entry [k, j] is d(j -> indices[k]), inf where unreachable.
 
-        Rows are cached per state; one compiled Dijkstra on the reversed
-        graph fills the missing ones, so that each path's costs are summed
-        from the target outward.  The returned array is read-only.
+        The rows are columns of `mobility_distance_matrix()`, which
+        betweenness reads on every exploration cycle anyway, so one forward
+        Dijkstra serves both.  The returned array is read-only.
         """
-        missing = [i for i in dict.fromkeys(indices) if i not in self._to]
-        if missing:
-            tails, heads, w = self._mobility_arcs()
-            n = len(self.states)
-            graph = sparse.csr_matrix((w, (heads, tails)), shape=(n, n))
-            for i, row in zip(missing, dijkstra(graph, indices=missing)):
-                row.setflags(write=False)
-                self._to[i] = row
-        rows = np.array([self._to[i] for i in indices]).reshape(-1, len(self.states))
+        rows = self.mobility_distance_matrix()[:, list(indices)].T
         rows.setflags(write=False)
         return rows
 

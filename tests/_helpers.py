@@ -103,24 +103,23 @@ def bellman_ford(net, source):
     return dist
 
 
-def _weighted_rows(net, direction):
-    """Per state index, the (neighbour index, cost) pairs in state order,
-    self-loops dropped; "pred" costs are those of the edge into the state."""
+def _weighted_rows(net):
+    """Per state index, the (successor index, cost) pairs in state order,
+    self-loops dropped."""
     rows = []
     for s in net.states:
         row = []
-        for v in net.neighbors(s, direction):
+        for v in net.neighbors(s):
             if v != s:
-                a, b = (s, v) if direction == "succ" else (v, s)
-                row.append((net.index(v), net.mobility[(a, b)]))
+                row.append((net.index(v), net.mobility[(s, v)]))
         rows.append(row)
     return rows
 
 
-def heap_dijkstra(net, source, direction="succ"):
+def heap_dijkstra(net, source):
     """Reference distances per state index: a binary-heap Dijkstra rooted at
-    `source`, forward ("succ") or on the reversed graph ("pred")."""
-    adj = _weighted_rows(net, direction)
+    `source`."""
+    adj = _weighted_rows(net)
     dist = [float("inf")] * len(net.states)
     start = net.index(source)
     dist[start] = 0.0
@@ -141,7 +140,7 @@ def heap_betweenness(net):
     """Reference Brandes betweenness: per source a heap Dijkstra with path
     counts (heap ties by state index, the 1e-12 tie rule, predecessors in
     relaxation order), then dependencies in reverse settle order."""
-    adj = _weighted_rows(net, "succ")
+    adj = _weighted_rows(net)
     n = len(net.states)
     scores = [0.0] * n
     for source in range(n):

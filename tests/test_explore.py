@@ -324,9 +324,11 @@ def test_a_collection_problem_is_posed_at_its_farthest_source_plus_one(
     assert knowledge[0] == set(states)
 
 
-def test_only_reward_plans_skip_probing(monkeypatch, tmp_path, capsys):
-    # probing pays on collection plans and the line relay, so the options
-    # and bytes of every solve but a reward plan's stay as they were
+def _highs_options_by_caller(monkeypatch, tmp_path, capsys):
+    """Spy on the HiGHS options of a small exploration's solves (keyed by
+    phase), of `solver.solve` and of `icplan solve --gap 0.1`.  Returns
+    `values(option)`: per caller, the set of that option's values (None
+    where it is unset)."""
     phase, calls = [None], []
     real_cluster, real_minimize = explore._solve_cluster, solver.minimize
 
@@ -348,11 +350,31 @@ def test_only_reward_plans_skip_probing(monkeypatch, tmp_path, capsys):
     save_instance(instance, *line_instance(4))
     assert cli.main(["solve", str(instance), "--gap", "0.1"]) == cli.EXIT_OK
     capsys.readouterr()
-    rule_off = {}
-    for p, options in calls:
-        rule_off.setdefault(p, set()).add(options.get("presolve_rule_off"))
-    assert rule_off == {"pre": {solver._NO_PROBING["presolve_rule_off"]},
-                        "post": {None}, "solve": {None}, "cli": {None}}
+
+    def values(option):
+        by_caller = {}
+        for p, options in calls:
+            by_caller.setdefault(p, set()).add(options.get(option))
+        return by_caller
+    return values
+
+
+def test_only_reward_plans_skip_probing(monkeypatch, tmp_path, capsys):
+    # probing pays on collection plans and the line relay, so the options
+    # and bytes of every solve but a reward plan's stay as they were
+    values = _highs_options_by_caller(monkeypatch, tmp_path, capsys)
+    assert values("presolve_rule_off") == {
+        "pre": {solver._NO_PROBING["presolve_rule_off"]},
+        "post": {None}, "solve": {None}, "cli": {None}}
+
+
+def test_each_phase_sends_its_gap(monkeypatch, tmp_path, capsys):
+    # reward and collection plans stop at their own gaps; a plain solve
+    # proves optimality unless the command line asks for a gap
+    values = _highs_options_by_caller(monkeypatch, tmp_path, capsys)
+    assert values("mip_rel_gap") == {
+        "pre": {explore.PRE_GAP}, "post": {explore.POST_GAP},
+        "solve": {None}, "cli": {0.1}}
 
 
 # -- the loop ---------------------------------------------------------------------
@@ -390,6 +412,7 @@ def test_cycle_budget_cuts_the_loop_short():
     log = run_exploration(truth, agents, base, max_cycles=1)
     assert log.status == "cycle_limit"
     assert log.cycles == 1
+    assert [o.end for o in log.outcomes] == ["cycle_limit"]
 
 
 def test_debug_log_describes_each_pre_solve(caplog):
@@ -434,6 +457,7 @@ def test_a_team_that_cannot_move_stalls():
                                masters=frozenset({0}), static=frozenset({0, 1}))):
         log = run_exploration(line_network(5), agents, "s0")
         assert log.status == "stalled" and log.cycles == 1
+        assert [o.end for o in log.outcomes] == ["stalled"]
         assert log.known == frozenset({"s0", "s1"})
 
 
@@ -454,7 +478,10 @@ def test_log_serialisation_matches_the_run():
     log = run_exploration(truth, agents, base)
     data = log.to_dict()
     assert data["status"] == log.status
-    assert data["cycles"] == log.cycles == len(data["outcomes"])
+    assert data["cycles"] == log.cycles == len(data["outcomes"]) > 1
+    # every cycle but the last went on; the last one ended the run
+    assert ([o["end"] for o in data["outcomes"]]
+            == ["continue"] * (log.cycles - 1) + ["complete"])
     assert data["subproblems"] == len(log.subproblems)
     assert data["coverage"] == log.coverage
     for outcome in data["outcomes"]:
@@ -500,6 +527,8 @@ def test_a_failed_run_says_which_plan_failed_and_why(monkeypatch, tmp_path, caps
         "status": "optimal", "roster": [0, 3, 4, ["station", 1]],
         "violations": violations}]
     lines = capsys.readouterr().out.splitlines()
+    assert lines[-4].startswith("cycle 2: ")
+    assert lines[-4].endswith(" end=verification_failed")
     assert lines[-3] == ("violation: cycle 2 cluster 1 pre T=3 status=optimal: "
                          + "; ".join(violations))
     assert lines[-2].startswith("status=verification_failed ")
@@ -542,7 +571,8 @@ def test_exploration_records_do_not_follow_the_hash_seed():
 # 0's cycle-4 pre row moved with it (T 5 -> 4, objective 205.96 -> 207.96),
 # as its cycle-3 collection plan left the agents elsewhere.  World 2's rows
 # from its cycle-3 pre row on moved when reward plans stopped probing: HiGHS
-# stopped at another plan within the 5% gap (268.67, not 266.67).
+# stopped at another plan within the 5% gap (268.67, not 266.67).  No row
+# moved when the reward gap (`explore.PRE_GAP`) went from 5% to 15%.
 _PINNED_ROWS = {
     (0, 15, 3): [
         (1, 1, "pre", 3, "optimal", 256.0),

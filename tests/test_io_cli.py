@@ -537,6 +537,9 @@ def test_cli_explore_runs_synthetic_and_file_worlds(tmp_path, capsys):
     assert "status=complete" in out
     assert out.startswith("cycle 1: clusters=") and " slowest_solve=" in out
     assert " plan=" in out and " pre=" in out and " post=" in out
+    cycle_lines = [line for line in out.splitlines() if line.startswith("cycle ")]
+    assert [line.rsplit(" ", 1)[1] for line in cycle_lines] == (
+        ["end=continue"] * (len(cycle_lines) - 1) + ["end=complete"])
     log = json.loads(log_path.read_text())
     assert log["status"] == "complete"
     assert log["coverage"] == 1.0

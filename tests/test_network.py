@@ -314,11 +314,11 @@ def _float_nets(draw, least=1):
 @given(_float_nets())
 def test_distances_and_betweenness_equal_the_heap_references(net):
     assert betweenness_centrality(net) == heap_betweenness(net)
-    for s in net.states:
-        assert (net.mobility_distance_matrix()[net.index(s)].tolist()
-                == heap_dijkstra(net, s, "succ"))
-        assert (net.distances_to([net.index(s)])[0].tolist()
-                == heap_dijkstra(net, s, "pred"))
+    rows = [heap_dijkstra(net, s) for s in net.states]
+    for i, s in enumerate(net.states):
+        assert net.mobility_distance_matrix()[i].tolist() == rows[i]
+        # each path's costs are summed from its start, as in the rows
+        assert net.distances_to([i])[0].tolist() == [row[i] for row in rows]
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -387,11 +387,6 @@ def test_zero_cost_ties_follow_the_settle_order():
 def test_distance_matrix_is_cached_and_read_only(monkeypatch):
     net = build_network(["a", "b", "c"],
                         [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 0.5)], [])
-    dist = net.mobility_distance_matrix()
-    assert net.mobility_distance_matrix() is dist
-    assert dist[net.index("a")].tolist() == [0.0, 1.0, 0.5]
-    with pytest.raises(ValueError):
-        dist[0, 0] = 1.0
     calls = []
 
     def counting(graph, **kwargs):
@@ -406,9 +401,13 @@ def test_distance_matrix_is_cached_and_read_only(monkeypatch):
                                                  [0.5, 1.0, 0.0]]
     assert net.distances_to([c]).tolist() == [[0.5, 1.0, 0.0]]
     assert net.distances_to([]).shape == (0, 3)
-    assert calls == [[c], [a]]                  # each row computed once
-    with pytest.raises(ValueError):
-        to[0, 0] = 1.0
+    dist = net.mobility_distance_matrix()
+    assert net.mobility_distance_matrix() is dist
+    assert dist[net.index("a")].tolist() == [0.0, 1.0, 0.5]
+    assert calls == [None]                      # one forward all-pairs Dijkstra
+    for table in (dist, to):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 def test_betweenness_on_a_line_is_hand_computable():
